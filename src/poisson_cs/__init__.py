@@ -59,6 +59,7 @@ from .solvers import (
     soft_threshold,
     solve_p2,
     solve_penalized,
+    solve_penalized_batch,
 )
 from .sqjsd_stats import (
     EpsilonMode,

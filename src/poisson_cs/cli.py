@@ -41,7 +41,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--paper-scale", action="store_true",
                         help="use the full experiment grids instead of desk-scale ones")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for sweep trials")
+                        help="worker processes for sweep trials or runs of image patches")
 
 
 def _build_spec(args, kind: str, default_trials: int | None = None) -> ExperimentSpec:

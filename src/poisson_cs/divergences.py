@@ -151,17 +151,16 @@ def kl(p, q) -> DivergenceValue:
 
 
 def _jsd_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # J(p,q) = (1/2) sum_i [ p log(2p/(p+q)) + q log(2q/(p+q)) ].
-    # log(2p/(p+q)) = log1p((p-q)/(p+q)) keeps full precision when p ~ q,
-    # which is the regime of every high-intensity Poisson experiment.  Each
-    # product is evaluated only where its front factor is positive: when
-    # p > 0 the log1p argument is strictly above -1.
+    # J(p,q) = (1/2) sum_i [ p log(2p/(p+q)) + q log(2q/(p+q)) ], termwise on
+    # arrays of any shape.  log(2p/(p+q)) = log1p((p-q)/(p+q)) keeps full
+    # precision when p ~ q, which is the regime of every high-intensity
+    # Poisson experiment.  Each product is kept only where its front factor
+    # is positive (then the log1p argument is strictly above -1); the
+    # discarded branch may be -inf or nan.
     s = p + q
-    out = np.zeros_like(s)
-    pp = p > 0.0
-    qq = q > 0.0
-    out[pp] += 0.5 * p[pp] * np.log1p((p[pp] - q[pp]) / s[pp])
-    out[qq] += 0.5 * q[qq] * np.log1p((q[qq] - p[qq]) / s[qq])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(p > 0.0, 0.5 * p * np.log1p((p - q) / s), 0.0)
+        out += np.where(q > 0.0, 0.5 * q * np.log1p((q - p) / s), 0.0)
     return out
 
 

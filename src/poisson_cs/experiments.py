@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleStartError, InvalidParamError
+from .errors import InvalidParamError
 from .sensing import build_phi, sample_rip_matrix
 from .simulate import measure
 from .solvers import (
@@ -36,6 +36,7 @@ from .solvers import (
     rrmse,
     solve_p2,
     solve_penalized,
+    solve_penalized_batch,
 )
 from .sqjsd_stats import (
     EpsilonMode,
@@ -200,31 +201,25 @@ def _lambda_grid(scale: float, spec: ExperimentSpec) -> np.ndarray:
     return scale * np.geomspace(_LAMBDA_GRID_LO, _LAMBDA_GRID_HI, spec.lambda_points)
 
 
-def _solve_warm(A, basis, mv, fit, lam, cfg, warm):
-    """Penalized solve with a warm start, falling back when it is infeasible."""
-    if warm is not None:
-        try:
-            return solve_penalized(A, basis, mv, fit, lam, cfg, theta0=warm)
-        except InfeasibleStartError:
-            pass
-    return solve_penalized(A, basis, mv, fit, lam, cfg)
-
-
-def _omniscient_best(A, basis, mv, fit, lambdas, cfg, reference):
-    """Best solve over the lambda grid by l2 distance to ``reference``.
+def _omniscient_best(A, basis, mvs, fit, lambda_grids, cfg, references):
+    """Best solve of each problem over its lambda grid by l2 distance to its reference.
 
     Oracle selection (the true signal is consulted), used only to benchmark
-    against protocols that picked the regularizer omnisciently.  The grid is
-    walked from the sparsest end down, warm-starting each solve.
+    against protocols that picked the regularizer omnisciently.  ``A`` stacks
+    the problems' operators.  The grids are walked in lockstep from the
+    sparsest end down, each problem warm-starting from its own previous
+    solve.  Returns one (error, result, lam) per problem.
     """
-    best = None
-    warm = None
-    for lam in sorted(lambdas, reverse=True):
-        res = _solve_warm(A, basis, mv, fit, float(lam), cfg, warm)
-        warm = res.theta_star if np.any(res.theta_star != 0.0) else None
-        err = float(np.linalg.norm(basis.synthesize(res.theta_star) - reference))
-        if best is None or err < best[0]:
-            best = (err, res, float(lam))
+    grids = [sorted((float(lam) for lam in grid), reverse=True) for grid in lambda_grids]
+    warms = [None] * len(grids)
+    best = [None] * len(grids)
+    for lams in zip(*grids):
+        results = solve_penalized_batch(A, basis, mvs, fit, lams, cfg, theta0=warms)
+        for k, (res, lam) in enumerate(zip(results, lams)):
+            warms[k] = res.theta_star if np.any(res.theta_star != 0.0) else None
+            err = float(np.linalg.norm(basis.synthesize(res.theta_star) - references[k]))
+            if best[k] is None or err < best[k][0]:
+                best[k] = (err, res, lam)
     return best
 
 
@@ -270,7 +265,7 @@ def _run_trial(spec_dict: dict, cell: dict, trial: int) -> dict:
             err, lam = rrmse(x, basis.synthesize(res.theta_star)), spec.lambda_value
         else:
             lambdas = _lambda_grid(gradient_scale(A, basis, mv, fit), spec)
-            _, res, lam = _omniscient_best(A, basis, mv, fit, lambdas, cfg, x)
+            [(_, res, lam)] = _omniscient_best(A[None], basis, [mv], fit, [lambdas], cfg, [x])
             err = rrmse(x, basis.synthesize(res.theta_star))
         record.update(
             rrmse=err,
@@ -461,37 +456,55 @@ def make_test_image(h: int = 64, w: int = 64) -> np.ndarray:
     return np.clip(img, 0.0, 255.0)
 
 
-def _reconstruct_patch(A, basis, mv, patch_true, spec, cfg):
-    """Solve one patch, returning (estimate, converged)."""
-    if spec.solver == "P2":
-        eps = choose_epsilon(EpsilonMode.THEORY, A.shape[0])
-        res = solve_p2(A, basis, mv, eps, cfg, beta=spec.beta)
-        return basis.synthesize(res.theta_star), res.converged
-    fit = FitTerm(_SOLVER_FITS[spec.solver], spec.beta)
-    if spec.lambda_mode == "fixed":
-        res = solve_penalized(A, basis, mv, fit, spec.lambda_value, cfg)
-        return basis.synthesize(res.theta_star), res.converged
-    lambdas = _lambda_grid(gradient_scale(A, basis, mv, fit), spec)
-    _, res, _ = _omniscient_best(A, basis, mv, fit, lambdas, cfg, patch_true)
-    return basis.synthesize(res.theta_star), res.converged
+def _patch_task(spec: ExperimentSpec, patch, k: int, psi: np.ndarray):
+    """Measure patch ``k`` through its own sensing matrix; owns its randomness.
 
-
-def _patch_task(args):
-    """One independent patch reconstruction; owns all of its randomness."""
-    spec_dict, patch, k = args
-    spec = ExperimentSpec(**spec_dict)
-    if patch.sum() <= 0.0:
-        return k, np.zeros_like(patch), True  # nothing measurable
-    basis = dct2_basis(spec.patch)
+    Returns the effective operator A = Phi @ Psi and the measurement.
+    """
     phi = build_phi(
-        sample_rip_matrix(spec.n_measurements, basis.dim, 0.5,
+        sample_rip_matrix(spec.n_measurements, psi.shape[0], 0.5,
                           seed=_seed(spec.master_seed, _STREAM_PHI, k))
     )
     mv = measure(phi, patch, _seed(spec.master_seed, _STREAM_Y, k))
-    A = phi.entries @ basis.matrix()
+    return phi.entries @ psi, mv
+
+
+def _reconstruct_patches(args):
+    """Reconstruct a run of consecutive patches; one worker's unit of work.
+
+    ``args`` is (spec dict, patches, index of the first patch, Psi).  P4-P6
+    solve all lit patches of the run together (``solve_penalized_batch``);
+    P2 solves them one by one.  Returns the estimates and a per-patch
+    converged flag.
+    """
+    spec_dict, patches, first, psi = args
+    spec = ExperimentSpec(**spec_dict)
+    basis = dct2_basis(spec.patch)
     cfg = SolverConfig(max_iters=spec.max_iters, nonneg_signal=False)
-    est, ok = _reconstruct_patch(A, basis, mv, patch, spec, cfg)
-    return k, est, ok
+    estimates = np.zeros_like(patches)
+    converged = np.ones(len(patches), dtype=bool)
+    lit = [j for j in range(len(patches)) if patches[j].sum() > 0.0]  # dark: nothing measurable
+    if not lit:
+        return estimates, converged
+    A, mvs = zip(*(_patch_task(spec, patches[j], first + j, psi) for j in lit))
+    A = np.stack(A)
+    if spec.solver == "P2":
+        eps = choose_epsilon(EpsilonMode.THEORY, A.shape[1])
+        results = [solve_p2(a, basis, mv, eps, cfg, beta=spec.beta) for a, mv in zip(A, mvs)]
+    else:
+        fit = FitTerm(_SOLVER_FITS[spec.solver], spec.beta)
+        if spec.lambda_mode == "fixed":
+            results = solve_penalized_batch(A, basis, mvs, fit, [spec.lambda_value] * len(lit),
+                                            cfg)
+        else:
+            grids = [_lambda_grid(gradient_scale(a, basis, mv, fit), spec)
+                     for a, mv in zip(A, mvs)]
+            best = _omniscient_best(A, basis, mvs, fit, grids, cfg, patches[lit])
+            results = [res for _, res, _ in best]
+    for j, res in zip(lit, results):
+        estimates[j] = basis.synthesize(res.theta_star)
+        converged[j] = res.converged
+    return estimates, converged
 
 
 def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
@@ -514,22 +527,22 @@ def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
     grid = PatchGrid(h, w, patch=spec.patch, stride=spec.stride)
     master = spec.master_seed
     spec_dict = spec.to_dict()
+    psi = dct2_basis(spec.patch).matrix()
 
     cells = []
     for intensity in [float(v) for v in spec.grid["intensity"]]:
         scaled = img * (intensity / img.sum())
         patches = extract_patches(scaled, grid)
-        estimates = np.zeros_like(patches)
-        n_unconverged = 0
-        tasks = [(spec_dict, patches[k], k) for k in range(grid.n_patches)]
-        if spec.workers > 1:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                results = list(pool.map(_patch_task, tasks))
+        # One contiguous run of patches per worker, each solved as a batch.
+        runs = np.array_split(np.arange(grid.n_patches), min(spec.workers, grid.n_patches))
+        tasks = [(spec_dict, patches[r[0]: r[-1] + 1], int(r[0]), psi) for r in runs]
+        if len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+                results = list(pool.map(_reconstruct_patches, tasks))
         else:
-            results = [_patch_task(t) for t in tasks]
-        for k, est, ok in results:
-            estimates[k] = est
-            n_unconverged += not ok
+            results = [_reconstruct_patches(tasks[0])]
+        estimates = np.concatenate([est for est, _ in results])
+        n_unconverged = int(sum(np.sum(~ok) for _, ok in results))
         recon = reassemble(estimates, grid)
         err = rrmse(scaled, recon)
         display = recon * (img.sum() / intensity)

@@ -1,12 +1,16 @@
 """l1-regularized reconstruction from Poisson-corrupted compressive measurements.
 
-Two entry points:
+Three entry points:
 
 ``solve_penalized``
     minimize  lam * ||theta||_1 + fit(y, A @ theta)
     where the data-fit term is the Jensen-Shannon divergence, the symmetrized
     Stirling negative log-likelihood, or the generalized KL divergence, each
     optionally smoothed by an offset beta (fit on y+beta against u+beta).
+
+``solve_penalized_batch``
+    the same problem for K independent (A, y, lam) triples at once, in one
+    vectorized loop whose results equal the scalar solver's bit for bit.
 
 ``solve_p2``
     minimize  ||theta||_1  subject to  sqrt(J(y, A @ theta)) <= epsilon
@@ -16,7 +20,7 @@ Two entry points:
     constraint yields the minimal-l1 feasible point.
 
 The inner solver is proximal gradient with backtracking line search and
-optional FISTA-style acceleration under a monotone restart, so the recorded
+FISTA-style acceleration under a monotone restart, so the recorded
 objective trace never increases.  Zero-count measurements are retained for
 the JSD fit (finite by the 0*log(0) = 0 convention) and dropped for the
 SNLL/GenKL fits when beta = 0.
@@ -36,6 +40,7 @@ from .errors import (
     InfeasibleEpsilonError,
     InfeasibleStartError,
     InvalidParamError,
+    LengthMismatchError,
 )
 from .transforms import BasisKind, OrthonormalBasis
 
@@ -48,6 +53,7 @@ __all__ = [
     "gradient_scale",
     "soft_threshold",
     "solve_penalized",
+    "solve_penalized_batch",
     "solve_p2",
     "rrmse",
 ]
@@ -78,12 +84,9 @@ class SolverConfig:
     max_iters: int = 2000
     grad_tol: float = 1e-12
     objective_tol: float = 1e-8
-    step_init: float | None = None
     backtrack_factor: float = 0.5
     nonneg_signal: bool = False
-    nonneg_coeffs: bool = False
     enforce_intensity: float | None = None
-    acceleration: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -104,18 +107,24 @@ class SolveResult:
     lambda_used: float | None = None
 
 
+def _shrink(v: np.ndarray, t) -> np.ndarray:
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
 def soft_threshold(v, t: float) -> np.ndarray:
     """Prox of t*||.||_1: sign(v) * max(|v| - t, 0)."""
     v = np.asarray(v, dtype=float)
     if t < 0.0:
         raise InvalidParamError("threshold must be >= 0")
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return _shrink(v, t)
 
 
 def _fit_pieces(kind: FitKind, yb: np.ndarray, ub: np.ndarray, want_value: bool,
-                want_grad: bool, grad_floor: float = 1e-300):
+                want_grad: bool, grad_floor=1e-300):
     """Value and/or gradient w.r.t. u of the chosen fit on offset vectors.
 
+    Works on one problem's (N,) vectors or on a (K, N) stack of them, whose
+    values come back as a (K,) array; ``grad_floor`` is a scalar or (K, 1).
     Values are exact.  Gradients replace u + beta by max(u + beta,
     grad_floor): this turns the infinite slope at the domain boundary into a
     large finite one, so a monotone line search on the exact objective can
@@ -125,7 +134,7 @@ def _fit_pieces(kind: FitKind, yb: np.ndarray, ub: np.ndarray, want_value: bool,
     value = grad = None
     if kind is FitKind.JSD:
         if want_value:
-            value = float(np.sum(_jsd_terms(yb, ub)))
+            value = np.sum(_jsd_terms(yb, ub), axis=-1)
         if want_grad:
             ubf = np.maximum(ub, grad_floor)
             s = yb + ubf
@@ -133,23 +142,23 @@ def _fit_pieces(kind: FitKind, yb: np.ndarray, ub: np.ndarray, want_value: bool,
             # At yb = ub = 0 the one-sided derivative along u is log(2)/2.
             grad = np.where(yb + ub > 0.0, grad, _HALF_LOG2)
     elif kind is FitKind.GEN_KL:
-        pos = yb > 0.0
         if want_value:
-            terms = ub - yb
-            terms[pos] += yb[pos] * np.log(yb[pos] / ub[pos])
-            value = float(np.sum(terms))
+            # Zero counts contribute u - y alone; their discarded log term
+            # may be nan.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = (ub - yb) + np.where(yb > 0.0, yb * np.log(yb / ub), 0.0)
+            value = np.sum(terms, axis=-1)
         if want_grad:
             grad = 1.0 - yb / np.maximum(ub, grad_floor)
     else:  # SNLL
         if want_value:
-            value = float(
-                np.sum(
-                    yb * np.log(yb / ub)
-                    + ub * np.log(ub / yb)
-                    + 0.5 * np.log(yb)
-                    + 0.5 * np.log(ub)
-                    + LOG_2PI
-                )
+            value = np.sum(
+                yb * np.log(yb / ub)
+                + ub * np.log(ub / yb)
+                + 0.5 * np.log(yb)
+                + 0.5 * np.log(ub)
+                + LOG_2PI,
+                axis=-1,
             )
         if want_grad:
             ubf = np.maximum(ub, grad_floor)
@@ -175,7 +184,7 @@ def fit_value_and_gradient(fit: FitTerm, y, u):
     if fit.kind is not FitKind.JSD and np.any(yb <= 0.0):
         raise DomainError(f"{fit.kind.value} with beta=0 requires y_i > 0")
     value, grad = _fit_pieces(fit.kind, yb, ub, True, True)
-    return value, grad
+    return float(value), grad
 
 
 class _FitModel:
@@ -212,13 +221,13 @@ class _FitModel:
         elif np.any(ub <= 0.0):
             return math.inf
         val, _ = _fit_pieces(self.fit.kind, self.yb, ub, True, False)
-        return val
+        return float(val)
 
     def value_grad_theta(self, u: np.ndarray):
         """Value and gradient w.r.t. theta; only called where value is finite."""
         val, gu = _fit_pieces(self.fit.kind, self.yb, u + self.fit.beta, True, True,
                               self._grad_floor)
-        return val, self.A.T @ gu
+        return float(val), self.A.T @ gu
 
     def grad_theta(self, u: np.ndarray) -> np.ndarray:
         _, gu = _fit_pieces(self.fit.kind, self.yb, u + self.fit.beta, False, True,
@@ -266,17 +275,24 @@ def _default_start(A: np.ndarray, basis: OrthonormalBasis, counts: np.ndarray):
     return basis.analyze(x0)
 
 
-def _prox(v: np.ndarray, t: float, cfg: SolverConfig, basis: OrthonormalBasis):
-    w = soft_threshold(v, t)
-    if cfg.nonneg_coeffs:
-        w = np.maximum(w, 0.0)
+def _prox(v: np.ndarray, t, cfg: SolverConfig, basis: OrthonormalBasis):
+    """Soft threshold at t, then the optional non-negativity clamp.
+
+    ``v`` is one coefficient vector or a (K, dim) stack with t of shape (K, 1).
+    """
+    w = _shrink(v, t)
     if cfg.nonneg_signal:
         if basis.kind is BasisKind.IDENTITY:
             w = np.maximum(w, 0.0)
         else:
             # One clamp-and-reanalyze pass; heuristic for non-canonical bases.
-            w = basis.analyze(np.maximum(basis.synthesize(w), 0.0))
+            w = np.apply_along_axis(
+                lambda r: basis.analyze(np.maximum(basis.synthesize(r), 0.0)), -1, w)
     return w
+
+
+def _next_momentum(t: float) -> float:
+    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
 
 
 def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
@@ -302,7 +318,10 @@ def solve_penalized(
     cfg: SolverConfig | None = None,
     theta0=None,
 ) -> SolveResult:
-    """Proximal-gradient minimization of lam*||theta||_1 + fit(y, A theta)."""
+    """Proximal-gradient minimization of lam*||theta||_1 + fit(y, A theta).
+
+    Raises InfeasibleStartError when ``theta0`` violates the fit domain.
+    """
     if lam <= 0.0:
         raise InvalidParamError("lam must be > 0")
     cfg = cfg or SolverConfig()
@@ -318,11 +337,8 @@ def solve_penalized(
     if not math.isfinite(f_x):
         raise InfeasibleStartError("starting point violates the fit domain")
 
-    if cfg.step_init is not None:
-        eta = cfg.step_init
-    else:
-        L = _spectral_norm_sq(model.A) * model.curvature_scale(u)
-        eta = 1.0 / L if L > 0.0 else 1.0
+    L = _spectral_norm_sq(model.A) * model.curvature_scale(u)
+    eta = 1.0 / L if L > 0.0 else 1.0
 
     F_cur = f_x + lam * float(np.sum(np.abs(x)))
     trace = [F_cur]
@@ -336,11 +352,11 @@ def solve_penalized(
     for iterations in range(1, cfg.max_iters + 1):
         eta = min(eta / bt, 1e18)  # let the step recover after conservative phases
 
-        base, u_base, f_base = z, None, None
-        if cfg.acceleration and base is not x:
-            u_base = model.rates(base)
-            f_base = model.value(u_base)
-        if u_base is None or not math.isfinite(f_base):
+        u_base = model.rates(z)
+        f_base = model.value(u_base)
+        if math.isfinite(f_base):
+            base = z
+        else:
             base, u_base, f_base = x, u, f_x
             z = x.copy()
             t_momentum = 1.0
@@ -368,7 +384,7 @@ def solve_penalized(
                 accepted = (cand, u_cand, f_cand, F_cand, d, eta_try)
                 break
             # Monotone restart: drop the momentum point and retry from x.
-            if base is x or not cfg.acceleration:
+            if base is x:
                 break
             base, u_base, f_base = x, u, f_x
             g_base = model.grad_theta(u_base)
@@ -384,7 +400,7 @@ def solve_penalized(
         rel_change = abs(F_cur - F_cand) / max(1.0, abs(F_cand))
         flat_count = flat_count + 1 if rel_change < cfg.objective_tol else 0
 
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum**2))
+        t_next = _next_momentum(t_momentum)
         z = cand + ((t_momentum - 1.0) / t_next) * (cand - x)
         t_momentum = t_next
         x, u, f_x, F_cur = cand, u_cand, f_cand, F_cand
@@ -394,11 +410,14 @@ def solve_penalized(
             converged = True
             break
 
+    return _result(x, trace, iterations, converged, lam, cfg, basis)
+
+
+def _result(x, trace, iterations, converged, lam, cfg, basis) -> SolveResult:
     if cfg.enforce_intensity is not None:
         signal_l1 = float(np.sum(np.abs(basis.synthesize(x))))
         if signal_l1 > 0.0:
             x = x * (cfg.enforce_intensity / signal_l1)
-
     return SolveResult(
         theta_star=x,
         objective_trace=trace,
@@ -406,6 +425,267 @@ def solve_penalized(
         converged=converged,
         lambda_used=lam,
     )
+
+
+def _solve_warm(A, basis, y, fit, lam, cfg, warm) -> SolveResult:
+    """Penalized solve from ``warm``, or from the default start when ``warm``
+    is None or violates the fit domain."""
+    if warm is not None:
+        try:
+            return solve_penalized(A, basis, y, fit, lam, cfg, theta0=warm)
+        except InfeasibleStartError:
+            pass
+    return solve_penalized(A, basis, y, fit, lam, cfg)
+
+
+# The batched kernel.  Every stacked operation below does, row by row, the
+# same floating-point operations as its scalar counterpart: matmul over a
+# stack issues one BLAS call per row with that row's shapes and strides, and
+# reductions along the last axis sum each row like a 1-D sum.  Keep it so;
+# tests/test_batch_solver.py compares the two paths bit for bit.
+
+
+def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row k is A[k] @ X[k]."""
+    return np.matmul(A, X[..., None])[..., 0]
+
+
+def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Entry k is X[k] @ Y[k]."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+class _FitStack:
+    """The ``_FitModel`` of K problems with equally many kept rows, stacked."""
+
+    def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor: np.ndarray):
+        self.fit = fit
+        self.A = A
+        self.yb = yb
+        self.grad_floor = grad_floor
+
+    @classmethod
+    def of(cls, models) -> "_FitStack":
+        return cls(models[0].fit, np.stack([m.A for m in models]),
+                   np.stack([m.yb for m in models]),
+                   np.array([[m._grad_floor] for m in models]))
+
+    def take(self, rows) -> "_FitStack":
+        return _FitStack(self.fit, self.A[rows], self.yb[rows], self.grad_floor[rows])
+
+    def rates(self, X: np.ndarray) -> np.ndarray:
+        return _matvec(self.A, X)
+
+    def value(self, U: np.ndarray) -> np.ndarray:
+        ub = U + self.fit.beta
+        outside = ub < 0.0 if self.fit.kind is FitKind.JSD else ub <= 0.0
+        val, _ = _fit_pieces(self.fit.kind, self.yb, ub, True, False)
+        return np.where(np.any(outside, axis=-1), math.inf, val)
+
+    def grad_theta(self, U: np.ndarray) -> np.ndarray:
+        _, gu = _fit_pieces(self.fit.kind, self.yb, U + self.fit.beta, False, True,
+                            self.grad_floor)
+        return _matvec(self.A.transpose(0, 2, 1), gu)
+
+
+def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
+    """``_spectral_norm_sq`` of every matrix in a (K, N, m) stack."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    v = rng.standard_normal(A.shape[2])
+    v /= np.linalg.norm(v)
+    V = np.tile(v, (A.shape[0], 1))
+    At = A.transpose(0, 2, 1)
+    null = np.zeros(A.shape[0], dtype=bool)
+    for _ in range(iters):
+        W = _matvec(At, _matvec(A, V))
+        nw = np.sqrt(_rowdot(W, W))
+        null |= nw == 0.0
+        V = W / nw[:, None]
+    AV = _matvec(A, V)
+    norms = np.sqrt(_rowdot(AV, AV))
+    # Python's float power, as in the scalar version: pow(x, 2) and x*x can
+    # differ in the last bit.
+    return np.array([0.0 if z else n**2 for z, n in zip(null.tolist(), norms.tolist())])
+
+
+def _backtrack(stack: _FitStack, base, f_base, G, eta, lam, cfg, basis):
+    """The backtracking search of the scalar loop, for every row of a stack.
+
+    Returns (found, cand, d, u_cand, f_cand, eta_try); rows not found hold
+    their last rejected try.
+    """
+    searching = np.ones(base.shape[0], dtype=bool)
+    eta_try = eta.copy()
+    tried = None
+    for _ in range(200):
+        cand = _prox(base - eta_try[:, None] * G, (eta_try * lam)[:, None], cfg, basis)
+        d = cand - base
+        u_cand = stack.rates(cand)
+        f_cand = stack.value(u_cand)
+        quad = f_base + _rowdot(G, d) + _rowdot(d, d) / (2.0 * eta_try)
+        ok = np.isfinite(f_cand) & (f_cand <= quad + 1e-12 * np.maximum(1.0, np.abs(quad)))
+        if tried is None:
+            tried = [cand, d, u_cand, f_cand]
+        else:
+            for old, new in zip(tried, (cand, d, u_cand, f_cand)):
+                old[searching] = new[searching]
+        searching &= ~ok
+        if not searching.any():
+            break
+        eta_try[searching] *= cfg.backtrack_factor
+    return (~searching, *tried, eta_try)
+
+
+def _solve_lockstep(models, basis, lams, starts, cfg) -> list[SolveResult]:
+    """The loop of ``solve_penalized`` on K problems at once.
+
+    All problems advance one iteration per pass; each keeps its own step
+    size, momentum, restarts and stopping test, and leaves the stack when it
+    stops.  Result k is bit-identical to ``solve_penalized`` from starts[k].
+    """
+    K = len(models)
+    stack = _FitStack.of(models)
+    lam = np.array(lams, dtype=float)
+    X = np.array(starts, dtype=float)
+    U = stack.rates(X)
+    f_x = stack.value(U)
+    if not np.all(np.isfinite(f_x)):
+        raise InfeasibleStartError("starting point violates the fit domain")
+    L = _spectral_norms_sq(stack.A) * np.array(
+        [m.curvature_scale(u) for m, u in zip(models, U)])
+    eta = np.where(L > 0.0, 1.0 / L, 1.0)
+    F_cur = f_x + lam * np.sum(np.abs(X), axis=-1)
+    traces = [[F] for F in F_cur.tolist()]
+    Z = X.copy()
+    # The momentum of a row is momenta[step]: a table of the scalar loop's
+    # sequence, which restarts from t = 1.
+    momenta = [1.0]
+    for _ in range(cfg.max_iters):
+        momenta.append(_next_momentum(momenta[-1]))
+    momenta = np.array(momenta)
+    step = np.zeros(K, dtype=int)
+    flat = np.zeros(K, dtype=int)
+    live = np.arange(K)
+    results = [None] * K
+
+    for it in range(1, cfg.max_iters + 1):
+        eta = np.minimum(eta / cfg.backtrack_factor, 1e18)
+
+        u_base = stack.rates(Z)
+        f_base = stack.value(u_base)
+        at_x = ~np.isfinite(f_base)
+        Z[at_x] = X[at_x]
+        step[at_x] = 0
+        u_base[at_x] = U[at_x]
+        f_base[at_x] = f_x[at_x]
+        found, cand, d, u_cand, f_cand, eta_try = _backtrack(
+            stack, Z, f_base, stack.grad_theta(u_base), eta, lam, cfg, basis)
+        F_cand = f_cand + lam * np.sum(np.abs(cand), axis=-1)
+        accepted = found & (F_cand <= F_cur)
+
+        # Monotone restart: drop the momentum point and retry from x.
+        retry = np.flatnonzero(found & ~accepted & ~at_x)
+        if retry.size:
+            step[retry] = 0
+            sub = stack.take(retry)
+            r_found, r_cand, r_d, r_u, r_f, r_eta = _backtrack(
+                sub, X[retry], f_x[retry], sub.grad_theta(U[retry]), eta[retry],
+                lam[retry], cfg, basis)
+            r_F = r_f + lam[retry] * np.sum(np.abs(r_cand), axis=-1)
+            accepted[retry] = r_found & (r_F <= F_cur[retry])
+            cand[retry], d[retry], u_cand[retry] = r_cand, r_d, r_u
+            f_cand[retry], F_cand[retry], eta_try[retry] = r_f, r_F, r_eta
+
+        # Rows without an accepted step stop: no descent step exists at any
+        # step size.  The others move to the candidate.
+        grad_map = np.sqrt(_rowdot(d, d)) / eta_try
+        rel_change = np.abs(F_cur - F_cand) / np.maximum(1.0, np.abs(F_cand))
+        flat = np.where(rel_change < cfg.objective_tol, flat + 1, 0)
+        t, t_next = momenta[step], momenta[step + 1]
+        Z = cand + ((t - 1.0) / t_next)[:, None] * (cand - X)
+        step += 1
+        X = np.where(accepted[:, None], cand, X)
+        U, f_x, F_cur, eta = u_cand, f_cand, F_cand, eta_try
+        for k, F in zip(live[accepted].tolist(), F_cand[accepted].tolist()):
+            traces[k].append(F)
+
+        done = ~accepted | (flat >= 5) | (grad_map < cfg.grad_tol)
+        for j in np.flatnonzero(done).tolist():
+            k = live[j]
+            results[k] = _result(X[j].copy(), traces[k], it, True, lams[k], cfg, basis)
+        if done.any():
+            keep = ~done
+            stack = stack.take(keep)
+            X, U, f_x, F_cur, Z, step, flat, eta, lam, live = (
+                a[keep] for a in (X, U, f_x, F_cur, Z, step, flat, eta, lam, live))
+            if not live.size:
+                break
+
+    for j, k in enumerate(live.tolist()):
+        results[k] = _result(X[j].copy(), traces[k], cfg.max_iters, False, lams[k], cfg, basis)
+    return results
+
+
+def _feasible_start(model: _FitModel, A, basis, counts, warm) -> np.ndarray:
+    """``warm`` where the fit is finite there, else the default start: the
+    rule of ``_solve_warm``, decided before the solve."""
+    if warm is not None:
+        x = np.asarray(warm, dtype=float)
+        if math.isfinite(model.value(model.rates(x))):
+            return x.copy()
+    return _default_start(A, basis, counts)
+
+
+def solve_penalized_batch(
+    A,
+    basis: OrthonormalBasis,
+    ys,
+    fit: FitTerm,
+    lams,
+    cfg: SolverConfig | None = None,
+    theta0=None,
+) -> list[SolveResult]:
+    """``solve_penalized`` on K independent problems that share a basis and a fit.
+
+    ``A`` is a (K, N, m) stack of operators; ``ys``, ``lams`` and ``theta0``
+    hold one count vector, weight and start per problem (``theta0`` may be
+    None, as may each start).  A start that violates its fit domain is
+    replaced by the default start.  Problems that keep equally many rows run
+    in one vectorized loop; a problem alone in its group runs the scalar
+    loop, which is faster for one problem.  Either way result k is
+    bit-identical to ``solve_penalized`` on problem k from the start used.
+    """
+    cfg = cfg or SolverConfig()
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 3:
+        raise InvalidParamError(f"A must be a (K, N, m) stack, got shape {A.shape}")
+    K = A.shape[0]
+    theta0 = [None] * K if theta0 is None else list(theta0)
+    if len(ys) != K or len(lams) != K or len(theta0) != K:
+        raise LengthMismatchError(f"{K} operators need as many counts, weights and starts")
+    if any(lam <= 0.0 for lam in lams):
+        raise InvalidParamError("lam must be > 0")
+    counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
+    models = [_FitModel(A[k], counts[k], fit) for k in range(K)]
+    # Rows are dropped per problem (zero A-rows; zero counts for SNLL and
+    # GenKL at beta = 0), and padding them back would change the sums.
+    groups: dict[int, list[int]] = {}
+    for k, model in enumerate(models):
+        groups.setdefault(model.A.shape[0], []).append(k)
+
+    results = [None] * K
+    for rows in groups.values():
+        if len(rows) == 1:
+            k = rows[0]
+            results[k] = _solve_warm(A[k], basis, ys[k], fit, lams[k], cfg, theta0[k])
+            continue
+        starts = [_feasible_start(models[k], A[k], basis, counts[k], theta0[k]) for k in rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            solved = _solve_lockstep([models[k] for k in rows], basis,
+                                     [lams[k] for k in rows], starts, cfg)
+        for k, res in zip(rows, solved):
+            results[k] = res
+    return results
 
 
 def _sqjsd_of(A, counts, theta, beta: float) -> float:
@@ -460,10 +740,7 @@ def solve_p2(
     lam_lo = 1e-8
 
     def _solve(lam, warm):
-        try:
-            return solve_penalized(A, basis, y, fit, lam, cfg, theta0=warm)
-        except InfeasibleStartError:
-            return solve_penalized(A, basis, y, fit, lam, cfg, theta0=None)
+        return _solve_warm(A, basis, y, fit, lam, cfg, warm)
 
     res_lo = _solve(lam_lo, theta_start)
     s_lo = _sqjsd_of(A, counts, res_lo.theta_star, beta)

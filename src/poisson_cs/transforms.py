@@ -70,13 +70,10 @@ class OrthonormalBasis:
         """Dense Psi; columns are the synthesized canonical coefficients."""
         if self.kind is BasisKind.IDENTITY:
             return np.eye(self.dim)
-        psi = np.empty((self.dim, self.dim))
-        e = np.zeros(self.dim)
-        for j in range(self.dim):
-            e[j] = 1.0
-            psi[:, j] = self.synthesize(e)
-            e[j] = 0.0
-        return psi
+        h, w = self.patch_shape
+        # Row j synthesizes the j-th canonical coefficient vector.
+        rows = idctn(np.eye(self.dim).reshape(self.dim, h, w), axes=(1, 2), norm="ortho")
+        return np.ascontiguousarray(rows.reshape(self.dim, self.dim).T)
 
 
 def identity_basis(dim: int) -> OrthonormalBasis:

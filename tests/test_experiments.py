@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from poisson_cs import experiments
 from poisson_cs.cli import main
 from poisson_cs.errors import InvalidParamError
 from poisson_cs.experiments import (
@@ -213,8 +215,38 @@ class TestImageRecon:
             master_seed=2, lambda_points=3, max_iters=300,
         )
         serial = run_image_recon(ExperimentSpec(**fields), src, tmp_path / "s")
-        pooled = run_image_recon(ExperimentSpec(**fields, workers=2), src, tmp_path / "p")
-        assert serial["cells"][0]["rrmse"] == pooled["cells"][0]["rrmse"]
+        for workers in (2, 3):
+            out = tmp_path / f"p{workers}"
+            pooled = run_image_recon(ExperimentSpec(**fields, workers=workers), src, out)
+            assert serial["cells"][0]["rrmse"] == pooled["cells"][0]["rrmse"]
+            assert (Path(serial["cells"][0]["out_image"]).read_bytes()
+                    == Path(pooled["cells"][0]["out_image"]).read_bytes())
+
+    @pytest.mark.parametrize("lambda_mode", ["omniscient", "fixed"])
+    def test_batched_patches_match_one_by_one(self, tmp_path, monkeypatch, lambda_mode):
+        # The lockstep path against every patch solved on its own.
+        img = make_test_image(16, 16)
+        src = tmp_path / "img.pgm"
+        write_pgm(src, img)
+        spec = ExperimentSpec(
+            kind="image", grid={"intensity": [3e3, 1e6]}, solver="P5", beta=0.1,
+            lambda_mode=lambda_mode, lambda_value=0.05, n_measurements=20, patch=7,
+            stride=3, image_size=16, master_seed=3, lambda_points=4, max_iters=300,
+        )
+        batched = run_image_recon(spec, src, tmp_path / "b")
+        batch = experiments.solve_penalized_batch
+
+        def one_by_one(A, basis, ys, fit, lams, cfg, theta0=None):
+            theta0 = theta0 or [None] * len(ys)
+            return [batch(A[k:k + 1], basis, ys[k:k + 1], fit, lams[k:k + 1], cfg,
+                          theta0[k:k + 1])[0]
+                    for k in range(len(ys))]
+
+        monkeypatch.setattr(experiments, "solve_penalized_batch", one_by_one)
+        single = run_image_recon(spec, src, tmp_path / "s")
+        for a, b in zip(batched["cells"], single["cells"]):
+            assert (a["rrmse"], a["n_unconverged"]) == (b["rrmse"], b["n_unconverged"])
+            assert Path(a["out_image"]).read_bytes() == Path(b["out_image"]).read_bytes()
 
 
 class TestMakeTestImage:

@@ -35,6 +35,16 @@ class TestBases:
         psi = make().matrix()
         assert np.allclose(psi.T @ psi, np.eye(psi.shape[1]), atol=1e-12)
 
+    @pytest.mark.parametrize("h, w", [(3, 3), (7, 7), (8, 8), (3, 5)])
+    def test_matrix_columns_are_synthesized_unit_vectors(self, h, w):
+        basis = dct2_basis(h, w)
+        psi = basis.matrix()
+        assert psi.flags.c_contiguous
+        for j in range(basis.dim):
+            e = np.zeros(basis.dim)
+            e[j] = 1.0
+            assert np.array_equal(psi[:, j], basis.synthesize(e))
+
     def test_parseval(self):
         basis = dct2_basis(7)
         rng = np.random.default_rng(1)
