@@ -14,6 +14,9 @@ Subpackages by theme:
 - :mod:`poisson_cs.experiments` — seeded, manifest-recorded experiment runs.
 """
 
+# The one version literal: pyproject.toml and the run manifests read it.
+__version__ = "0.1.0"
+
 from .divergences import (
     DivergenceKind,
     DivergenceValue,
@@ -82,4 +85,3 @@ from .transforms import (
     write_pgm,
 )
 
-__version__ = "0.1.0"

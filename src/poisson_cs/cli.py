@@ -60,7 +60,7 @@ def _build_spec(args, kind: str, default_trials: int | None = None) -> Experimen
         fields["trials"] = args.trials
     if args.workers is not None:
         fields["workers"] = args.workers
-    return ExperimentSpec(**fields)
+    return ExperimentSpec.from_dict(fields)
 
 
 def main(argv=None) -> int:

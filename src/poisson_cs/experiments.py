@@ -18,13 +18,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__ as LIBRARY_VERSION
 from .errors import InvalidParamError
 from .sensing import build_phi, sample_rip_matrix
 from .simulate import measure
@@ -34,8 +36,7 @@ from .solvers import (
     SolverConfig,
     gradient_scale,
     rrmse,
-    solve_p2,
-    solve_penalized,
+    solve_p2_batch,
     solve_penalized_batch,
 )
 from .sqjsd_stats import (
@@ -68,8 +69,6 @@ __all__ = [
     "LIBRARY_VERSION",
 ]
 
-LIBRARY_VERSION = "0.1.0"
-
 _STREAM_SIGNAL = 0
 _STREAM_PHI = 1
 _STREAM_Y = 2
@@ -87,6 +86,12 @@ _SOLVER_FITS = {"P4": FitKind.JSD, "P5": FitKind.SNLL, "P6": FitKind.GEN_KL}
 # iterations crawl without improving the reconstruction.
 _LAMBDA_GRID_LO = 1e-4
 _LAMBDA_GRID_HI = 0.3
+
+
+def _check_positive(name: str, value) -> None:
+    # NaN fails the comparison, so it is rejected too.
+    if not (isinstance(value, numbers.Real) and value > 0.0 and math.isfinite(value)):
+        raise InvalidParamError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _seed(master: int, stream: int, *idx) -> np.random.SeedSequence:
@@ -120,19 +125,34 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidParamError("trials must be >= 1")
+        if self.workers < 1:
+            raise InvalidParamError("workers must be >= 1")
         if self.solver not in ("P2", "P4", "P5", "P6"):
             raise InvalidParamError(f"unknown solver {self.solver!r}")
         if self.lambda_mode not in ("omniscient", "fixed"):
             raise InvalidParamError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.lambda_mode == "fixed" and not self.lambda_value:
-            raise InvalidParamError("fixed lambda_mode requires lambda_value > 0")
+        if self.lambda_mode == "fixed":
+            _check_positive("lambda_value (fixed lambda_mode)", self.lambda_value)
+        if self.epsilon_mode not in ("theory", "percentile"):
+            raise InvalidParamError(f"unknown epsilon_mode {self.epsilon_mode!r}")
+        _check_positive("intensity", self.intensity)
         if not self.grid:
             self.grid = default_grid(self.kind, paper_scale=False)
+        for value in self.grid.get("intensity", ()):
+            _check_positive("grid intensity", value)
+
+    @classmethod
+    def from_dict(cls, config: dict) -> "ExperimentSpec":
+        """The spec of a config mapping; unknown keys are rejected by name."""
+        unknown = sorted(set(config) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidParamError(f"unknown ExperimentSpec field(s): {', '.join(unknown)}")
+        return cls(**config)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
         with open(path) as f:
-            return cls(**json.load(f))
+            return cls.from_dict(json.load(f))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -205,27 +225,47 @@ def _omniscient_best(A, basis, mvs, fit, lambda_grids, cfg, references):
     """Best solve of each problem over its lambda grid by l2 distance to its reference.
 
     Oracle selection (the true signal is consulted), used only to benchmark
-    against protocols that picked the regularizer omnisciently.  ``A`` stacks
+    against protocols that picked the regularizer omnisciently.  ``A`` holds
     the problems' operators.  The grids are walked in lockstep from the
     sparsest end down, each problem warm-starting from its own previous
-    solve.  Returns one (error, result, lam) per problem.
+    solve.  Returns the picked result of each problem.
     """
     grids = [sorted((float(lam) for lam in grid), reverse=True) for grid in lambda_grids]
     warms = [None] * len(grids)
     best = [None] * len(grids)
     for lams in zip(*grids):
         results = solve_penalized_batch(A, basis, mvs, fit, lams, cfg, theta0=warms)
-        for k, (res, lam) in enumerate(zip(results, lams)):
+        for k, res in enumerate(results):
             warms[k] = res.theta_star if np.any(res.theta_star != 0.0) else None
             err = float(np.linalg.norm(basis.synthesize(res.theta_star) - references[k]))
             if best[k] is None or err < best[k][0]:
-                best[k] = (err, res, lam)
-    return best
+                best[k] = (err, res)
+    return [res for _, res in best]
 
 
-def _run_trial(spec_dict: dict, cell: dict, trial: int) -> dict:
-    """One (cell, trial) unit of a sweep; owns all of its randomness."""
-    spec = ExperimentSpec(**spec_dict)
+def _estimate(spec: ExperimentSpec, A, basis, mvs, epsilons, references, cfg) -> list:
+    """The estimator ``spec`` names, on every problem of a batch at once.
+
+    ``A`` holds one operator per problem; ``epsilons`` are the P2 radii and
+    ``references`` the true signals that omniscient lambda picks by.
+    Returns one SolveResult per problem; its ``lambda_used`` is the weight
+    the estimate was solved with.
+    """
+    if spec.solver == "P2":
+        return solve_p2_batch(A, basis, mvs, epsilons, cfg, beta=spec.beta)
+    fit = FitTerm(_SOLVER_FITS[spec.solver], spec.beta)
+    if spec.lambda_mode == "fixed":
+        return solve_penalized_batch(A, basis, mvs, fit, [spec.lambda_value] * len(mvs), cfg)
+    grids = [_lambda_grid(gradient_scale(a, basis, mv, fit), spec) for a, mv in zip(A, mvs)]
+    return _omniscient_best(A, basis, mvs, fit, grids, cfg, references)
+
+
+def _run_trial(spec: ExperimentSpec, cell: dict, trial: int):
+    """Set up one (cell, trial) unit of a sweep; owns all of its randomness.
+
+    Returns the signal, the operator (canonical basis: A = Phi), the
+    measurement and, for P2, the constraint radius (None otherwise).
+    """
     m, N, s, intensity = cell["m"], cell["N"], cell["s"], cell["intensity"]
     master = spec.master_seed
 
@@ -236,44 +276,42 @@ def _run_trial(spec_dict: dict, cell: dict, trial: int) -> dict:
 
     phi = build_phi(sample_rip_matrix(N, m, 0.5, seed=_seed(master, _STREAM_PHI, trial)))
     mv = measure(phi, x, _seed(master, _STREAM_Y, trial))
-    basis = identity_basis(m)
-    A = phi.entries  # canonical basis: A = Phi
-    cfg = _sweep_solver_config(spec)
-
-    record = {"trial": trial, "converged": True, "lambda_used": None,
-              "constraint_residual": None, "iterations": 0}
+    eps = None
     if spec.solver == "P2":
         if spec.epsilon_mode == "percentile":
             pilot = monte_carlo_sqjsd(phi, x, 200, _seed(master, _STREAM_PILOT, trial))
             eps = choose_epsilon(EpsilonMode.PERCENTILE, N, pilot)
         else:
             eps = choose_epsilon(EpsilonMode.THEORY, N)
-        res = solve_p2(A, basis, mv, eps, cfg, beta=spec.beta)
-        x_hat = basis.synthesize(res.theta_star)
-        record.update(
-            rrmse=rrmse(x, x_hat),
-            converged=res.converged,
-            lambda_used=res.lambda_used,
-            constraint_residual=res.constraint_residual,
-            iterations=res.iterations,
-            epsilon=eps,
-        )
-    else:
-        fit = FitTerm(_SOLVER_FITS[spec.solver], spec.beta)
-        if spec.lambda_mode == "fixed":
-            res = solve_penalized(A, basis, mv, fit, spec.lambda_value, cfg)
-            err, lam = rrmse(x, basis.synthesize(res.theta_star)), spec.lambda_value
-        else:
-            lambdas = _lambda_grid(gradient_scale(A, basis, mv, fit), spec)
-            [(_, res, lam)] = _omniscient_best(A[None], basis, [mv], fit, [lambdas], cfg, [x])
-            err = rrmse(x, basis.synthesize(res.theta_star))
-        record.update(
-            rrmse=err,
-            converged=res.converged,
-            lambda_used=lam,
-            iterations=res.iterations,
-        )
-    return record
+    return x, phi.entries, mv, eps
+
+
+def _sweep_run(args) -> list[dict]:
+    """Solve a run of sweep tasks as one batch; one worker's unit of work.
+
+    ``args`` is (spec dict, cells, tasks), each task a (cell index, trial)
+    pair.  Returns one trial record per task.
+    """
+    spec_dict, cells, tasks = args
+    spec = ExperimentSpec(**spec_dict)
+    xs, A, mvs, epsilons = zip(*(_run_trial(spec, cells[ci], t) for ci, t in tasks))
+    basis = identity_basis(spec.dim)
+    results = _estimate(spec, A, basis, mvs, epsilons, xs, _sweep_solver_config(spec))
+    records = []
+    for (_, trial), x, eps, res in zip(tasks, xs, epsilons, results):
+        record = {
+            "trial": trial,
+            "converged": res.converged,
+            "lambda_used": res.lambda_used,
+            "constraint_residual": res.constraint_residual,
+            "iterations": res.iterations,
+            "rrmse": rrmse(x, basis.synthesize(res.theta_star)),
+        }
+        if spec.solver == "P2":
+            record.update(epsilon=eps, n_solves=res.n_solves,
+                          total_iterations=res.total_iterations)
+        records.append(record)
+    return records
 
 
 @dataclass
@@ -325,16 +363,18 @@ def run_sweep(spec: ExperimentSpec) -> RunManifest:
     tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
     spec_dict = spec.to_dict()
 
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(
-                pool.map(_run_trial_star, [(spec_dict, cells[ci], t) for ci, t in tasks])
-            )
+    # One contiguous run of tasks per worker, each solved as one batch.
+    runs = np.array_split(np.arange(len(tasks)), min(spec.workers, len(tasks)))
+    jobs = [(spec_dict, cells, [tasks[i] for i in r]) for r in runs]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            results = list(pool.map(_sweep_run, jobs))
     else:
-        results = [_run_trial(spec_dict, cells[ci], t) for ci, t in tasks]
+        results = [_sweep_run(jobs[0])]
+    records = [rec for run in results for rec in run]
 
     by_cell: dict[int, list] = {ci: [] for ci in range(len(cells))}
-    for (ci, _), rec in zip(tasks, results):
+    for (ci, _), rec in zip(tasks, records):
         by_cell[ci].append(rec)
     summaries = [_summarize(cells[ci], by_cell[ci]) for ci in range(len(cells))]
     return RunManifest(
@@ -343,10 +383,6 @@ def run_sweep(spec: ExperimentSpec) -> RunManifest:
         master_seed=spec.master_seed,
         wall_clock_s=time.perf_counter() - t0,
     )
-
-
-def _run_trial_star(args):
-    return _run_trial(*args)
 
 
 _SWEEP_CSV_COLUMNS = [
@@ -472,10 +508,9 @@ def _patch_task(spec: ExperimentSpec, patch, k: int, psi: np.ndarray):
 def _reconstruct_patches(args):
     """Reconstruct a run of consecutive patches; one worker's unit of work.
 
-    ``args`` is (spec dict, patches, index of the first patch, Psi).  P4-P6
-    solve all lit patches of the run together (``solve_penalized_batch``);
-    P2 solves them one by one.  Returns the estimates and a per-patch
-    converged flag.
+    ``args`` is (spec dict, patches, index of the first patch, Psi).  All
+    lit patches of the run are solved together as one batch.  Returns the
+    estimates and a per-patch converged flag.
     """
     spec_dict, patches, first, psi = args
     spec = ExperimentSpec(**spec_dict)
@@ -487,20 +522,8 @@ def _reconstruct_patches(args):
     if not lit:
         return estimates, converged
     A, mvs = zip(*(_patch_task(spec, patches[j], first + j, psi) for j in lit))
-    A = np.stack(A)
-    if spec.solver == "P2":
-        eps = choose_epsilon(EpsilonMode.THEORY, A.shape[1])
-        results = [solve_p2(a, basis, mv, eps, cfg, beta=spec.beta) for a, mv in zip(A, mvs)]
-    else:
-        fit = FitTerm(_SOLVER_FITS[spec.solver], spec.beta)
-        if spec.lambda_mode == "fixed":
-            results = solve_penalized_batch(A, basis, mvs, fit, [spec.lambda_value] * len(lit),
-                                            cfg)
-        else:
-            grids = [_lambda_grid(gradient_scale(a, basis, mv, fit), spec)
-                     for a, mv in zip(A, mvs)]
-            best = _omniscient_best(A, basis, mvs, fit, grids, cfg, patches[lit])
-            results = [res for _, res, _ in best]
+    epsilons = [choose_epsilon(EpsilonMode.THEORY, spec.n_measurements)] * len(lit)
+    results = _estimate(spec, A, basis, mvs, epsilons, patches[lit], cfg)
     for j, res in zip(lit, results):
         estimates[j] = basis.synthesize(res.theta_star)
         converged[j] = res.converged

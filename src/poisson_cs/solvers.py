@@ -1,6 +1,6 @@
 """l1-regularized reconstruction from Poisson-corrupted compressive measurements.
 
-Three entry points:
+Four entry points:
 
 ``solve_penalized``
     minimize  lam * ||theta||_1 + fit(y, A @ theta)
@@ -18,6 +18,11 @@ Three entry points:
     problem: the map lam -> sqjsd(y, A theta*(lam)) is monotone
     non-decreasing, so the largest lam whose solution still meets the
     constraint yields the minimal-l1 feasible point.
+
+``solve_p2_batch``
+    K independent radius searches at once; each round solves the next lam
+    of every search still running in one ``solve_penalized_batch`` call.
+    ``solve_p2`` is its call on one problem.
 
 The inner solver is proximal gradient with backtracking line search and
 FISTA-style acceleration under a monotone restart, so the recorded
@@ -55,6 +60,7 @@ __all__ = [
     "solve_penalized",
     "solve_penalized_batch",
     "solve_p2",
+    "solve_p2_batch",
     "rrmse",
 ]
 
@@ -105,6 +111,10 @@ class SolveResult:
     converged: bool
     constraint_residual: float | None = None
     lambda_used: float | None = None
+    # P2 only: the radius search's penalized solves and their summed
+    # iterations (``iterations`` counts the chosen solve alone).
+    n_solves: int | None = None
+    total_iterations: int | None = None
 
 
 def _shrink(v: np.ndarray, t) -> np.ndarray:
@@ -456,7 +466,7 @@ def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 class _FitStack:
-    """The ``_FitModel`` of K problems with equally many kept rows, stacked."""
+    """The ``_FitModel`` of K problems whose kept operators have equal shapes, stacked."""
 
     def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor: np.ndarray):
         self.fit = fit
@@ -647,19 +657,20 @@ def solve_penalized_batch(
 ) -> list[SolveResult]:
     """``solve_penalized`` on K independent problems that share a basis and a fit.
 
-    ``A`` is a (K, N, m) stack of operators; ``ys``, ``lams`` and ``theta0``
-    hold one count vector, weight and start per problem (``theta0`` may be
-    None, as may each start).  A start that violates its fit domain is
-    replaced by the default start.  Problems that keep equally many rows run
-    in one vectorized loop; a problem alone in its group runs the scalar
-    loop, which is faster for one problem.  Either way result k is
-    bit-identical to ``solve_penalized`` on problem k from the start used.
+    ``A`` holds one (N_k, m) operator per problem, as a list or a (K, N, m)
+    stack; ``ys``, ``lams`` and ``theta0`` hold one count vector, weight and
+    start per problem (``theta0`` may be None, as may each start).  A start
+    that violates its fit domain is replaced by the default start.  Problems
+    whose kept operators have equal shapes run in one vectorized loop; a
+    problem alone in its group runs the scalar loop, which is faster for one
+    problem.  Either way result k is bit-identical to ``solve_penalized`` on
+    problem k from the start used.
     """
     cfg = cfg or SolverConfig()
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 3:
-        raise InvalidParamError(f"A must be a (K, N, m) stack, got shape {A.shape}")
-    K = A.shape[0]
+    A = [np.asarray(a, dtype=float) for a in A]
+    if any(a.ndim != 2 for a in A):
+        raise InvalidParamError("A must hold one (N, m) operator per problem")
+    K = len(A)
     theta0 = [None] * K if theta0 is None else list(theta0)
     if len(ys) != K or len(lams) != K or len(theta0) != K:
         raise LengthMismatchError(f"{K} operators need as many counts, weights and starts")
@@ -669,15 +680,15 @@ def solve_penalized_batch(
     models = [_FitModel(A[k], counts[k], fit) for k in range(K)]
     # Rows are dropped per problem (zero A-rows; zero counts for SNLL and
     # GenKL at beta = 0), and padding them back would change the sums.
-    groups: dict[int, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for k, model in enumerate(models):
-        groups.setdefault(model.A.shape[0], []).append(k)
+        groups.setdefault(model.A.shape, []).append(k)
 
     results = [None] * K
     for rows in groups.values():
         if len(rows) == 1:
             k = rows[0]
-            results[k] = _solve_warm(A[k], basis, ys[k], fit, lams[k], cfg, theta0[k])
+            results[k] = _solve_warm(A[k], basis, counts[k], fit, lams[k], cfg, theta0[k])
             continue
         starts = [_feasible_start(models[k], A[k], basis, counts[k], theta0[k]) for k in rows]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -710,15 +721,72 @@ def solve_p2(
     Bisects log(lam) over the penalized JSD problem, warm-starting each
     solve, and returns the feasible solution of largest lam (smallest l1
     norm) once sqjsd is within ``constraint_rtol * epsilon`` of the radius
-    or the bisection budget is exhausted.
+    or the bisection budget is exhausted.  The result also counts the
+    search's penalized solves and their iterations.
     """
-    if epsilon <= 0.0:
-        raise InvalidParamError("epsilon must be > 0")
-    cfg = cfg or SolverConfig()
-    A = np.asarray(A, dtype=float)
-    counts = np.asarray(getattr(y, "counts", y), dtype=float)
-    fit = FitTerm(FitKind.JSD, beta)
+    return solve_p2_batch([A], basis, [y], [epsilon], cfg, beta, constraint_rtol,
+                          max_bisect)[0]
 
+
+def solve_p2_batch(
+    A,
+    basis: OrthonormalBasis,
+    ys,
+    epsilons,
+    cfg: SolverConfig | None = None,
+    beta: float = 0.0,
+    constraint_rtol: float = 0.01,
+    max_bisect: int = 40,
+) -> list[SolveResult]:
+    """``solve_p2`` on K independent problems that share a basis.
+
+    ``A`` holds one operator per problem, as a list or a (K, N, m) stack;
+    ``ys`` and ``epsilons`` hold one count vector and radius per problem.
+    Each problem keeps its own radius search; in every round, the searches
+    that still need a penalized solve make it together in one
+    ``solve_penalized_batch`` call, so result k is bit-identical to
+    ``solve_p2`` on problem k alone.  An infeasible radius raises
+    ``InfeasibleEpsilonError`` for the first such problem.
+    """
+    A = [np.asarray(a, dtype=float) for a in A]
+    K = len(A)
+    if len(ys) != K or len(epsilons) != K:
+        raise LengthMismatchError(f"{K} operators need as many counts and radii")
+    if not all(eps > 0.0 for eps in epsilons):
+        raise InvalidParamError("epsilon must be > 0")
+    counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
+    fit = FitTerm(FitKind.JSD, beta)
+    searches = [_radius_search(A[k], basis, counts[k], epsilons[k], fit, constraint_rtol,
+                               max_bisect) for k in range(K)]
+    results = [None] * K
+    pending = {}  # problem -> the (lam, warm start) its search waits for
+
+    def advance(k, solved):
+        try:
+            pending[k] = searches[k].send(solved)
+        except StopIteration as stop:
+            results[k] = stop.value
+            pending.pop(k, None)
+
+    for k in range(K):
+        advance(k, None)
+    while pending:
+        ks = list(pending)
+        solved = solve_penalized_batch([A[k] for k in ks], basis, [counts[k] for k in ks], fit,
+                                       [pending[k][0] for k in ks], cfg,
+                                       theta0=[pending[k][1] for k in ks])
+        for k, res in zip(ks, solved):
+            advance(k, res)
+    return results
+
+
+def _radius_search(A, basis, counts, epsilon, fit, constraint_rtol, max_bisect):
+    """The radius search of ``solve_p2`` for one problem, as a generator.
+
+    It yields every penalized solve it needs as (lam, warm start), is sent
+    the SolveResult, and returns the P2 SolveResult.
+    """
+    beta = fit.beta
     zero = np.zeros(A.shape[1])
     s_zero = _sqjsd_of(A, counts, zero, beta)
     if s_zero <= epsilon:
@@ -730,6 +798,8 @@ def solve_p2(
             converged=True,
             constraint_residual=s_zero - epsilon,
             lambda_used=None,
+            n_solves=0,
+            total_iterations=0,
         )
 
     model = _FitModel(A, counts, fit)
@@ -738,20 +808,21 @@ def solve_p2(
     g_inf = float(np.max(np.abs(g0)))
     lam_hi = max(g_inf, 1e-12) * 100.0
     lam_lo = 1e-8
+    iterations = []
 
     def _solve(lam, warm):
-        return _solve_warm(A, basis, y, fit, lam, cfg, warm)
+        res = yield lam, warm
+        iterations.append(res.iterations)
+        return res, _sqjsd_of(A, counts, res.theta_star, beta)
 
-    res_lo = _solve(lam_lo, theta_start)
-    s_lo = _sqjsd_of(A, counts, res_lo.theta_star, beta)
+    res_lo, s_lo = yield from _solve(lam_lo, theta_start)
     if s_lo > epsilon:
         raise InfeasibleEpsilonError(
             f"achievable sqjsd {s_lo:.4g} exceeds epsilon {epsilon:.4g}"
         )
 
     best, lam_best, s_best = res_lo, lam_lo, s_lo
-    res_hi = _solve(lam_hi, best.theta_star)
-    s_hi = _sqjsd_of(A, counts, res_hi.theta_star, beta)
+    res_hi, s_hi = yield from _solve(lam_hi, best.theta_star)
     if s_hi <= epsilon:
         best, lam_best, s_best = res_hi, lam_hi, s_hi
     else:
@@ -763,8 +834,7 @@ def solve_p2(
                 # collapse); fall through to the scaling refinement below.
                 break
             lam_mid = math.sqrt(lam_lo * lam_hi)
-            res_mid = _solve(lam_mid, best.theta_star)
-            s_mid = _sqjsd_of(A, counts, res_mid.theta_star, beta)
+            res_mid, s_mid = yield from _solve(lam_mid, best.theta_star)
             if s_mid <= epsilon:
                 lam_lo, best, lam_best, s_best = lam_mid, res_mid, lam_mid, s_mid
             else:
@@ -796,6 +866,8 @@ def solve_p2(
         converged=best.converged,
         constraint_residual=s_best - epsilon,
         lambda_used=lam_best,
+        n_solves=len(iterations),
+        total_iterations=sum(iterations),
     )
 
 

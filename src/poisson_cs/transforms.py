@@ -174,14 +174,21 @@ def read_pgm(path) -> np.ndarray:
         header.append(match.group(1))
         pos = match.end()
     magic, width, height, maxval = header[0], int(header[1]), int(header[2]), int(header[3])
+    count = width * height
     if magic == b"P5":
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        count = width * height
+        found = max(len(data) - (pos + 1), 0) // dtype.itemsize
+        if found < count:
+            raise InvalidParamError(f"{path}: truncated PGM data: {found} of "
+                                    f"{width}x{height} pixels")
         img = np.frombuffer(data, dtype=dtype, count=count, offset=pos + 1)
         return img.reshape(height, width).astype(float)
     if magic == b"P2":
-        vals = np.array(data[pos:].split(), dtype=float)
-        return vals.reshape(height, width)
+        vals = data[pos:].split()
+        if len(vals) != count:
+            raise InvalidParamError(f"{path}: PGM data holds {len(vals)} values for "
+                                    f"{width}x{height} pixels")
+        return np.array(vals, dtype=float).reshape(height, width)
     raise InvalidParamError(f"{path}: unsupported PGM magic {magic!r}")
 
 

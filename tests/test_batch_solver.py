@@ -1,10 +1,15 @@
-"""The batched penalized solver against the scalar one, bit for bit."""
+"""The batched penalized and P2 solvers against the scalar ones, bit for bit."""
 
 import numpy as np
 import pytest
 
 from poisson_cs import solvers
-from poisson_cs.errors import InfeasibleStartError, InvalidParamError, LengthMismatchError
+from poisson_cs.errors import (
+    InfeasibleEpsilonError,
+    InfeasibleStartError,
+    InvalidParamError,
+    LengthMismatchError,
+)
 from poisson_cs.sensing import build_phi, sample_rip_matrix
 from poisson_cs.simulate import measure
 from poisson_cs.solvers import (
@@ -12,17 +17,21 @@ from poisson_cs.solvers import (
     FitTerm,
     SolverConfig,
     gradient_scale,
+    solve_p2,
+    solve_p2_batch,
     solve_penalized,
     solve_penalized_batch,
 )
+from poisson_cs.sqjsd_stats import choose_epsilon
 from poisson_cs.transforms import dct2_basis, identity_basis
 
 
-def make_problems(basis, seed, K=7, N=15):
+def make_problems(basis, seed, K=7, N=15, intensities=None):
     """K measured signals of varied intensity; the last one is dim enough
-    that some counts are zero."""
+    that some counts are zero.  ``intensities`` replaces the drawn ones."""
     rng = np.random.default_rng(seed)
-    intensities = list(10 ** rng.uniform(3.0, 7.0, K - 1)) + [40.0]
+    if intensities is None:
+        intensities = list(10 ** rng.uniform(3.0, 7.0, K - 1)) + [40.0]
     psi = basis.matrix()
     A, ys = [], []
     for k, intensity in enumerate(intensities):
@@ -32,6 +41,16 @@ def make_problems(basis, seed, K=7, N=15):
         ys.append(measure(phi, x, seed=1000 * seed + 500 + k))
         A.append(phi.entries @ psi)
     return np.stack(A), ys, rng
+
+
+def count_stacks(monkeypatch):
+    """Record the size of every stack the vectorized loop runs."""
+    stacked = []
+    lockstep = solvers._solve_lockstep
+    monkeypatch.setattr(solvers, "_solve_lockstep",
+                        lambda models, *args: stacked.append(len(models))
+                        or lockstep(models, *args))
+    return stacked
 
 
 def scalar_reference(A, basis, y, fit, lam, cfg, warm):
@@ -65,11 +84,7 @@ def test_batch_matches_scalar_bit_for_bit(kind, beta, seed, canonical, monkeypat
     warms[0] = None
     warms[1] = basis.analyze(np.full(basis.dim, -1e3 * (beta + 1.0)))
 
-    stacked = []
-    lockstep = solvers._solve_lockstep
-    monkeypatch.setattr(solvers, "_solve_lockstep",
-                        lambda models, *args: stacked.append(len(models))
-                        or lockstep(models, *args))
+    stacked = count_stacks(monkeypatch)
     batch = solve_penalized_batch(A, basis, ys, fit, lams, cfg, theta0=warms)
     assert stacked and max(stacked) >= 2  # the vectorized loop ran
 
@@ -109,3 +124,64 @@ def test_batch_validates_its_inputs():
         solve_penalized_batch(A, basis, ys[:2], fit, [1.0, 1.0, 1.0])
     with pytest.raises(InvalidParamError):
         solve_penalized_batch(A, basis, ys, fit, [1.0, 0.0, 1.0])
+
+
+def p2_setting(canonical):
+    # A cap that some inner solves of the brighter problems reach.
+    if canonical:
+        return identity_basis(30), SolverConfig(max_iters=120, nonneg_signal=True)
+    return dct2_basis(5), SolverConfig(max_iters=120)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("canonical", [False, True])
+def test_p2_batch_matches_one_at_a_time(beta, seed, canonical, monkeypatch):
+    basis, cfg = p2_setting(canonical)
+    A, ys, _ = make_problems(basis, seed, intensities=[1e2, 1e4, 1e6, 1e8, 1e2])
+    eps = choose_epsilon("theory", A.shape[1])
+    # The last radius is slack at the origin.
+    epsilons = [eps] * 4 + [1e3]
+    singles = [solve_p2(A[k], basis, ys[k], epsilons[k], cfg, beta=beta) for k in range(5)]
+
+    stacked = count_stacks(monkeypatch)
+    batch = solve_p2_batch(A, basis, ys, epsilons, cfg, beta=beta)
+    assert stacked and max(stacked) >= 2  # the searches ran in lockstep
+
+    for k, (got, ref) in enumerate(zip(batch, singles)):
+        assert np.array_equal(got.theta_star, ref.theta_star), k
+        assert got.lambda_used == ref.lambda_used, k
+        assert got.constraint_residual == ref.constraint_residual, k
+        assert (got.iterations, got.converged) == (ref.iterations, ref.converged), k
+        assert got.objective_trace == ref.objective_trace, k
+        assert (got.n_solves, got.total_iterations) == (ref.n_solves, ref.total_iterations), k
+    assert batch[4].lambda_used is None and not np.any(batch[4].theta_star)
+    assert (batch[4].n_solves, batch[4].total_iterations) == (0, 0)
+    searched = [r.n_solves for r in batch[:4] if r.n_solves]
+    assert len(searched) >= 3 and min(searched) >= 2
+    assert len(set(searched)) > 1  # the searches ended in different rounds
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_p2_batch_raises_for_an_infeasible_radius(canonical):
+    basis, cfg = p2_setting(canonical)
+    A, ys, _ = make_problems(basis, 4, intensities=[1e4, 1e6])
+    # Overdetermined, so the fit minimum is strictly positive and a tiny
+    # radius is unreachable; its operator has another shape than the rest.
+    A_over, y_over, _ = make_problems(basis, 5, N=2 * basis.dim, intensities=[1e6])
+    eps = choose_epsilon("theory", A.shape[1])
+    with pytest.raises(InfeasibleEpsilonError) as single:
+        solve_p2(A_over[0], basis, y_over[0], 1e-6, cfg)
+    with pytest.raises(InfeasibleEpsilonError) as batched:
+        solve_p2_batch([A[0], A_over[0], A[1]], basis, [ys[0], y_over[0], ys[1]],
+                       [eps, 1e-6, eps], cfg)
+    assert str(batched.value) == str(single.value)
+
+
+def test_p2_batch_validates_its_inputs():
+    basis, cfg = p2_setting(False)
+    A, ys, _ = make_problems(basis, 6, K=2)
+    with pytest.raises(LengthMismatchError):
+        solve_p2_batch(A, basis, ys, [1.0], cfg)
+    with pytest.raises(InvalidParamError):
+        solve_p2_batch(A, basis, ys, [1.0, float("nan")], cfg)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import poisson_cs
 from poisson_cs import experiments
 from poisson_cs.cli import main
 from poisson_cs.errors import InvalidParamError
@@ -21,6 +22,7 @@ from poisson_cs.experiments import (
     sweep_csv_rows,
     write_sweep_csv,
 )
+from poisson_cs.solvers import solve_p2
 from poisson_cs.transforms import read_pgm, write_pgm
 
 
@@ -39,6 +41,28 @@ def tiny_sweep_spec(**over):
     )
     fields.update(over)
     return ExperimentSpec(**fields)
+
+
+def one_at_a_time(monkeypatch):
+    """Make the harness solve every problem of a batch on its own."""
+    batch = experiments.solve_penalized_batch
+
+    def penalized(A, basis, ys, fit, lams, cfg, theta0=None):
+        theta0 = theta0 or [None] * len(ys)
+        return [batch(A[k:k + 1], basis, ys[k:k + 1], fit, lams[k:k + 1], cfg,
+                      theta0[k:k + 1])[0]
+                for k in range(len(ys))]
+
+    def p2(A, basis, ys, epsilons, cfg, beta):
+        return [solve_p2(A[k], basis, ys[k], epsilons[k], cfg, beta=beta)
+                for k in range(len(ys))]
+
+    monkeypatch.setattr(experiments, "solve_penalized_batch", penalized)
+    monkeypatch.setattr(experiments, "solve_p2_batch", p2)
+
+
+def trial_records(manifest):
+    return [c["trial_records"] for c in manifest.cells]
 
 
 class TestSignalGenerator:
@@ -81,6 +105,31 @@ class TestSpec:
         with pytest.raises(InvalidParamError):
             ExperimentSpec(kind="intensity", lambda_mode="fixed")
 
+    def test_unknown_epsilon_mode_rejected(self):
+        with pytest.raises(InvalidParamError, match="epsilon_mode"):
+            ExperimentSpec(kind="intensity", epsilon_mode="bogus")
+
+    @pytest.mark.parametrize("where", ["field", "grid"])
+    def test_nan_intensity_rejected(self, where):
+        over = ({"intensity": float("nan")} if where == "field"
+                else {"grid": {"intensity": [1e4, float("nan")]}})
+        with pytest.raises(InvalidParamError, match="intensity"):
+            ExperimentSpec(kind="intensity", **over)
+
+    def test_zero_intensity_rejected(self):
+        with pytest.raises(InvalidParamError, match="intensity"):
+            ExperimentSpec(kind="image", grid={"intensity": [0.0]})
+        with pytest.raises(InvalidParamError, match="intensity"):
+            ExperimentSpec(kind="sparsity", intensity=0.0)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"trials": 2, "n_measurement": 30}))
+        with pytest.raises(InvalidParamError, match="n_measurement"):
+            ExperimentSpec.from_json(path)
+        with pytest.raises(InvalidParamError, match="n_measurement"):
+            main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+
 
 class TestRunSweep:
     def test_manifest_structure(self):
@@ -110,19 +159,41 @@ class TestRunSweep:
         b = run_sweep(tiny_sweep_spec(master_seed=8))
         assert sweep_csv_rows(a) != sweep_csv_rows(b)
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        serial = run_sweep(tiny_sweep_spec(trials=2))
-        pooled = run_sweep(tiny_sweep_spec(trials=2, workers=2))
-        pa, pb = tmp_path / "s.csv", tmp_path / "p.csv"
-        write_sweep_csv(serial, pa)
-        write_sweep_csv(pooled, pb)
-        assert pa.read_bytes() == pb.read_bytes()
+    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
+        # Batches of the whole sweep (workers=1) and of runs of tasks
+        # (workers=3) against every trial solved on its own; the cells of a
+        # measurements sweep differ in N, so their operators differ in shape.
+        grids = {"intensity": {"intensity": [1e4, 1e6]},
+                 "measurements": {"n_measurements": [15, 25]}}
+        for solver in ("P2", "P4"):
+            for kind, grid in grids.items():
+                spec = tiny_sweep_spec(solver=solver, kind=kind, grid=grid, trials=2)
+                with monkeypatch.context() as m:
+                    one_at_a_time(m)
+                    reference = run_sweep(spec)
+                write_sweep_csv(reference, tmp_path / "ref.csv")
+                for workers in (1, 3):
+                    got = run_sweep(dataclasses.replace(spec, workers=workers))
+                    write_sweep_csv(got, tmp_path / "got.csv")
+                    case = (solver, kind, workers)
+                    assert (tmp_path / "got.csv").read_bytes() == \
+                        (tmp_path / "ref.csv").read_bytes(), case
+                    assert trial_records(got) == trial_records(reference), case
 
     def test_p2_records_constraint_fields(self):
         man = run_sweep(tiny_sweep_spec(solver="P2", trials=2))
         rec = man.cells[0]["trial_records"][0]
         assert rec["constraint_residual"] is not None
         assert "epsilon" in rec
+        # The whole radius search is counted, not only its chosen solve.
+        assert rec["n_solves"] >= 2
+        assert rec["total_iterations"] >= rec["iterations"]
+
+    def test_manifest_carries_the_package_version(self, tmp_path):
+        man = run_sweep(tiny_sweep_spec(trials=1, grid={"intensity": [1e4]}))
+        man.to_json(tmp_path / "manifest.json")
+        written = json.loads((tmp_path / "manifest.json").read_text())
+        assert written["library_version"] == poisson_cs.__version__
 
     def test_fixed_lambda_mode(self):
         man = run_sweep(
@@ -234,15 +305,23 @@ class TestImageRecon:
             stride=3, image_size=16, master_seed=3, lambda_points=4, max_iters=300,
         )
         batched = run_image_recon(spec, src, tmp_path / "b")
-        batch = experiments.solve_penalized_batch
+        one_at_a_time(monkeypatch)
+        single = run_image_recon(spec, src, tmp_path / "s")
+        for a, b in zip(batched["cells"], single["cells"]):
+            assert (a["rrmse"], a["n_unconverged"]) == (b["rrmse"], b["n_unconverged"])
+            assert Path(a["out_image"]).read_bytes() == Path(b["out_image"]).read_bytes()
 
-        def one_by_one(A, basis, ys, fit, lams, cfg, theta0=None):
-            theta0 = theta0 or [None] * len(ys)
-            return [batch(A[k:k + 1], basis, ys[k:k + 1], fit, lams[k:k + 1], cfg,
-                          theta0[k:k + 1])[0]
-                    for k in range(len(ys))]
-
-        monkeypatch.setattr(experiments, "solve_penalized_batch", one_by_one)
+    def test_p2_patches_match_one_by_one(self, tmp_path, monkeypatch):
+        # The lockstep radius searches against every patch's own solve_p2.
+        src = tmp_path / "img.pgm"
+        write_pgm(src, make_test_image(16, 16))
+        spec = ExperimentSpec(
+            kind="image", grid={"intensity": [3e3, 1e6]}, solver="P2", beta=0.2,
+            n_measurements=20, patch=7, stride=3, image_size=16, master_seed=4,
+            max_iters=300,
+        )
+        batched = run_image_recon(spec, src, tmp_path / "b")
+        one_at_a_time(monkeypatch)
         single = run_image_recon(spec, src, tmp_path / "s")
         for a, b in zip(batched["cells"], single["cells"]):
             assert (a["rrmse"], a["n_unconverged"]) == (b["rrmse"], b["n_unconverged"])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from poisson_cs import solvers
 from poisson_cs.errors import (
     DomainError,
     InfeasibleEpsilonError,
@@ -236,6 +237,18 @@ class TestSolveP2:
         # the constraint; before the final scaling step it is the bisection's
         # own iterate, so it cannot exceed epsilon by more than the tolerance.
         assert s_rerun <= eps * (1.0 + 0.01) + 1e-9
+
+    def test_counts_every_solve_of_the_search(self, monkeypatch):
+        _, phi, mv = sparse_instance(intensity=1e6, seed=28)
+        solves = []
+        solve = solvers.solve_penalized
+        monkeypatch.setattr(solvers, "solve_penalized",
+                            lambda *a, **k: solves.append(solve(*a, **k)) or solves[-1])
+        res = solve_p2(phi.entries, identity_basis(100), mv, choose_epsilon("theory", 50),
+                       SolverConfig(max_iters=400, nonneg_signal=True))
+        assert res.n_solves == len(solves) >= 2
+        assert res.total_iterations == sum(r.iterations for r in solves)
+        assert res.iterations in [r.iterations for r in solves]
 
     def test_beta_smoothing_runs(self):
         _, phi, mv = sparse_instance(intensity=1e4, seed=24)

@@ -147,3 +147,14 @@ class TestPgmIO:
         path.write_bytes(b"P7\n1 1\n255\n\x00")
         with pytest.raises(InvalidParamError):
             read_pgm(path)
+
+    @pytest.mark.parametrize("content", [
+        b"P5\n3 2\n255\n\x00\x01\x02\x03",        # 4 of 6 bytes
+        b"P5\n2 2\n65535\n\x00\x01\x00\x02\x00",  # 2.5 of 4 16-bit pixels
+        b"P2\n3 2\n255\n0 1 2\n250\n",             # 4 of 6 values
+    ])
+    def test_truncated_data(self, tmp_path, content):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(content)
+        with pytest.raises(InvalidParamError, match="short.pgm"):
+            read_pgm(path)
