@@ -125,17 +125,41 @@ def _accumulate(terms: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
-def _xlog_self_ratio(x: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Termwise x * log(x/other) with 0*log(0) = 0.
+def _xlog_ratio(x: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Termwise x * log(x/other) for x > 0.
 
     Computed as -x*log1p((other-x)/x), which is exact algebraically and does
     not lose the small difference when x ~ other (the high-intensity Poisson
-    regime).  Caller guarantees other > 0 wherever x > 0.
+    regime).
     """
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = -x[pos] * np.log1p((other[pos] - x[pos]) / x[pos])
-    return out
+    return -x * np.log1p((other - x) / x)
+
+
+def _xlog_self_ratio(x: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Termwise x * log(x/other) with 0*log(0) = 0.
+
+    Caller guarantees other > 0 wherever x > 0; the discarded branch at
+    x = 0 may be nan.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0.0, _xlog_ratio(x, other), 0.0)
+
+
+def _gen_kl_terms(y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Termwise y log(y/u) - y + u."""
+    return _xlog_self_ratio(y, u) + (u - y)
+
+
+def _snll_terms(y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Termwise symmetrized Stirling NLL, defined where y > 0 and u > 0 (so
+    no zero convention applies)."""
+    return (
+        _xlog_ratio(y, u)
+        + _xlog_ratio(u, y)
+        + 0.5 * np.log(y)
+        + 0.5 * np.log(u)
+        + LOG_2PI
+    )
 
 
 def kl(p, q) -> DivergenceValue:
@@ -151,16 +175,16 @@ def kl(p, q) -> DivergenceValue:
 
 
 def _jsd_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # J(p,q) = (1/2) sum_i [ p log(2p/(p+q)) + q log(2q/(p+q)) ], termwise on
-    # arrays of any shape.  log(2p/(p+q)) = log1p((p-q)/(p+q)) keeps full
-    # precision when p ~ q, which is the regime of every high-intensity
-    # Poisson experiment.  Each product is kept only where its front factor
-    # is positive (then the log1p argument is strictly above -1); the
-    # discarded branch may be -inf or nan.
+    # 2 J(p,q) = sum_i [ p log(2p/(p+q)) + q log(2q/(p+q)) ], termwise on
+    # arrays of any shape; callers halve the sum (exact in floating point).
+    # log(2p/(p+q)) = log1p((p-q)/(p+q)) keeps full precision when p ~ q,
+    # which is the regime of every high-intensity Poisson experiment.  Each
+    # product is kept only where its front factor is positive (then the log1p
+    # argument is strictly above -1); the discarded branch may be -inf or nan.
     s = p + q
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(p > 0.0, 0.5 * p * np.log1p((p - q) / s), 0.0)
-        out += np.where(q > 0.0, 0.5 * q * np.log1p((q - p) / s), 0.0)
+        out = np.where(p > 0.0, p * np.log1p((p - q) / s), 0.0)
+        out += np.where(q > 0.0, q * np.log1p((q - p) / s), 0.0)
     return out
 
 
@@ -170,7 +194,7 @@ def jsd(p, q) -> DivergenceValue:
     Finite for any pair of non-negative vectors and symmetric in (p, q).
     """
     p, q = _pair(p, q)
-    return DivergenceValue(_accumulate(_jsd_terms(p, q)), DivergenceKind.JSD)
+    return DivergenceValue(0.5 * _accumulate(_jsd_terms(p, q)), DivergenceKind.JSD)
 
 
 def sqjsd(p, q) -> DivergenceValue:
@@ -186,16 +210,8 @@ def jsd_rowwise(P, q) -> np.ndarray:
     non-negative (not re-validated here).
     """
     P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float)
-    Q = np.broadcast_to(q, P.shape)
-    s = P + Q
-    # Zero front factors force the 0*log(.) = 0 convention; the discarded
-    # branch may transiently produce -inf or nan.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tp = np.where(P > 0.0, P * np.log1p((P - Q) / s), 0.0)
-        tq = np.where(Q > 0.0, Q * np.log1p((Q - P) / s), 0.0)
-    vals = 0.5 * np.sum(tp + tq, axis=-1)
-    return np.maximum(vals, 0.0)
+    Q = np.broadcast_to(np.asarray(q, dtype=float), P.shape)
+    return np.maximum(0.5 * np.sum(_jsd_terms(P, Q), axis=-1), 0.0)
 
 
 def gen_kl(y, u) -> DivergenceValue:
@@ -204,8 +220,7 @@ def gen_kl(y, u) -> DivergenceValue:
     pos = y > 0.0
     if np.any(u[pos] == 0.0):
         raise DomainError("gen_kl undefined: y_i > 0 where u_i = 0")
-    terms = _xlog_self_ratio(y, u) + (u - y)
-    return DivergenceValue(_accumulate(terms), DivergenceKind.GEN_KL)
+    return DivergenceValue(_accumulate(_gen_kl_terms(y, u)), DivergenceKind.GEN_KL)
 
 
 def total_variation(p, q) -> DivergenceValue:
@@ -248,7 +263,7 @@ def nll_approx(y, u) -> DivergenceValue:
         raise DomainError("nll_approx undefined for zero counts (log y_i term)")
     if np.any(u == 0.0):
         raise DomainError("nll_approx requires u_i > 0")
-    terms = _xlog_self_ratio(y, u) + (u - y) + 0.5 * np.log(y) + 0.5 * LOG_2PI
+    terms = _gen_kl_terms(y, u) + 0.5 * np.log(y) + 0.5 * LOG_2PI
     return DivergenceValue(_accumulate(terms), DivergenceKind.NLL_APPROX)
 
 
@@ -260,11 +275,4 @@ def snll(y, u) -> DivergenceValue:
     y, u = _pair(y, u)
     if np.any(y == 0.0) or np.any(u == 0.0):
         raise DomainError("snll requires y_i > 0 and u_i > 0")
-    terms = (
-        _xlog_self_ratio(y, u)
-        + _xlog_self_ratio(u, y)
-        + 0.5 * np.log(y)
-        + 0.5 * np.log(u)
-        + LOG_2PI
-    )
-    return DivergenceValue(_accumulate(terms), DivergenceKind.SNLL)
+    return DivergenceValue(_accumulate(_snll_terms(y, u)), DivergenceKind.SNLL)

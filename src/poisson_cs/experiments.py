@@ -1,11 +1,12 @@
 """Seeded experiment harness: sweeps, statistics verification, image runs.
 
 Every run is driven by an :class:`ExperimentSpec` and a master seed.  All
-randomness flows through ``SeedSequence([master_seed, stream, *indices])``
-with fixed stream ids (0 signal, 1 sensing matrix, 2 measurements, 3
-percentile pilot, 4 statistics), so a manifest plus its master seed
-reproduces every number bit-for-bit; trials may be dispatched to a worker
-pool without affecting the results.
+randomness flows through ``simulate.derive_seed``, that is
+``SeedSequence([master_seed, stream, *indices])``, with fixed stream ids (0
+signal, 1 sensing matrix, 2 measurements, 3 percentile pilot, 4
+statistics), so a manifest plus its master seed reproduces every number
+bit-for-bit; trials may be dispatched to a worker pool without affecting
+the results.
 
 Sweep cells draw one s-sparse non-negative signal pattern (support uniform
 without replacement, magnitudes uniform on [0.5, 1.5], scaled to the cell's
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__ as LIBRARY_VERSION
 from .errors import InvalidParamError
 from .sensing import build_phi, sample_rip_matrix
-from .simulate import measure
+from .simulate import derive_rng, derive_seed, measure
 from .solvers import (
     FitKind,
     FitTerm,
@@ -92,10 +93,6 @@ def _check_positive(name: str, value) -> None:
     # NaN fails the comparison, so it is rejected too.
     if not (isinstance(value, numbers.Real) and value > 0.0 and math.isfinite(value)):
         raise InvalidParamError(f"{name} must be finite and > 0, got {value!r}")
-
-
-def _seed(master: int, stream: int, *idx) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(master), int(stream), *[int(i) for i in idx]])
 
 
 @dataclass
@@ -269,17 +266,14 @@ def _run_trial(spec: ExperimentSpec, cell: dict, trial: int):
     m, N, s, intensity = cell["m"], cell["N"], cell["s"], cell["intensity"]
     master = spec.master_seed
 
-    sig_rng = np.random.Generator(
-        np.random.PCG64(_seed(master, _STREAM_SIGNAL, s))
-    )
-    x = make_sparse_signal(m, s, intensity, sig_rng)
+    x = make_sparse_signal(m, s, intensity, derive_rng(master, _STREAM_SIGNAL, s))
 
-    phi = build_phi(sample_rip_matrix(N, m, 0.5, seed=_seed(master, _STREAM_PHI, trial)))
-    mv = measure(phi, x, _seed(master, _STREAM_Y, trial))
+    phi = build_phi(sample_rip_matrix(N, m, 0.5, seed=derive_seed(master, _STREAM_PHI, trial)))
+    mv = measure(phi, x, derive_seed(master, _STREAM_Y, trial))
     eps = None
     if spec.solver == "P2":
         if spec.epsilon_mode == "percentile":
-            pilot = monte_carlo_sqjsd(phi, x, 200, _seed(master, _STREAM_PILOT, trial))
+            pilot = monte_carlo_sqjsd(phi, x, 200, derive_seed(master, _STREAM_PILOT, trial))
             eps = choose_epsilon(EpsilonMode.PERCENTILE, N, pilot)
         else:
             eps = choose_epsilon(EpsilonMode.THEORY, N)
@@ -436,17 +430,14 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
     for N in grid_N:
         m = 2 * N
         for intensity in grid_I:
-            rng = np.random.Generator(
-                np.random.PCG64(_seed(spec.master_seed, _STREAM_SIGNAL, N, int(math.log10(intensity) * 4)))
-            )
-            x = rng.uniform(0.5, 1.5, size=m)
+            idx = (N, int(math.log10(intensity) * 4))
+            x = derive_rng(spec.master_seed, _STREAM_SIGNAL, *idx).uniform(0.5, 1.5, size=m)
             x *= intensity / x.sum()
             phi = build_phi(
-                sample_rip_matrix(N, m, 0.5, seed=_seed(spec.master_seed, _STREAM_PHI, N))
+                sample_rip_matrix(N, m, 0.5, seed=derive_seed(spec.master_seed, _STREAM_PHI, N))
             )
             samples = monte_carlo_sqjsd(
-                phi, x, trials, _seed(spec.master_seed, _STREAM_STATS, N, int(math.log10(intensity) * 4))
-            )
+                phi, x, trials, derive_seed(spec.master_seed, _STREAM_STATS, *idx))
             bounds = concentration_bounds(phi, x)
             ks = ks_gaussian_test(samples, alpha=0.01)
             cells.append({
@@ -499,9 +490,9 @@ def _patch_task(spec: ExperimentSpec, patch, k: int, psi: np.ndarray):
     """
     phi = build_phi(
         sample_rip_matrix(spec.n_measurements, psi.shape[0], 0.5,
-                          seed=_seed(spec.master_seed, _STREAM_PHI, k))
+                          seed=derive_seed(spec.master_seed, _STREAM_PHI, k))
     )
-    mv = measure(phi, patch, _seed(spec.master_seed, _STREAM_Y, k))
+    mv = measure(phi, patch, derive_seed(spec.master_seed, _STREAM_Y, k))
     return phi.entries @ psi, mv
 
 

@@ -4,8 +4,8 @@ Sampling uses numpy's ``Generator.poisson``, which switches between direct
 inversion at small rates and the PTRS transformed-rejection sampler at large
 ones, so rates spanning 1e0 to 1e8+ are exact and fast.  Every consumer of
 randomness owns its own PCG64 stream; parallel trials derive child streams
-from a master seed through ``SeedSequence([master, *path])`` (the documented
-splitting rule used throughout the experiment harness).
+from a master seed through ``derive_seed``, ``SeedSequence([master, *path])``
+(the documented splitting rule used throughout the experiment harness).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidParamError, LengthMismatchError
 from .sensing import SensingMatrix
 
-__all__ = ["MeasurementVector", "poisson_draw", "measure", "derive_rng"]
+__all__ = ["MeasurementVector", "poisson_draw", "measure", "derive_seed", "derive_rng"]
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,19 @@ class MeasurementVector:
         return self.counts.size
 
 
+def derive_seed(master_seed, *path) -> np.random.SeedSequence:
+    """Seed of stream ``path`` under ``master_seed``: the library's one
+    splitting rule, ``SeedSequence([master_seed, *path])``."""
+    return np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
+
+
 def derive_rng(master_seed, *path) -> np.random.Generator:
     """Child generator for stream ``path`` under ``master_seed``.
 
     Identical (master_seed, path) pairs always yield identical streams;
     distinct paths yield statistically independent ones.
     """
-    seq = np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
-    return np.random.Generator(np.random.PCG64(seq))
+    return np.random.default_rng(derive_seed(master_seed, *path))
 
 
 def poisson_draw(rate: float, rng: np.random.Generator) -> int:
@@ -60,8 +65,9 @@ def poisson_draw(rate: float, rng: np.random.Generator) -> int:
 def measure(phi: SensingMatrix, x, seed) -> MeasurementVector:
     """Draw y_i ~ Poisson((Phi x)_i) independently per coordinate.
 
-    ``seed`` may be an integer or a Generator; integers create a fresh PCG64
-    stream so repeated calls are reproducible.
+    ``seed`` is anything ``np.random.default_rng`` takes: an integer or a
+    SeedSequence creates a fresh PCG64 stream, so repeated calls are
+    reproducible, and a Generator is used as is.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != phi.dim:
@@ -71,10 +77,7 @@ def measure(phi: SensingMatrix, x, seed) -> MeasurementVector:
     if np.any(x < 0.0):
         raise InvalidParamError("signal must be non-negative")
     rates = phi.entries @ x
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     counts = rng.poisson(rates).astype(np.int64)
     counts.setflags(write=False)
     rates.setflags(write=False)

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import LOG_2PI, _jsd_terms
+from .divergences import _gen_kl_terms, _jsd_terms, _snll_terms
 from .errors import (
     DomainError,
     InfeasibleEpsilonError,
@@ -63,8 +64,6 @@ __all__ = [
     "solve_p2_batch",
     "rrmse",
 ]
-
-_HALF_LOG2 = 0.5 * math.log(2.0)
 
 
 class FitKind(enum.Enum):
@@ -91,7 +90,7 @@ class SolverConfig:
     grad_tol: float = 1e-12
     objective_tol: float = 1e-8
     backtrack_factor: float = 0.5
-    nonneg_signal: bool = False
+    nonneg_signal: bool = False  # clamp the coefficients at 0; identity basis only
     enforce_intensity: float | None = None
 
     def __post_init__(self):
@@ -129,51 +128,49 @@ def soft_threshold(v, t: float) -> np.ndarray:
     return _shrink(v, t)
 
 
-def _fit_pieces(kind: FitKind, yb: np.ndarray, ub: np.ndarray, want_value: bool,
-                want_grad: bool, grad_floor=1e-300):
-    """Value and/or gradient w.r.t. u of the chosen fit on offset vectors.
+@dataclass(frozen=True)
+class _FitLaw:
+    """The formulas of one fit on offset vectors yb = y + beta, ub = u + beta.
 
-    Works on one problem's (N,) vectors or on a (K, N) stack of them, whose
-    values come back as a (K,) array; ``grad_floor`` is a scalar or (K, 1).
-    Values are exact.  Gradients replace u + beta by max(u + beta,
-    grad_floor): this turns the infinite slope at the domain boundary into a
-    large finite one, so a monotone line search on the exact objective can
-    still probe and leave the boundary.  Callers guarantee ub >= 0 (JSD) or
-    ub > 0 (SNLL/GenKL) wherever the value is requested.
+    ``value`` sums the elementwise terms of ``divergences`` along the last
+    axis, so it serves one problem's (N,) vectors and a (K, N) stack alike.
+    ``grad`` is the derivative in u at the floored rate ubf = max(ub, floor):
+    this turns the infinite slope at the domain boundary into a large finite
+    one, so a monotone line search on the exact objective can still probe
+    and leave the boundary.  ``curvature`` is the per-coordinate
+    second-derivative scale.  A ``closed`` fit is finite on ub >= 0, zero
+    counts included (JSD); an open one needs ub > 0 and, at beta = 0,
+    counts > 0 (SNLL, GenKL).
     """
-    value = grad = None
-    if kind is FitKind.JSD:
-        if want_value:
-            value = np.sum(_jsd_terms(yb, ub), axis=-1)
-        if want_grad:
-            ubf = np.maximum(ub, grad_floor)
-            s = yb + ubf
-            grad = 0.5 * np.log(2.0 * ubf / s)
-            # At yb = ub = 0 the one-sided derivative along u is log(2)/2.
-            grad = np.where(yb + ub > 0.0, grad, _HALF_LOG2)
-    elif kind is FitKind.GEN_KL:
-        if want_value:
-            # Zero counts contribute u - y alone; their discarded log term
-            # may be nan.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = (ub - yb) + np.where(yb > 0.0, yb * np.log(yb / ub), 0.0)
-            value = np.sum(terms, axis=-1)
-        if want_grad:
-            grad = 1.0 - yb / np.maximum(ub, grad_floor)
-    else:  # SNLL
-        if want_value:
-            value = np.sum(
-                yb * np.log(yb / ub)
-                + ub * np.log(ub / yb)
-                + 0.5 * np.log(yb)
-                + 0.5 * np.log(ub)
-                + LOG_2PI,
-                axis=-1,
-            )
-        if want_grad:
-            ubf = np.maximum(ub, grad_floor)
-            grad = 1.0 - yb / ubf + np.log(ubf / yb) + 0.5 / ubf
-    return value, grad
+
+    value: Callable
+    grad: Callable
+    curvature: Callable
+    closed: bool
+
+
+_FITS = {
+    FitKind.JSD: _FitLaw(
+        value=lambda yb, ub: 0.5 * np.sum(_jsd_terms(yb, ub), axis=-1),
+        # At yb = ub = 0 the floored rate gives log(2)/2, the one-sided
+        # derivative along u.
+        grad=lambda yb, ubf: 0.5 * np.log(2.0 * ubf / (yb + ubf)),
+        curvature=lambda yb, ub: 0.5 / ub,
+        closed=True,
+    ),
+    FitKind.SNLL: _FitLaw(
+        value=lambda yb, ub: np.sum(_snll_terms(yb, ub), axis=-1),
+        grad=lambda yb, ubf: 1.0 - yb / ubf + np.log(ubf / yb) + 0.5 / ubf,
+        curvature=lambda yb, ub: yb / ub**2 + 1.0 / ub,
+        closed=False,
+    ),
+    FitKind.GEN_KL: _FitLaw(
+        value=lambda yb, ub: np.sum(_gen_kl_terms(yb, ub), axis=-1),
+        grad=lambda yb, ubf: 1.0 - yb / ubf,
+        curvature=lambda yb, ub: yb / ub**2,
+        closed=False,
+    ),
+}
 
 
 def fit_value_and_gradient(fit: FitTerm, y, u):
@@ -187,83 +184,105 @@ def fit_value_and_gradient(fit: FitTerm, y, u):
     u = np.asarray(u, dtype=float)
     if y.shape != u.shape:
         raise DomainError(f"length {y.size} vs {u.size}")
+    law = _FITS[fit.kind]
     yb = y + fit.beta
     ub = u + fit.beta
     if np.any(ub <= 0.0):
         raise DomainError("fit undefined: u_i + beta <= 0")
-    if fit.kind is not FitKind.JSD and np.any(yb <= 0.0):
+    if not law.closed and np.any(yb <= 0.0):
         raise DomainError(f"{fit.kind.value} with beta=0 requires y_i > 0")
-    value, grad = _fit_pieces(fit.kind, yb, ub, True, True)
-    return float(value), grad
+    return float(law.value(yb, ub)), law.grad(yb, np.maximum(ub, 1e-300))
+
+
+# ``_FitModel`` and the batched kernel.  Every stacked operation below does,
+# row by row, the same floating-point operations as on one problem: matmul
+# over a stack issues one BLAS call per row with that row's shapes and
+# strides, and reductions along the last axis sum each row like a 1-D sum.
+# Keep it so; tests/test_batch_solver.py compares the two paths bit for bit.
+
+
+def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row k is A[k] @ X[k]; for one (N, m) operator, A @ x."""
+    return np.matmul(A, X[..., None])[..., 0]
+
+
+def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Entry k is X[k] @ Y[k]."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
 
 
 class _FitModel:
     """Fit term restricted to the rows the solver actually optimizes over.
 
-    Rows whose A-row is identically zero are constant in theta and dropped;
-    zero-count rows are additionally dropped for SNLL/GenKL at beta = 0.
+    Serves one problem, with an (N, m) operator and (N,) offset counts, or a
+    stack of K problems whose kept operators have equal shapes, with
+    (K, N, m) operators, (K, N) counts and (K, 1) gradient floors; values and
+    curvature scales then come back per problem.  Rows whose A-row is
+    identically zero are constant in theta and dropped; zero-count rows are
+    additionally dropped for SNLL/GenKL at beta = 0.
     """
 
-    def __init__(self, A: np.ndarray, counts: np.ndarray, fit: FitTerm):
-        keep = np.any(A != 0.0, axis=1)
-        if fit.beta == 0.0 and fit.kind is not FitKind.JSD:
-            keep &= counts > 0
-        self.A = A[keep]
+    def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor):
         self.fit = fit
-        self.yb = counts[keep].astype(float) + fit.beta
+        self.law = _FITS[fit.kind]
+        self.A = A
+        self.yb = yb
+        self.grad_floor = grad_floor
+
+    @classmethod
+    def of(cls, A: np.ndarray, counts: np.ndarray, fit: FitTerm) -> "_FitModel":
+        """The model of one problem."""
+        keep = np.any(A != 0.0, axis=1)
+        if fit.beta == 0.0 and not _FITS[fit.kind].closed:
+            keep &= counts > 0
+        yb = counts[keep].astype(float) + fit.beta
         # Boundary-gradient clip, relative to the data scale; rates this far
         # below the counts are indistinguishable from zero for the fit value.
-        self._grad_floor = 1e-12 * (float(np.mean(self.yb)) + 1.0) if self.yb.size else 1e-12
+        grad_floor = 1e-12 * (float(np.mean(yb)) + 1.0) if yb.size else 1e-12
+        return cls(fit, A[keep], yb, grad_floor)
 
-    def rates(self, theta: np.ndarray) -> np.ndarray:
-        return self.A @ theta
+    @classmethod
+    def stack(cls, models) -> "_FitModel":
+        """The models of K problems whose kept operators have equal shapes."""
+        return cls(models[0].fit, np.stack([m.A for m in models]),
+                   np.stack([m.yb for m in models]),
+                   np.array([[m.grad_floor] for m in models]))
 
-    def value(self, u: np.ndarray) -> float:
-        """Exact fit value, +inf outside the closed domain.
+    def take(self, rows) -> "_FitModel":
+        return _FitModel(self.fit, self.A[rows], self.yb[rows], self.grad_floor[rows])
 
-        JSD is finite on the whole non-negative orthant; SNLL/GenKL blow up
-        as soon as any rate hits 0 (their kept rows all have counts > 0).
-        """
-        ub = u + self.fit.beta
-        if self.fit.kind is FitKind.JSD:
-            if np.any(ub < 0.0):
-                return math.inf
-        elif np.any(ub <= 0.0):
-            return math.inf
-        val, _ = _fit_pieces(self.fit.kind, self.yb, ub, True, False)
-        return float(val)
+    def rates(self, X: np.ndarray) -> np.ndarray:
+        return _matvec(self.A, X)
 
-    def value_grad_theta(self, u: np.ndarray):
-        """Value and gradient w.r.t. theta; only called where value is finite."""
-        val, gu = _fit_pieces(self.fit.kind, self.yb, u + self.fit.beta, True, True,
-                              self._grad_floor)
-        return float(val), self.A.T @ gu
+    def value(self, U: np.ndarray):
+        """Exact fit value, +inf outside the domain (see ``_FitLaw.closed``):
+        a float for one problem, an array with one value per row of a stack."""
+        ub = U + self.fit.beta
+        outside = np.any(ub < 0.0 if self.law.closed else ub <= 0.0, axis=-1)
+        if U.ndim == 1:
+            return math.inf if outside else float(self.law.value(self.yb, ub))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(outside, math.inf, self.law.value(self.yb, ub))
 
-    def grad_theta(self, u: np.ndarray) -> np.ndarray:
-        _, gu = _fit_pieces(self.fit.kind, self.yb, u + self.fit.beta, False, True,
-                            self._grad_floor)
-        return self.A.T @ gu
+    def grad_theta(self, U: np.ndarray) -> np.ndarray:
+        gu = self.law.grad(self.yb, np.maximum(U + self.fit.beta, self.grad_floor))
+        return _matvec(np.swapaxes(self.A, -1, -2), gu)
 
-    def curvature_scale(self, u: np.ndarray) -> float:
+    def curvature_scale(self, U: np.ndarray):
         """Per-coordinate second-derivative scale for the initial step size.
 
         Evaluated no closer to the boundary than the half-data point
         u ~ (y+1)/2: the solution sits near u ~ y, and backtracking owns
-        correctness for whatever this estimate misses.
+        correctness for whatever this estimate misses.  0 without rows.
         """
-        ub = np.maximum(u + self.fit.beta, 0.5 * (self.yb + 1.0))
-        if self.fit.kind is FitKind.JSD:
-            c = 0.5 / ub
-        elif self.fit.kind is FitKind.GEN_KL:
-            c = self.yb / ub**2
-        else:
-            c = self.yb / ub**2 + 1.0 / ub
-        return float(np.max(c)) if c.size else 1.0
+        ub = np.maximum(U + self.fit.beta, 0.5 * (self.yb + 1.0))
+        c = np.max(self.law.curvature(self.yb, ub), axis=-1, initial=0.0)
+        return c if c.ndim else float(c)
 
 
 def _spectral_norm_sq(A: np.ndarray, iters: int = 40) -> float:
     """Largest squared singular value by (deterministic) power iteration."""
-    rng = np.random.Generator(np.random.PCG64(0))
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(A.shape[1])
     v /= np.linalg.norm(v)
     for _ in range(iters):
@@ -285,20 +304,22 @@ def _default_start(A: np.ndarray, basis: OrthonormalBasis, counts: np.ndarray):
     return basis.analyze(x0)
 
 
-def _prox(v: np.ndarray, t, cfg: SolverConfig, basis: OrthonormalBasis):
+def _config(cfg: SolverConfig | None, basis: OrthonormalBasis) -> SolverConfig:
+    """``cfg`` or the default configuration, checked against the basis."""
+    cfg = cfg or SolverConfig()
+    if cfg.nonneg_signal and basis.kind is not BasisKind.IDENTITY:
+        raise InvalidParamError(
+            "nonneg_signal clamps the coefficients, so it needs the identity basis")
+    return cfg
+
+
+def _prox(v: np.ndarray, t, cfg: SolverConfig):
     """Soft threshold at t, then the optional non-negativity clamp.
 
     ``v`` is one coefficient vector or a (K, dim) stack with t of shape (K, 1).
     """
     w = _shrink(v, t)
-    if cfg.nonneg_signal:
-        if basis.kind is BasisKind.IDENTITY:
-            w = np.maximum(w, 0.0)
-        else:
-            # One clamp-and-reanalyze pass; heuristic for non-canonical bases.
-            w = np.apply_along_axis(
-                lambda r: basis.analyze(np.maximum(basis.synthesize(r), 0.0)), -1, w)
-    return w
+    return np.maximum(w, 0.0) if cfg.nonneg_signal else w
 
 
 def _next_momentum(t: float) -> float:
@@ -313,9 +334,8 @@ def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
     """
     A = np.asarray(A, dtype=float)
     counts = np.asarray(getattr(y, "counts", y), dtype=float)
-    model = _FitModel(A, counts, fit)
-    theta0 = _default_start(A, basis, counts)
-    _, g = model.value_grad_theta(model.rates(theta0))
+    model = _FitModel.of(A, counts, fit)
+    g = model.grad_theta(model.rates(_default_start(A, basis, counts)))
     return float(np.max(np.abs(g))) if g.size else 1.0
 
 
@@ -334,10 +354,10 @@ def solve_penalized(
     """
     if lam <= 0.0:
         raise InvalidParamError("lam must be > 0")
-    cfg = cfg or SolverConfig()
+    cfg = _config(cfg, basis)
     A = np.asarray(A, dtype=float)
     counts = np.asarray(getattr(y, "counts", y), dtype=float)
-    model = _FitModel(A, counts, fit)
+    model = _FitModel.of(A, counts, fit)
 
     if theta0 is None:
         theta0 = _default_start(A, basis, counts)
@@ -376,7 +396,7 @@ def solve_penalized(
         for attempt in range(2):  # second pass restarts from x on non-monotone step
             eta_try = eta
             for _ in range(200):
-                cand = _prox(base - eta_try * g_base, eta_try * lam, cfg, basis)
+                cand = _prox(base - eta_try * g_base, eta_try * lam, cfg)
                 d = cand - base
                 u_cand = model.rates(cand)
                 f_cand = model.value(u_cand)
@@ -448,59 +468,9 @@ def _solve_warm(A, basis, y, fit, lam, cfg, warm) -> SolveResult:
     return solve_penalized(A, basis, y, fit, lam, cfg)
 
 
-# The batched kernel.  Every stacked operation below does, row by row, the
-# same floating-point operations as its scalar counterpart: matmul over a
-# stack issues one BLAS call per row with that row's shapes and strides, and
-# reductions along the last axis sum each row like a 1-D sum.  Keep it so;
-# tests/test_batch_solver.py compares the two paths bit for bit.
-
-
-def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Row k is A[k] @ X[k]."""
-    return np.matmul(A, X[..., None])[..., 0]
-
-
-def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Entry k is X[k] @ Y[k]."""
-    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
-
-
-class _FitStack:
-    """The ``_FitModel`` of K problems whose kept operators have equal shapes, stacked."""
-
-    def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor: np.ndarray):
-        self.fit = fit
-        self.A = A
-        self.yb = yb
-        self.grad_floor = grad_floor
-
-    @classmethod
-    def of(cls, models) -> "_FitStack":
-        return cls(models[0].fit, np.stack([m.A for m in models]),
-                   np.stack([m.yb for m in models]),
-                   np.array([[m._grad_floor] for m in models]))
-
-    def take(self, rows) -> "_FitStack":
-        return _FitStack(self.fit, self.A[rows], self.yb[rows], self.grad_floor[rows])
-
-    def rates(self, X: np.ndarray) -> np.ndarray:
-        return _matvec(self.A, X)
-
-    def value(self, U: np.ndarray) -> np.ndarray:
-        ub = U + self.fit.beta
-        outside = ub < 0.0 if self.fit.kind is FitKind.JSD else ub <= 0.0
-        val, _ = _fit_pieces(self.fit.kind, self.yb, ub, True, False)
-        return np.where(np.any(outside, axis=-1), math.inf, val)
-
-    def grad_theta(self, U: np.ndarray) -> np.ndarray:
-        _, gu = _fit_pieces(self.fit.kind, self.yb, U + self.fit.beta, False, True,
-                            self.grad_floor)
-        return _matvec(self.A.transpose(0, 2, 1), gu)
-
-
 def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
     """``_spectral_norm_sq`` of every matrix in a (K, N, m) stack."""
-    rng = np.random.Generator(np.random.PCG64(0))
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(A.shape[2])
     v /= np.linalg.norm(v)
     V = np.tile(v, (A.shape[0], 1))
@@ -518,7 +488,7 @@ def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
     return np.array([0.0 if z else n**2 for z, n in zip(null.tolist(), norms.tolist())])
 
 
-def _backtrack(stack: _FitStack, base, f_base, G, eta, lam, cfg, basis):
+def _backtrack(stack: _FitModel, base, f_base, G, eta, lam, cfg):
     """The backtracking search of the scalar loop, for every row of a stack.
 
     Returns (found, cand, d, u_cand, f_cand, eta_try); rows not found hold
@@ -528,7 +498,7 @@ def _backtrack(stack: _FitStack, base, f_base, G, eta, lam, cfg, basis):
     eta_try = eta.copy()
     tried = None
     for _ in range(200):
-        cand = _prox(base - eta_try[:, None] * G, (eta_try * lam)[:, None], cfg, basis)
+        cand = _prox(base - eta_try[:, None] * G, (eta_try * lam)[:, None], cfg)
         d = cand - base
         u_cand = stack.rates(cand)
         f_cand = stack.value(u_cand)
@@ -554,15 +524,14 @@ def _solve_lockstep(models, basis, lams, starts, cfg) -> list[SolveResult]:
     stops.  Result k is bit-identical to ``solve_penalized`` from starts[k].
     """
     K = len(models)
-    stack = _FitStack.of(models)
+    stack = _FitModel.stack(models)
     lam = np.array(lams, dtype=float)
     X = np.array(starts, dtype=float)
     U = stack.rates(X)
     f_x = stack.value(U)
     if not np.all(np.isfinite(f_x)):
         raise InfeasibleStartError("starting point violates the fit domain")
-    L = _spectral_norms_sq(stack.A) * np.array(
-        [m.curvature_scale(u) for m, u in zip(models, U)])
+    L = _spectral_norms_sq(stack.A) * stack.curvature_scale(U)
     eta = np.where(L > 0.0, 1.0 / L, 1.0)
     F_cur = f_x + lam * np.sum(np.abs(X), axis=-1)
     traces = [[F] for F in F_cur.tolist()]
@@ -589,7 +558,7 @@ def _solve_lockstep(models, basis, lams, starts, cfg) -> list[SolveResult]:
         u_base[at_x] = U[at_x]
         f_base[at_x] = f_x[at_x]
         found, cand, d, u_cand, f_cand, eta_try = _backtrack(
-            stack, Z, f_base, stack.grad_theta(u_base), eta, lam, cfg, basis)
+            stack, Z, f_base, stack.grad_theta(u_base), eta, lam, cfg)
         F_cand = f_cand + lam * np.sum(np.abs(cand), axis=-1)
         accepted = found & (F_cand <= F_cur)
 
@@ -600,7 +569,7 @@ def _solve_lockstep(models, basis, lams, starts, cfg) -> list[SolveResult]:
             sub = stack.take(retry)
             r_found, r_cand, r_d, r_u, r_f, r_eta = _backtrack(
                 sub, X[retry], f_x[retry], sub.grad_theta(U[retry]), eta[retry],
-                lam[retry], cfg, basis)
+                lam[retry], cfg)
             r_F = r_f + lam[retry] * np.sum(np.abs(r_cand), axis=-1)
             accepted[retry] = r_found & (r_F <= F_cur[retry])
             cand[retry], d[retry], u_cand[retry] = r_cand, r_d, r_u
@@ -666,7 +635,7 @@ def solve_penalized_batch(
     problem.  Either way result k is bit-identical to ``solve_penalized`` on
     problem k from the start used.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _config(cfg, basis)
     A = [np.asarray(a, dtype=float) for a in A]
     if any(a.ndim != 2 for a in A):
         raise InvalidParamError("A must hold one (N, m) operator per problem")
@@ -677,7 +646,7 @@ def solve_penalized_batch(
     if any(lam <= 0.0 for lam in lams):
         raise InvalidParamError("lam must be > 0")
     counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
-    models = [_FitModel(A[k], counts[k], fit) for k in range(K)]
+    models = [_FitModel.of(A[k], counts[k], fit) for k in range(K)]
     # Rows are dropped per problem (zero A-rows; zero counts for SNLL and
     # GenKL at beta = 0), and padding them back would change the sums.
     groups: dict[tuple, list[int]] = {}
@@ -702,8 +671,8 @@ def solve_penalized_batch(
 def _sqjsd_of(A, counts, theta, beta: float) -> float:
     """sqrt(J(y, A theta)) with the same offset convention as the fit."""
     u = A @ np.asarray(theta, dtype=float)
-    terms = _jsd_terms(counts + beta, np.maximum(u, 0.0) + beta)
-    return math.sqrt(max(float(np.sum(terms)), 0.0))
+    J = _FITS[FitKind.JSD].value(counts + beta, np.maximum(u, 0.0) + beta)
+    return math.sqrt(max(float(J), 0.0))
 
 
 def solve_p2(
@@ -748,6 +717,7 @@ def solve_p2_batch(
     ``solve_p2`` on problem k alone.  An infeasible radius raises
     ``InfeasibleEpsilonError`` for the first such problem.
     """
+    cfg = _config(cfg, basis)
     A = [np.asarray(a, dtype=float) for a in A]
     K = len(A)
     if len(ys) != K or len(epsilons) != K:
@@ -802,9 +772,9 @@ def _radius_search(A, basis, counts, epsilon, fit, constraint_rtol, max_bisect):
             total_iterations=0,
         )
 
-    model = _FitModel(A, counts, fit)
+    model = _FitModel.of(A, counts, fit)
     theta_start = _default_start(A, basis, counts)
-    _, g0 = model.value_grad_theta(model.rates(theta_start))
+    g0 = model.grad_theta(model.rates(theta_start))
     g_inf = float(np.max(np.abs(g0)))
     lam_hi = max(g_inf, 1e-12) * 100.0
     lam_lo = 1e-8

@@ -85,10 +85,7 @@ def monte_carlo_sqjsd(
         raise InvalidParamError(f"need trials >= 2, got {trials}")
     x = np.asarray(x, dtype=float)
     rates = phi.entries @ x
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     counts = rng.poisson(lam=rates, size=(trials, rates.size)).astype(float)
     samples = np.sqrt(jsd_rowwise(counts, rates))
     samples.setflags(write=False)

@@ -200,25 +200,25 @@ class TestCriterion5SqrtNScaling:
 
 class TestCriterion6GradientOracle:
     def test_all_fits_match_finite_differences(self):
+        # Every fit is a sum of per-coordinate terms, so component i is held
+        # against the five-point central difference of its own term.  (A
+        # difference of two full sums of about 1e4 is mostly rounding where
+        # u_i ~ y_i and the component is near 0.)
         t0 = time.perf_counter()
         worst = 0.0
-        for kind in FitKind:
-            rng = np.random.default_rng(hash(kind.value) % 2**32)
+        for seed, kind in enumerate(FitKind):
+            rng = np.random.default_rng(seed)
             fit = FitTerm(kind)
             for _ in range(100):
                 n = int(rng.integers(2, 30))
                 y = rng.integers(1, 400, n).astype(float)
                 u = rng.uniform(0.5, 500.0, n)
                 _, grad = fit_value_and_gradient(fit, y, u)
-                h = 1e-6 * np.maximum(np.abs(u), 1.0)
+                h = 1e-3 * np.maximum(np.abs(u), 1.0)
                 for i in range(n):
-                    up, um = u.copy(), u.copy()
-                    up[i] += h[i]
-                    um[i] -= h[i]
-                    fd = (
-                        fit_value_and_gradient(fit, y, up)[0]
-                        - fit_value_and_gradient(fit, y, um)[0]
-                    ) / (2 * h[i])
+                    def term(k):
+                        return fit_value_and_gradient(fit, y[i:i + 1], u[i:i + 1] + k * h[i])[0]
+                    fd = (8.0 * (term(1) - term(-1)) - (term(2) - term(-2))) / (12.0 * h[i])
                     rel = abs(grad[i] - fd) / max(abs(fd), abs(grad[i]), 1e-8)
                     worst = max(worst, rel)
         elapsed = time.perf_counter() - t0

@@ -185,3 +185,19 @@ def test_p2_batch_validates_its_inputs():
         solve_p2_batch(A, basis, ys, [1.0], cfg)
     with pytest.raises(InvalidParamError):
         solve_p2_batch(A, basis, ys, [1.0, float("nan")], cfg)
+
+
+def test_nonneg_signal_needs_the_identity_basis():
+    # The clamp acts on the coefficients, which are the signal only in the
+    # canonical basis; every entry point refuses it before any work starts.
+    basis = dct2_basis(5)
+    fit = FitTerm(FitKind.JSD)
+    A, ys, _ = make_problems(basis, 7, K=2)
+    cfg = SolverConfig(nonneg_signal=True)
+    with pytest.raises(InvalidParamError, match="nonneg_signal"):
+        solve_penalized(A[0], basis, ys[0], fit, 1.0, cfg)
+    with pytest.raises(InvalidParamError, match="nonneg_signal"):
+        solve_penalized_batch(A, basis, ys, fit, [1.0, 1.0], cfg)
+    # A radius slack at the origin would need no solve at all.
+    with pytest.raises(InvalidParamError, match="nonneg_signal"):
+        solve_p2_batch(A, basis, ys, [1e3, 1e3], cfg)

@@ -280,7 +280,7 @@ class TestRowwise:
         qv = rng.uniform(0, 10, 13)
         got = jsd_rowwise(P, qv)
         for i in range(40):
-            assert got[i] == pytest.approx(jsd(P[i], qv).value, rel=1e-12, abs=1e-14)
+            assert got[i] == jsd(P[i], qv).value
 
     def test_zero_rows(self):
         assert jsd_rowwise(np.zeros((3, 4)), np.zeros(4)).tolist() == [0, 0, 0]

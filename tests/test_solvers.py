@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from poisson_cs import solvers
+from poisson_cs.divergences import gen_kl, jsd, snll
 from poisson_cs.errors import (
     DomainError,
     InfeasibleEpsilonError,
@@ -84,6 +85,21 @@ class TestFitValueAndGradient:
     def test_beta_lifts_zero_counts(self):
         val, grad = fit_value_and_gradient(FitTerm(FitKind.GEN_KL, beta=0.5), [0.0], [1.0])
         assert math.isfinite(val) and math.isfinite(grad[0])
+
+    @pytest.mark.parametrize("kind", list(FitKind))
+    def test_value_is_the_divergence_bit_for_bit(self, kind):
+        # The solvers' fit table sums the terms of ``divergences``.
+        divergence = {FitKind.JSD: jsd, FitKind.SNLL: snll, FitKind.GEN_KL: gen_kl}[kind]
+        rng = np.random.default_rng(list(FitKind).index(kind))
+        for intensity in 10.0 ** np.arange(9):
+            for beta in (0.0, 0.5):
+                for _ in range(25):
+                    u = intensity * rng.uniform(0.5, 1.5, int(rng.integers(1, 60)))
+                    y = rng.poisson(u).astype(float)
+                    if kind is not FitKind.JSD and beta == 0.0:
+                        y = np.maximum(y, 1.0)
+                    value, _ = fit_value_and_gradient(FitTerm(kind, beta), y, u)
+                    assert value == divergence(y + beta, u + beta).value
 
     @pytest.mark.parametrize("kind", list(FitKind))
     @pytest.mark.parametrize("beta", [0.0, 0.3])
