@@ -207,8 +207,8 @@ def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Entry k is X[k] @ Y[k]."""
-    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+    """Dot products along the last axis: entry k of (K, m) stacks is X[k] @ Y[k]."""
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
 
 
 class _FitModel:
@@ -250,6 +250,10 @@ class _FitModel:
 
     def take(self, rows) -> "_FitModel":
         return _FitModel(self.fit, self.A[rows], self.yb[rows], self.grad_floor[rows])
+
+    def widen(self) -> "_FitModel":
+        """A stack's model for (K, W, m) coefficients, W points per problem."""
+        return _FitModel(self.fit, self.A[:, None], self.yb[:, None], self.grad_floor[:, None])
 
     def rates(self, X: np.ndarray) -> np.ndarray:
         return _matvec(self.A, X)
@@ -326,6 +330,30 @@ def _next_momentum(t: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
 
 
+# The scalar loop's momentum sequence, which restarts from t = 1: entry i is
+# t after i steps.  A pure function of i, so one table serves every solve;
+# ``_momenta`` extends it on demand.
+_MOMENTA = np.array([1.0])
+
+
+def _momenta(steps: int) -> np.ndarray:
+    """The momentum table with at least ``steps + 1`` entries."""
+    global _MOMENTA
+    if _MOMENTA.size <= steps:
+        table = _MOMENTA.tolist()
+        while len(table) <= steps:
+            table.append(_next_momentum(table[-1]))
+        _MOMENTA = np.array(table)
+    return _MOMENTA
+
+
+# Step sizes tried per backtracking search, and per pass of the stacked
+# search (a divisor of _MAX_TRIES): a wider block costs flops on rows that
+# stop early, a narrower one a numpy round trip per try on rows that do not.
+_MAX_TRIES = 200
+_BLOCK = 4
+
+
 def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
     """sup-norm of the fit gradient at the default start.
 
@@ -395,7 +423,7 @@ def solve_penalized(
         accepted = None
         for attempt in range(2):  # second pass restarts from x on non-monotone step
             eta_try = eta
-            for _ in range(200):
+            for _ in range(_MAX_TRIES):
                 cand = _prox(base - eta_try * g_base, eta_try * lam, cfg)
                 d = cand - base
                 u_cand = model.rates(cand)
@@ -491,29 +519,48 @@ def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
 def _backtrack(stack: _FitModel, base, f_base, G, eta, lam, cfg):
     """The backtracking search of the scalar loop, for every row of a stack.
 
-    Returns (found, cand, d, u_cand, f_cand, eta_try); rows not found hold
-    their last rejected try.
+    Each pass tries the next ``_BLOCK`` step sizes of every row still
+    searching at once, and a row keeps the first one the scalar loop would
+    accept.  The step sizes come by repeated multiplication, as in the
+    scalar loop, so every row sees the same sequence bit for bit.  Returns
+    (found, cand, d, u_cand, f_cand, eta_try); rows not found hold their last
+    rejected try and the step size after it.
     """
-    searching = np.ones(base.shape[0], dtype=bool)
-    eta_try = eta.copy()
-    tried = None
-    for _ in range(200):
-        cand = _prox(base - eta_try[:, None] * G, (eta_try * lam)[:, None], cfg)
-        d = cand - base
-        u_cand = stack.rates(cand)
-        f_cand = stack.value(u_cand)
-        quad = f_base + _rowdot(G, d) + _rowdot(d, d) / (2.0 * eta_try)
-        ok = np.isfinite(f_cand) & (f_cand <= quad + 1e-12 * np.maximum(1.0, np.abs(quad)))
-        if tried is None:
-            tried = [cand, d, u_cand, f_cand]
-        else:
-            for old, new in zip(tried, (cand, d, u_cand, f_cand)):
-                old[searching] = new[searching]
-        searching &= ~ok
-        if not searching.any():
+    bt = cfg.backtrack_factor
+    K = base.shape[0]
+    found = np.zeros(K, dtype=bool)
+    cand, d = np.empty_like(base), np.empty_like(base)
+    u_cand, f_cand, eta_try = np.empty(stack.yb.shape), np.empty(K), np.empty(K)
+    # The rows still searching, and their inputs with a step-size axis.
+    rows = np.arange(K)
+    base, G, f_base, lam = base[:, None], G[:, None], f_base[:, None], lam[:, None]
+    for _ in range(_MAX_TRIES // _BLOCK):
+        E = np.empty((rows.size, _BLOCK))
+        E[:, 0] = eta
+        for j in range(1, _BLOCK):
+            E[:, j] = E[:, j - 1] * bt
+        C = _prox(base - E[..., None] * G, (E * lam)[..., None], cfg)
+        D = C - base
+        wide = stack.widen()
+        UC = wide.rates(C)
+        FC = wide.value(UC)
+        quad = f_base + _rowdot(G, D) + _rowdot(D, D) / (2.0 * E)
+        ok = np.isfinite(FC) & (FC <= quad + 1e-12 * np.maximum(1.0, np.abs(quad)))
+        hit = ok.any(axis=1)
+        pick = np.where(hit, ok.argmax(axis=1), _BLOCK - 1)
+        at = np.arange(rows.size)
+        cand[rows], d[rows], u_cand[rows], f_cand[rows] = (
+            C[at, pick], D[at, pick], UC[at, pick], FC[at, pick])
+        eta = E[:, -1] * bt
+        eta_try[rows] = np.where(hit, E[at, pick], eta)
+        found[rows] = hit
+        if hit.all():
             break
-        eta_try[searching] *= cfg.backtrack_factor
-    return (~searching, *tried, eta_try)
+        miss = ~hit
+        rows, eta, base, G, f_base, lam = (
+            a[miss] for a in (rows, eta, base, G, f_base, lam))
+        stack = stack.take(miss)
+    return found, cand, d, u_cand, f_cand, eta_try
 
 
 def _solve_lockstep(models, basis, lams, starts, cfg) -> list[SolveResult]:
@@ -536,12 +583,8 @@ def _solve_lockstep(models, basis, lams, starts, cfg) -> list[SolveResult]:
     F_cur = f_x + lam * np.sum(np.abs(X), axis=-1)
     traces = [[F] for F in F_cur.tolist()]
     Z = X.copy()
-    # The momentum of a row is momenta[step]: a table of the scalar loop's
-    # sequence, which restarts from t = 1.
-    momenta = [1.0]
-    for _ in range(cfg.max_iters):
-        momenta.append(_next_momentum(momenta[-1]))
-    momenta = np.array(momenta)
+    # The momentum of a row is momenta[step].
+    momenta = _momenta(cfg.max_iters)
     step = np.zeros(K, dtype=int)
     flat = np.zeros(K, dtype=int)
     live = np.arange(K)

@@ -63,15 +63,13 @@ def scalar_reference(A, basis, y, fit, lam, cfg, warm):
     return solve_penalized(A, basis, y, fit, lam, cfg), warm is not None
 
 
-@pytest.mark.parametrize("kind", list(FitKind))
-@pytest.mark.parametrize("beta", [0.0, 0.4])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("canonical", [False, True])
-def test_batch_matches_scalar_bit_for_bit(kind, beta, seed, canonical, monkeypatch):
+def check_batch_matches_scalar(kind, beta, seed, canonical, monkeypatch, backtrack_factor=0.5):
     if canonical:
-        basis, cfg = identity_basis(30), SolverConfig(max_iters=300, nonneg_signal=True)
+        basis = identity_basis(30)
+        cfg = SolverConfig(max_iters=300, nonneg_signal=True, backtrack_factor=backtrack_factor)
     else:
-        basis, cfg = dct2_basis(5), SolverConfig(max_iters=300)
+        basis = dct2_basis(5)
+        cfg = SolverConfig(max_iters=300, backtrack_factor=backtrack_factor)
     fit = FitTerm(kind, beta)
     A, ys, rng = make_problems(basis, seed)
     K = len(ys)
@@ -100,6 +98,89 @@ def test_batch_matches_scalar_bit_for_bit(kind, beta, seed, canonical, monkeypat
         assert got.lambda_used == ref.lambda_used
     assert fell_back[1]
     assert len({r.iterations for r in batch}) > 1  # rows stopped at different iterations
+
+
+@pytest.mark.parametrize("kind", list(FitKind))
+@pytest.mark.parametrize("beta", [0.0, 0.4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("canonical", [False, True])
+def test_batch_matches_scalar_bit_for_bit(kind, beta, seed, canonical, monkeypatch):
+    check_batch_matches_scalar(kind, beta, seed, canonical, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", list(FitKind))
+@pytest.mark.parametrize("beta", [0.0, 0.4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("backtrack_factor", [0.1, 0.9])
+def test_batch_matches_scalar_at_other_backtrack_factors(kind, beta, seed, backtrack_factor,
+                                                         monkeypatch):
+    # The default factor 0.5 has exact powers, so it cannot tell a step
+    # table made by repeated multiplication from one made by powers; seed 2
+    # runs on the canonical basis.
+    check_batch_matches_scalar(kind, beta, seed, seed == 2, monkeypatch, backtrack_factor)
+
+
+def sequential_backtrack(stack, base, f_base, G, eta, lam, cfg):
+    """The stacked backtracking search one step size per pass: the reference
+    for ``solvers._backtrack``.  Also returns each row's number of tries."""
+    searching = np.ones(base.shape[0], dtype=bool)
+    tries = np.zeros(base.shape[0], dtype=int)
+    eta_try = eta.copy()
+    tried = None
+    for _ in range(solvers._MAX_TRIES):
+        cand = solvers._prox(base - eta_try[:, None] * G, (eta_try * lam)[:, None], cfg)
+        d = cand - base
+        u_cand = stack.rates(cand)
+        f_cand = stack.value(u_cand)
+        quad = f_base + solvers._rowdot(G, d) + solvers._rowdot(d, d) / (2.0 * eta_try)
+        ok = np.isfinite(f_cand) & (f_cand <= quad + 1e-12 * np.maximum(1.0, np.abs(quad)))
+        tries += searching
+        if tried is None:
+            tried = [cand, d, u_cand, f_cand]
+        else:
+            for old, new in zip(tried, (cand, d, u_cand, f_cand)):
+                old[searching] = new[searching]
+        searching &= ~ok
+        if not searching.any():
+            break
+        eta_try[searching] *= cfg.backtrack_factor
+    return (~searching, *tried, eta_try), tries
+
+
+@pytest.mark.parametrize("kind", list(FitKind))
+@pytest.mark.parametrize("backtrack_factor", [0.1, 0.5, 0.9])
+def test_block_backtracking_matches_one_try_per_pass(kind, backtrack_factor):
+    basis = dct2_basis(5)
+    fit = FitTerm(kind, 0.4)  # beta > 0 keeps every row, so the kept shapes agree
+    cfg = SolverConfig(backtrack_factor=backtrack_factor)
+    tries = []
+    for seed in (8, 9, 10):
+        A, ys, rng = make_problems(basis, seed, K=12)
+        K = len(ys)
+        stack = solvers._FitModel.stack([solvers._FitModel.of(A[k], ys[k].counts, fit)
+                                         for k in range(K)])
+        # Bases near each problem's default start, and first step sizes
+        # 2 bt^-u times the curvature estimate, u in [0, 8], so that rows
+        # stop before, at and after the end of a block of step sizes.
+        base = np.stack([basis.analyze(rng.uniform(0.7, 1.3, basis.dim) * ys[k].counts.sum()
+                                       / basis.dim) for k in range(K)])
+        U = stack.rates(base)
+        f_base, G = stack.value(U), stack.grad_theta(U)
+        L = solvers._spectral_norms_sq(stack.A) * stack.curvature_scale(U)
+        eta = 2.0 * backtrack_factor ** -rng.uniform(0.0, 8.0, K) / L
+        lam = 10 ** rng.uniform(-3.0, -1.0, K) * np.abs(G).max(axis=1)
+        # No step size can meet the last row's lowered bound: it uses every try.
+        f_base[-1] -= 1e6
+        args = (stack, base, f_base, G, eta, lam, cfg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = solvers._backtrack(*args)
+            want, row_tries = sequential_backtrack(*args)
+        for name, g, w in zip(("found", "cand", "d", "u_cand", "f_cand", "eta"), got, want):
+            assert np.array_equal(g, w, equal_nan=True), name
+        assert not got[0][-1] and row_tries[-1] == solvers._MAX_TRIES
+        tries += row_tries[:-1].tolist()
+    assert min(tries) < solvers._BLOCK < max(tries)
+    assert solvers._BLOCK in tries
 
 
 def test_rows_hitting_the_iteration_cap():
