@@ -47,11 +47,9 @@ from .sensing import (
     build_phi,
     compose_effective,
     estimate_ric,
-    load_matrix,
     sample_rip_matrix,
-    save_matrix,
 )
-from .simulate import MeasurementVector, derive_rng, measure, poisson_draw
+from .simulate import MeasurementVector, derive_rng, measure
 from .solvers import (
     FitKind,
     FitTerm,

@@ -37,6 +37,7 @@ from .solvers import (
     SolverConfig,
     gradient_scale,
     rrmse,
+    solve_chains,
     solve_p2_batch,
     solve_penalized_batch,
 )
@@ -133,6 +134,11 @@ class ExperimentSpec:
         if self.epsilon_mode not in ("theory", "percentile"):
             raise InvalidParamError(f"unknown epsilon_mode {self.epsilon_mode!r}")
         _check_positive("intensity", self.intensity)
+        if not (isinstance(self.beta, numbers.Real) and self.beta >= 0.0
+                and math.isfinite(self.beta)):
+            raise InvalidParamError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise InvalidParamError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.grid:
             self.grid = default_grid(self.kind, paper_scale=False)
         for value in self.grid.get("intensity", ()):
@@ -218,26 +224,23 @@ def _lambda_grid(scale: float, spec: ExperimentSpec) -> np.ndarray:
     return scale * np.geomspace(_LAMBDA_GRID_LO, _LAMBDA_GRID_HI, spec.lambda_points)
 
 
-def _omniscient_best(A, basis, mvs, fit, lambda_grids, cfg, references):
-    """Best solve of each problem over its lambda grid by l2 distance to its reference.
+def _lambda_walk(basis, grid, reference):
+    """The omniscient pick of one problem, as a chain of ``solve_chains``.
 
     Oracle selection (the true signal is consulted), used only to benchmark
-    against protocols that picked the regularizer omnisciently.  ``A`` holds
-    the problems' operators.  The grids are walked in lockstep from the
-    sparsest end down, each problem warm-starting from its own previous
-    solve.  Returns the picked result of each problem.
+    against protocols that picked the regularizer omnisciently.  Walks the
+    lambda grid from the sparsest end down, each solve warm-started from the
+    previous one (from the default start after an all-zero solution), and
+    returns the solve closest in l2 to the reference.
     """
-    grids = [sorted((float(lam) for lam in grid), reverse=True) for grid in lambda_grids]
-    warms = [None] * len(grids)
-    best = [None] * len(grids)
-    for lams in zip(*grids):
-        results = solve_penalized_batch(A, basis, mvs, fit, lams, cfg, theta0=warms)
-        for k, res in enumerate(results):
-            warms[k] = res.theta_star if np.any(res.theta_star != 0.0) else None
-            err = float(np.linalg.norm(basis.synthesize(res.theta_star) - references[k]))
-            if best[k] is None or err < best[k][0]:
-                best[k] = (err, res)
-    return [res for _, res in best]
+    warm = best = None
+    for lam in sorted((float(lam) for lam in grid), reverse=True):
+        res = yield lam, warm
+        warm = res.theta_star if np.any(res.theta_star != 0.0) else None
+        err = float(np.linalg.norm(basis.synthesize(res.theta_star) - reference))
+        if best is None or err < best[0]:
+            best = (err, res)
+    return best[1]
 
 
 def _estimate(spec: ExperimentSpec, A, basis, mvs, epsilons, references, cfg) -> list:
@@ -253,8 +256,9 @@ def _estimate(spec: ExperimentSpec, A, basis, mvs, epsilons, references, cfg) ->
     fit = FitTerm(_SOLVER_FITS[spec.solver], spec.beta)
     if spec.lambda_mode == "fixed":
         return solve_penalized_batch(A, basis, mvs, fit, [spec.lambda_value] * len(mvs), cfg)
-    grids = [_lambda_grid(gradient_scale(a, basis, mv, fit), spec) for a, mv in zip(A, mvs)]
-    return _omniscient_best(A, basis, mvs, fit, grids, cfg, references)
+    walks = [_lambda_walk(basis, _lambda_grid(gradient_scale(a, basis, mv, fit), spec), ref)
+             for a, mv, ref in zip(A, mvs, references)]
+    return solve_chains(A, basis, mvs, fit, walks, cfg)
 
 
 def _run_trial(spec: ExperimentSpec, cell: dict, trial: int):

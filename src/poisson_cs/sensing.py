@@ -36,8 +36,6 @@ __all__ = [
     "build_phi",
     "estimate_ric",
     "compose_effective",
-    "save_matrix",
-    "load_matrix",
 ]
 
 
@@ -156,29 +154,3 @@ def compose_effective(phi: SensingMatrix, basis) -> tuple[np.ndarray, np.ndarray
     A = phi.entries @ psi
     B = phi.source.entries @ psi
     return A, B
-
-
-def save_matrix(path, M: np.ndarray) -> None:
-    """Write a dense matrix as a self-describing text container.
-
-    Line 1 holds "rows cols"; each following line holds one row of values in
-    full float64 precision (row-major).
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w") as f:
-        f.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_matrix`."""
-    with open(path) as f:
-        header = f.readline().split()
-        rows, cols = int(header[0]), int(header[1])
-        M = np.loadtxt(f, dtype=float, ndmin=2)
-    if M.shape != (rows, cols):
-        raise InvalidParamError(
-            f"matrix payload {M.shape} does not match header ({rows}, {cols})"
-        )
-    return M

@@ -10,7 +10,6 @@ from a master seed through ``derive_seed``, ``SeedSequence([master, *path])``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import InvalidParamError, LengthMismatchError
 from .sensing import SensingMatrix
 
-__all__ = ["MeasurementVector", "poisson_draw", "measure", "derive_seed", "derive_rng"]
+__all__ = ["MeasurementVector", "measure", "derive_seed", "derive_rng"]
 
 
 @dataclass(frozen=True)
@@ -52,16 +51,6 @@ def derive_rng(master_seed, *path) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master_seed, *path))
 
 
-def poisson_draw(rate: float, rng: np.random.Generator) -> int:
-    """One exact Poisson sample at the given rate; rate 0 returns 0."""
-    rate = float(rate)
-    if math.isnan(rate) or math.isinf(rate) or rate < 0.0:
-        raise InvalidParamError(f"rate must be finite and >= 0, got {rate}")
-    if rate == 0.0:
-        return 0
-    return int(rng.poisson(rate))
-
-
 def measure(phi: SensingMatrix, x, seed) -> MeasurementVector:
     """Draw y_i ~ Poisson((Phi x)_i) independently per coordinate.
 
@@ -74,6 +63,8 @@ def measure(phi: SensingMatrix, x, seed) -> MeasurementVector:
         raise LengthMismatchError(
             f"signal length {x.size} does not match matrix dim {phi.dim}"
         )
+    if not np.all(np.isfinite(x)):
+        raise InvalidParamError("signal must be finite")
     if np.any(x < 0.0):
         raise InvalidParamError("signal must be non-negative")
     rates = phi.entries @ x

@@ -1,6 +1,6 @@
 """l1-regularized reconstruction from Poisson-corrupted compressive measurements.
 
-Four entry points:
+Five entry points:
 
 ``solve_penalized``
     minimize  lam * ||theta||_1 + fit(y, A @ theta)
@@ -8,9 +8,16 @@ Four entry points:
     Stirling negative log-likelihood, or the generalized KL divergence, each
     optionally smoothed by an offset beta (fit on y+beta against u+beta).
 
+``solve_chains``
+    K chains of penalized solves, one chain per problem, in one vectorized
+    loop.  A chain is a generator that yields each solve it needs as
+    (lam, warm start) and is sent the result; a problem whose solve stops
+    starts its chain's next solve in the same pass.  Every solve equals
+    ``solve_penalized`` from the same start bit for bit.
+
 ``solve_penalized_batch``
-    the same problem for K independent (A, y, lam) triples at once, in one
-    vectorized loop whose results equal the scalar solver's bit for bit.
+    the penalized problem for K independent (A, y, lam) triples: K chains of
+    one solve.
 
 ``solve_p2``
     minimize  ||theta||_1  subject to  sqrt(J(y, A @ theta)) <= epsilon
@@ -20,8 +27,8 @@ Four entry points:
     constraint yields the minimal-l1 feasible point.
 
 ``solve_p2_batch``
-    K independent radius searches at once; each round solves the next lam
-    of every search still running in one ``solve_penalized_batch`` call.
+    K independent radius searches, each one chain of ``solve_chains``, so a
+    search runs its solves back to back and never waits for another.
     ``solve_p2`` is its call on one problem.
 
 The inner solver is proximal gradient with backtracking line search and
@@ -58,6 +65,7 @@ __all__ = [
     "fit_value_and_gradient",
     "gradient_scale",
     "soft_threshold",
+    "solve_chains",
     "solve_penalized",
     "solve_penalized_batch",
     "solve_p2",
@@ -80,8 +88,9 @@ class FitTerm:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise InvalidParamError("beta must be >= 0")
+        # NaN fails the comparison, so it is rejected too.
+        if not (self.beta >= 0.0 and math.isfinite(self.beta)):
+            raise InvalidParamError(f"beta must be finite and >= 0, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -91,13 +100,14 @@ class SolverConfig:
     objective_tol: float = 1e-8
     backtrack_factor: float = 0.5
     nonneg_signal: bool = False  # clamp the coefficients at 0; identity basis only
-    enforce_intensity: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidParamError("max_iters must be >= 1")
-        if self.grad_tol <= 0.0 or self.objective_tol <= 0.0:
-            raise InvalidParamError("tolerances must be > 0")
+        for name in ("grad_tol", "objective_tol"):
+            tol = getattr(self, name)
+            if not (tol > 0.0 and math.isfinite(tol)):
+                raise InvalidParamError(f"{name} must be finite and > 0, got {tol!r}")
         if not (0.0 < self.backtrack_factor < 1.0):
             raise InvalidParamError("backtrack_factor must lie in (0,1)")
 
@@ -298,7 +308,7 @@ def _spectral_norm_sq(A: np.ndarray, iters: int = 40) -> float:
     return float(np.linalg.norm(A @ v) ** 2)
 
 
-def _default_start(A: np.ndarray, basis: OrthonormalBasis, counts: np.ndarray):
+def _default_start(basis: OrthonormalBasis, counts: np.ndarray):
     # Constant signal carrying the total measured flux: domain-safe because
     # every nonzero A-row then sees a strictly positive rate.
     total = float(np.sum(counts))
@@ -306,6 +316,30 @@ def _default_start(A: np.ndarray, basis: OrthonormalBasis, counts: np.ndarray):
         total = 1.0
     x0 = np.full(basis.dim, total / basis.dim)
     return basis.analyze(x0)
+
+
+def _start(model: _FitModel, basis: OrthonormalBasis, counts: np.ndarray, warm):
+    """The start of a solve from ``warm``: ``warm`` where the fit is finite
+    there, else the default start.  Returns the start with its rates and fit
+    value, which the solve then starts from without evaluating them again."""
+    if warm is not None:
+        x = np.array(warm, dtype=float)
+        u = model.rates(x)
+        f_x = model.value(u)
+        if math.isfinite(f_x):
+            return x, u, f_x
+    x = _default_start(basis, counts)
+    u = model.rates(x)
+    f_x = model.value(u)
+    if not math.isfinite(f_x):
+        raise InfeasibleStartError("the default start violates the fit domain")
+    return x, u, f_x
+
+
+def _check_lam(lam) -> None:
+    # NaN fails the comparison, so it is rejected too.
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise InvalidParamError(f"lam must be finite and > 0, got {lam!r}")
 
 
 def _config(cfg: SolverConfig | None, basis: OrthonormalBasis) -> SolverConfig:
@@ -363,7 +397,7 @@ def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
     A = np.asarray(A, dtype=float)
     counts = np.asarray(getattr(y, "counts", y), dtype=float)
     model = _FitModel.of(A, counts, fit)
-    g = model.grad_theta(model.rates(_default_start(A, basis, counts)))
+    g = model.grad_theta(model.rates(_default_start(basis, counts)))
     return float(np.max(np.abs(g))) if g.size else 1.0
 
 
@@ -380,22 +414,26 @@ def solve_penalized(
 
     Raises InfeasibleStartError when ``theta0`` violates the fit domain.
     """
-    if lam <= 0.0:
-        raise InvalidParamError("lam must be > 0")
+    _check_lam(lam)
     cfg = _config(cfg, basis)
     A = np.asarray(A, dtype=float)
     counts = np.asarray(getattr(y, "counts", y), dtype=float)
     model = _FitModel.of(A, counts, fit)
 
     if theta0 is None:
-        theta0 = _default_start(A, basis, counts)
+        theta0 = _default_start(basis, counts)
     x = np.asarray(theta0, dtype=float).copy()
     u = model.rates(x)
     f_x = model.value(u)
     if not math.isfinite(f_x):
         raise InfeasibleStartError("starting point violates the fit domain")
+    return _descend(model, lam, cfg, _spectral_norm_sq(model.A), x, u, f_x)
 
-    L = _spectral_norm_sq(model.A) * model.curvature_scale(u)
+
+def _descend(model: _FitModel, lam, cfg: SolverConfig, norm_sq: float, x, u, f_x) -> SolveResult:
+    """The loop of ``solve_penalized`` from a feasible start x with rates u
+    and fit value f_x; ``norm_sq`` is the squared spectral norm of ``model.A``."""
+    L = norm_sq * model.curvature_scale(u)
     eta = 1.0 / L if L > 0.0 else 1.0
 
     F_cur = f_x + lam * float(np.sum(np.abs(x)))
@@ -468,32 +506,8 @@ def solve_penalized(
             converged = True
             break
 
-    return _result(x, trace, iterations, converged, lam, cfg, basis)
-
-
-def _result(x, trace, iterations, converged, lam, cfg, basis) -> SolveResult:
-    if cfg.enforce_intensity is not None:
-        signal_l1 = float(np.sum(np.abs(basis.synthesize(x))))
-        if signal_l1 > 0.0:
-            x = x * (cfg.enforce_intensity / signal_l1)
-    return SolveResult(
-        theta_star=x,
-        objective_trace=trace,
-        iterations=iterations,
-        converged=converged,
-        lambda_used=lam,
-    )
-
-
-def _solve_warm(A, basis, y, fit, lam, cfg, warm) -> SolveResult:
-    """Penalized solve from ``warm``, or from the default start when ``warm``
-    is None or violates the fit domain."""
-    if warm is not None:
-        try:
-            return solve_penalized(A, basis, y, fit, lam, cfg, theta0=warm)
-        except InfeasibleStartError:
-            pass
-    return solve_penalized(A, basis, y, fit, lam, cfg)
+    return SolveResult(theta_star=x, objective_trace=trace, iterations=iterations,
+                       converged=converged, lambda_used=lam)
 
 
 def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
@@ -527,15 +541,11 @@ def _backtrack(stack: _FitModel, base, f_base, G, eta, lam, cfg):
     rejected try and the step size after it.
     """
     bt = cfg.backtrack_factor
-    K = base.shape[0]
-    found = np.zeros(K, dtype=bool)
-    cand, d = np.empty_like(base), np.empty_like(base)
-    u_cand, f_cand, eta_try = np.empty(stack.yb.shape), np.empty(K), np.empty(K)
     # The rows still searching, and their inputs with a step-size axis.
-    rows = np.arange(K)
+    rows = out = None
     base, G, f_base, lam = base[:, None], G[:, None], f_base[:, None], lam[:, None]
     for _ in range(_MAX_TRIES // _BLOCK):
-        E = np.empty((rows.size, _BLOCK))
+        E = np.empty((eta.size, _BLOCK))
         E[:, 0] = eta
         for j in range(1, _BLOCK):
             E[:, j] = E[:, j - 1] * bt
@@ -548,58 +558,85 @@ def _backtrack(stack: _FitModel, base, f_base, G, eta, lam, cfg):
         ok = np.isfinite(FC) & (FC <= quad + 1e-12 * np.maximum(1.0, np.abs(quad)))
         hit = ok.any(axis=1)
         pick = np.where(hit, ok.argmax(axis=1), _BLOCK - 1)
-        at = np.arange(rows.size)
-        cand[rows], d[rows], u_cand[rows], f_cand[rows] = (
-            C[at, pick], D[at, pick], UC[at, pick], FC[at, pick])
+        at = np.arange(eta.size)
         eta = E[:, -1] * bt
-        eta_try[rows] = np.where(hit, E[at, pick], eta)
-        found[rows] = hit
-        if hit.all():
-            break
+        picked = (hit, C[at, pick], D[at, pick], UC[at, pick], FC[at, pick],
+                  np.where(hit, E[at, pick], eta))
+        if out is None:
+            # The first block holds every row: nearly always, every row hits.
+            if hit.all():
+                return picked
+            out, rows = picked, at
+        else:
+            for whole, part in zip(out, picked):
+                whole[rows] = part
+            if hit.all():
+                break
         miss = ~hit
         rows, eta, base, G, f_base, lam = (
             a[miss] for a in (rows, eta, base, G, f_base, lam))
         stack = stack.take(miss)
-    return found, cand, d, u_cand, f_cand, eta_try
+    return out
 
 
-def _solve_lockstep(models, basis, lams, starts, cfg) -> list[SolveResult]:
-    """The loop of ``solve_penalized`` on K problems at once.
+def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
+    """The solves of K chains, chain k on problem k, as the rows of one stack.
 
-    All problems advance one iteration per pass; each keeps its own step
-    size, momentum, restarts and stopping test, and leaves the stack when it
-    stops.  Result k is bit-identical to ``solve_penalized`` from starts[k].
+    ``models`` are the problems' fit models, whose kept operators have equal
+    shapes, and ``requests`` the first (lam, warm start) of every chain.
+    Every pass advances each row by one iteration of the scalar loop, with
+    its own step size, momentum, restarts, stopping test and iteration
+    count.  When a row's solve stops, its chain is sent the result and the
+    chain's next solve starts on the row in the same pass, on the stacked
+    operator, counts and spectral norm the row already holds; the row leaves
+    the stack when its chain returns.  Returns each chain's return value.
     """
     K = len(models)
     stack = _FitModel.stack(models)
-    lam = np.array(lams, dtype=float)
-    X = np.array(starts, dtype=float)
-    U = stack.rates(X)
-    f_x = stack.value(U)
-    if not np.all(np.isfinite(f_x)):
-        raise InfeasibleStartError("starting point violates the fit domain")
-    L = _spectral_norms_sq(stack.A) * stack.curvature_scale(U)
-    eta = np.where(L > 0.0, 1.0 / L, 1.0)
-    F_cur = f_x + lam * np.sum(np.abs(X), axis=-1)
-    traces = [[F] for F in F_cur.tolist()]
-    Z = X.copy()
+    norm_sq = _spectral_norms_sq(stack.A)
+    X, Z = np.empty((K, stack.A.shape[2])), np.empty((K, stack.A.shape[2]))
+    U = np.empty(stack.yb.shape)
+    f_x, F_cur, eta, lam = np.empty(K), np.empty(K), np.empty(K), np.empty(K)
+    step, flat, it = np.zeros(K, dtype=int), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
+    trace = np.empty((K, cfg.max_iters + 1))  # row j's trace is trace[j, :it[j] + 1]
+    owner = np.arange(K)  # the problem of each row
+    given = [None] * K    # the lam of each problem's current solve, as its chain gave it
+    out = [None] * K
     # The momentum of a row is momenta[step].
     momenta = _momenta(cfg.max_iters)
-    step = np.zeros(K, dtype=int)
-    flat = np.zeros(K, dtype=int)
-    live = np.arange(K)
-    results = [None] * K
+    bt = cfg.backtrack_factor
 
-    for it in range(1, cfg.max_iters + 1):
-        eta = np.minimum(eta / cfg.backtrack_factor, 1e18)
+    seed, leave = list(enumerate(requests)), []
+    while True:
+        # Start each requested solve on its row, as the scalar loop starts it.
+        for j, (lam_j, warm) in seed:
+            _check_lam(lam_j)
+            k = owner[j]
+            x, u, f = _start(models[k], basis, counts[k], warm)
+            L = norm_sq[k] * models[k].curvature_scale(u)
+            X[j], Z[j], U[j], f_x[j] = x, x, u, f
+            eta[j] = 1.0 / L if L > 0.0 else 1.0
+            F_cur[j] = trace[j, 0] = f + lam_j * float(np.sum(np.abs(x)))
+            lam[j], given[k] = lam_j, lam_j
+            step[j] = flat[j] = it[j] = 0
+        if leave:
+            keep = np.ones(owner.size, dtype=bool)
+            keep[leave] = False
+            stack = stack.take(keep)
+            X, Z, U, f_x, F_cur, eta, lam, step, flat, it, trace, owner = (
+                a[keep] for a in (X, Z, U, f_x, F_cur, eta, lam, step, flat, it, trace, owner))
+            if not owner.size:
+                return out
 
+        eta = np.minimum(eta / bt, 1e18)
         u_base = stack.rates(Z)
         f_base = stack.value(u_base)
         at_x = ~np.isfinite(f_base)
-        Z[at_x] = X[at_x]
-        step[at_x] = 0
-        u_base[at_x] = U[at_x]
-        f_base[at_x] = f_x[at_x]
+        if at_x.any():
+            Z[at_x] = X[at_x]
+            step[at_x] = 0
+            u_base[at_x] = U[at_x]
+            f_base[at_x] = f_x[at_x]
         found, cand, d, u_cand, f_cand, eta_try = _backtrack(
             stack, Z, f_base, stack.grad_theta(u_base), eta, lam, cfg)
         F_cand = f_cand + lam * np.sum(np.abs(cand), axis=-1)
@@ -626,36 +663,99 @@ def _solve_lockstep(models, basis, lams, starts, cfg) -> list[SolveResult]:
         t, t_next = momenta[step], momenta[step + 1]
         Z = cand + ((t - 1.0) / t_next)[:, None] * (cand - X)
         step += 1
+        it += 1
         X = np.where(accepted[:, None], cand, X)
         U, f_x, F_cur, eta = u_cand, f_cand, F_cand, eta_try
-        for k, F in zip(live[accepted].tolist(), F_cand[accepted].tolist()):
-            traces[k].append(F)
+        moved = np.flatnonzero(accepted)
+        trace[moved, it[moved]] = F_cand[moved]
 
         done = ~accepted | (flat >= 5) | (grad_map < cfg.grad_tol)
-        for j in np.flatnonzero(done).tolist():
-            k = live[j]
-            results[k] = _result(X[j].copy(), traces[k], it, True, lams[k], cfg, basis)
-        if done.any():
-            keep = ~done
-            stack = stack.take(keep)
-            X, U, f_x, F_cur, Z, step, flat, eta, lam, live = (
-                a[keep] for a in (X, U, f_x, F_cur, Z, step, flat, eta, lam, live))
-            if not live.size:
-                break
+        seed, leave = [], []
+        for j in np.flatnonzero(done | (it >= cfg.max_iters)).tolist():
+            k = owner[j]
+            n = int(it[j])
+            res = SolveResult(theta_star=X[j].copy(),
+                              objective_trace=trace[j, :n + 1 if accepted[j] else n].tolist(),
+                              iterations=n, converged=bool(done[j]), lambda_used=given[k])
+            try:
+                seed.append((j, chains[k].send(res)))
+            except StopIteration as stop:
+                out[k] = stop.value
+                leave.append(j)
 
-    for j, k in enumerate(live.tolist()):
-        results[k] = _result(X[j].copy(), traces[k], cfg.max_iters, False, lams[k], cfg, basis)
+
+def _run_alone(model: _FitModel, basis, counts, chain, request, cfg):
+    """The solves of one chain on one problem, through the scalar loop."""
+    norm_sq = _spectral_norm_sq(model.A)
+    while True:
+        lam, warm = request
+        _check_lam(lam)
+        res = _descend(model, lam, cfg, norm_sq, *_start(model, basis, counts, warm))
+        try:
+            request = chain.send(res)
+        except StopIteration as stop:
+            return stop.value
+
+
+def solve_chains(
+    A,
+    basis: OrthonormalBasis,
+    ys,
+    fit: FitTerm,
+    chains,
+    cfg: SolverConfig | None = None,
+) -> list:
+    """Run K chains of penalized solves, chain k on problem k (A[k], ys[k]).
+
+    A chain is a generator: it yields each solve it needs as (lam, warm
+    start), is sent that solve's ``SolveResult``, and returns its own result.
+    A warm start that is None or violates the fit domain is replaced by the
+    default start.  Problems whose kept operators have equal shapes run as
+    the rows of one vectorized loop; a problem whose solve stops starts its
+    chain's next solve in the same pass, so no chain waits for another.  A
+    problem alone in its group runs the scalar loop, which is faster for one
+    problem.  Groups run one after another, in the order of their first
+    problem.  Every solve is bit-identical to ``solve_penalized`` from the
+    start used.  Returns each chain's result.
+    """
+    cfg = _config(cfg, basis)
+    A = [np.asarray(a, dtype=float) for a in A]
+    if any(a.ndim != 2 for a in A):
+        raise InvalidParamError("A must hold one (N, m) operator per problem")
+    K = len(A)
+    if len(ys) != K or len(chains) != K:
+        raise LengthMismatchError(f"{K} operators need as many counts and chains")
+    counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
+    results = [None] * K
+    requests = {}
+    for k, chain in enumerate(chains):
+        try:
+            requests[k] = next(chain)
+        except StopIteration as stop:
+            results[k] = stop.value
+    models = {k: _FitModel.of(A[k], counts[k], fit) for k in requests}
+    # Rows are dropped per problem (zero A-rows; zero counts for SNLL and
+    # GenKL at beta = 0), and padding them back would change the sums.
+    groups: dict[tuple, list[int]] = {}
+    for k, model in models.items():
+        groups.setdefault(model.A.shape, []).append(k)
+
+    for rows in groups.values():
+        if len(rows) == 1:
+            k = rows[0]
+            results[k] = _run_alone(models[k], basis, counts[k], chains[k], requests[k], cfg)
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            solved = _lockstep([models[k] for k in rows], basis, [counts[k] for k in rows],
+                               [chains[k] for k in rows], [requests[k] for k in rows], cfg)
+        for k, value in zip(rows, solved):
+            results[k] = value
     return results
 
 
-def _feasible_start(model: _FitModel, A, basis, counts, warm) -> np.ndarray:
-    """``warm`` where the fit is finite there, else the default start: the
-    rule of ``_solve_warm``, decided before the solve."""
-    if warm is not None:
-        x = np.asarray(warm, dtype=float)
-        if math.isfinite(model.value(model.rates(x))):
-            return x.copy()
-    return _default_start(A, basis, counts)
+def _one_solve(lam, warm):
+    """The chain of a single solve."""
+    return (yield lam, warm)
 
 
 def solve_penalized_batch(
@@ -672,43 +772,19 @@ def solve_penalized_batch(
     ``A`` holds one (N_k, m) operator per problem, as a list or a (K, N, m)
     stack; ``ys``, ``lams`` and ``theta0`` hold one count vector, weight and
     start per problem (``theta0`` may be None, as may each start).  A start
-    that violates its fit domain is replaced by the default start.  Problems
-    whose kept operators have equal shapes run in one vectorized loop; a
-    problem alone in its group runs the scalar loop, which is faster for one
-    problem.  Either way result k is bit-identical to ``solve_penalized`` on
-    problem k from the start used.
+    that violates its fit domain is replaced by the default start.  These are
+    ``solve_chains`` of one solve each, so result k is bit-identical to
+    ``solve_penalized`` on problem k from the start used.
     """
     cfg = _config(cfg, basis)
-    A = [np.asarray(a, dtype=float) for a in A]
-    if any(a.ndim != 2 for a in A):
-        raise InvalidParamError("A must hold one (N, m) operator per problem")
     K = len(A)
     theta0 = [None] * K if theta0 is None else list(theta0)
     if len(ys) != K or len(lams) != K or len(theta0) != K:
         raise LengthMismatchError(f"{K} operators need as many counts, weights and starts")
-    if any(lam <= 0.0 for lam in lams):
-        raise InvalidParamError("lam must be > 0")
-    counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
-    models = [_FitModel.of(A[k], counts[k], fit) for k in range(K)]
-    # Rows are dropped per problem (zero A-rows; zero counts for SNLL and
-    # GenKL at beta = 0), and padding them back would change the sums.
-    groups: dict[tuple, list[int]] = {}
-    for k, model in enumerate(models):
-        groups.setdefault(model.A.shape, []).append(k)
-
-    results = [None] * K
-    for rows in groups.values():
-        if len(rows) == 1:
-            k = rows[0]
-            results[k] = _solve_warm(A[k], basis, counts[k], fit, lams[k], cfg, theta0[k])
-            continue
-        starts = [_feasible_start(models[k], A[k], basis, counts[k], theta0[k]) for k in rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            solved = _solve_lockstep([models[k] for k in rows], basis,
-                                     [lams[k] for k in rows], starts, cfg)
-        for k, res in zip(rows, solved):
-            results[k] = res
-    return results
+    for lam in lams:
+        _check_lam(lam)
+    return solve_chains(A, basis, ys, fit, [_one_solve(lam, warm)
+                                            for lam, warm in zip(lams, theta0)], cfg)
 
 
 def _sqjsd_of(A, counts, theta, beta: float) -> float:
@@ -754,43 +830,27 @@ def solve_p2_batch(
 
     ``A`` holds one operator per problem, as a list or a (K, N, m) stack;
     ``ys`` and ``epsilons`` hold one count vector and radius per problem.
-    Each problem keeps its own radius search; in every round, the searches
-    that still need a penalized solve make it together in one
-    ``solve_penalized_batch`` call, so result k is bit-identical to
-    ``solve_p2`` on problem k alone.  An infeasible radius raises
-    ``InfeasibleEpsilonError`` for the first such problem.
+    Each problem's radius search is one chain of ``solve_chains``, so a
+    search runs its penalized solves back to back and result k is
+    bit-identical to ``solve_p2`` on problem k alone.  An infeasible radius
+    raises ``InfeasibleEpsilonError`` from the first search whose first
+    solve shows it: searches on equally shaped kept operators run together,
+    such groups run in the order of their first problem, and within a group
+    the search whose first solve ends in the earliest pass raises (the
+    lowest index on a tie).
     """
     cfg = _config(cfg, basis)
-    A = [np.asarray(a, dtype=float) for a in A]
     K = len(A)
     if len(ys) != K or len(epsilons) != K:
         raise LengthMismatchError(f"{K} operators need as many counts and radii")
-    if not all(eps > 0.0 for eps in epsilons):
-        raise InvalidParamError("epsilon must be > 0")
+    if not all(eps > 0.0 and math.isfinite(eps) for eps in epsilons):
+        raise InvalidParamError("epsilon must be finite and > 0")
+    A = [np.asarray(a, dtype=float) for a in A]
     counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
     fit = FitTerm(FitKind.JSD, beta)
     searches = [_radius_search(A[k], basis, counts[k], epsilons[k], fit, constraint_rtol,
                                max_bisect) for k in range(K)]
-    results = [None] * K
-    pending = {}  # problem -> the (lam, warm start) its search waits for
-
-    def advance(k, solved):
-        try:
-            pending[k] = searches[k].send(solved)
-        except StopIteration as stop:
-            results[k] = stop.value
-            pending.pop(k, None)
-
-    for k in range(K):
-        advance(k, None)
-    while pending:
-        ks = list(pending)
-        solved = solve_penalized_batch([A[k] for k in ks], basis, [counts[k] for k in ks], fit,
-                                       [pending[k][0] for k in ks], cfg,
-                                       theta0=[pending[k][1] for k in ks])
-        for k, res in zip(ks, solved):
-            advance(k, res)
-    return results
+    return solve_chains(A, basis, counts, fit, searches, cfg)
 
 
 def _radius_search(A, basis, counts, epsilon, fit, constraint_rtol, max_bisect):
@@ -816,7 +876,7 @@ def _radius_search(A, basis, counts, epsilon, fit, constraint_rtol, max_bisect):
         )
 
     model = _FitModel.of(A, counts, fit)
-    theta_start = _default_start(A, basis, counts)
+    theta_start = _default_start(basis, counts)
     g0 = model.grad_theta(model.rates(theta_start))
     g_inf = float(np.max(np.abs(g0)))
     lam_hi = max(g_inf, 1e-12) * 100.0

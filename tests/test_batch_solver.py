@@ -17,6 +17,7 @@ from poisson_cs.solvers import (
     FitTerm,
     SolverConfig,
     gradient_scale,
+    solve_chains,
     solve_p2,
     solve_p2_batch,
     solve_penalized,
@@ -44,10 +45,10 @@ def make_problems(basis, seed, K=7, N=15, intensities=None):
 
 
 def count_stacks(monkeypatch):
-    """Record the size of every stack the vectorized loop runs."""
+    """Record the size of every stack the vectorized loop starts with."""
     stacked = []
-    lockstep = solvers._solve_lockstep
-    monkeypatch.setattr(solvers, "_solve_lockstep",
+    lockstep = solvers._lockstep
+    monkeypatch.setattr(solvers, "_lockstep",
                         lambda models, *args: stacked.append(len(models))
                         or lockstep(models, *args))
     return stacked
@@ -195,6 +196,65 @@ def test_rows_hitting_the_iteration_cap():
         assert np.array_equal(batch[k].theta_star, ref.theta_star)
         assert (batch[k].iterations, batch[k].converged) == (ref.iterations, ref.converged)
     assert not all(r.converged for r in batch)
+
+
+def logged_chain(log, steps):
+    """A chain of solves, one per (lam, warm rule) step; the rule makes the
+    warm start from the previous result (None before the first solve).
+    Logs every solve as (lam, warm start, result); returns its solve count."""
+    res = None
+    for lam, warm_of in steps:
+        warm = warm_of(res)
+        res = yield lam, warm
+        log.append((lam, warm, res))
+    return len(log)
+
+
+def test_refilled_rows_match_the_scalar_loop(monkeypatch):
+    # Chains of unequal length in one stack: every solve after a chain's
+    # first starts on the row its previous solve left, in the same pass.
+    basis = dct2_basis(5)
+    fit = FitTerm(FitKind.JSD)
+    cfg = SolverConfig(max_iters=60)
+    A, ys, _ = make_problems(basis, 11, K=5)
+    scale = [gradient_scale(A[k], basis, ys[k], fit) for k in range(5)]
+    cold = lambda res: None  # noqa: E731
+    warm = lambda res: res.theta_star  # noqa: E731
+    outside = basis.analyze(np.full(basis.dim, -1e3))
+    steps = [
+        [(1e-2 * scale[0], cold)],
+        # A lambda path, each solve from the one before.
+        [(1e-1 * scale[1], cold)] + [(f * scale[1], warm) for f in (3e-2, 1e-2, 3e-3)],
+        # Re-seeded outside the fit domain: falls back to the default start.
+        [(1e-2 * scale[2], cold), (3e-3 * scale[2], lambda res: outside),
+         (1e-3 * scale[2], warm)],
+        # Re-seeded with a weight so low that the solve runs into max_iters.
+        [(1e-1 * scale[3], cold), (1e-6 * scale[3], warm)],
+        # A radius slack at the origin, say: returns before any solve.
+        [],
+    ]
+    logs = [[] for _ in steps]
+    stacked = count_stacks(monkeypatch)
+    got = solve_chains(A, basis, ys, fit,
+                       [logged_chain(log, chain) for log, chain in zip(logs, steps)], cfg)
+    assert got == [len(chain) for chain in steps]
+    assert stacked == [4]  # one stack ran every solve of the four chains
+
+    fell_back = []
+    for k, log in enumerate(logs):
+        for lam, start, res in log:
+            ref, fallback = scalar_reference(A[k], basis, ys[k], fit, lam, cfg, start)
+            fell_back.append(fallback)
+            assert np.array_equal(res.theta_star, ref.theta_star), k
+            assert (res.iterations, res.converged) == (ref.iterations, ref.converged), k
+            assert res.objective_trace == ref.objective_trace, k
+            assert res.lambda_used == lam
+    assert fell_back == [False] * 6 + [True] + [False] * 3
+    # The capped solve started after its chain's first solve had stopped, so
+    # its iterations count from its own start pass.
+    first, capped = logs[3][0][2], logs[3][1][2]
+    assert first.converged and first.iterations < cfg.max_iters
+    assert capped.iterations == cfg.max_iters and not capped.converged
 
 
 def test_batch_validates_its_inputs():

@@ -44,21 +44,36 @@ def tiny_sweep_spec(**over):
 
 
 def one_at_a_time(monkeypatch):
-    """Make the harness solve every problem of a batch on its own."""
+    """Make the harness solve every problem of a batch on its own.
+
+    Returns the names of the batch entry points the harness went through, so
+    that a caller can check that its path was replaced.
+    """
+    used = []
+    run_chains = experiments.solve_chains
     batch = experiments.solve_penalized_batch
 
+    def chains(A, basis, ys, fit, chains, cfg):
+        used.append("solve_chains")
+        return [run_chains(A[k:k + 1], basis, ys[k:k + 1], fit, chains[k:k + 1], cfg)[0]
+                for k in range(len(ys))]
+
     def penalized(A, basis, ys, fit, lams, cfg, theta0=None):
+        used.append("solve_penalized_batch")
         theta0 = theta0 or [None] * len(ys)
         return [batch(A[k:k + 1], basis, ys[k:k + 1], fit, lams[k:k + 1], cfg,
                       theta0[k:k + 1])[0]
                 for k in range(len(ys))]
 
     def p2(A, basis, ys, epsilons, cfg, beta):
+        used.append("solve_p2_batch")
         return [solve_p2(A[k], basis, ys[k], epsilons[k], cfg, beta=beta)
                 for k in range(len(ys))]
 
+    monkeypatch.setattr(experiments, "solve_chains", chains)
     monkeypatch.setattr(experiments, "solve_penalized_batch", penalized)
     monkeypatch.setattr(experiments, "solve_p2_batch", p2)
+    return used
 
 
 def trial_records(manifest):
@@ -122,6 +137,19 @@ class TestSpec:
         with pytest.raises(InvalidParamError, match="intensity"):
             ExperimentSpec(kind="sparsity", intensity=0.0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -0.5])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(InvalidParamError, match="beta"):
+            ExperimentSpec(kind="intensity", solver="P5", beta=beta)
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_bad_max_iters_rejected_before_any_work(self, max_iters, monkeypatch):
+        # It used to raise only once every trial's signal, matrix and
+        # measurement had been built.
+        monkeypatch.setattr(experiments, "_run_trial", None)
+        with pytest.raises(InvalidParamError, match="max_iters"):
+            run_sweep(ExperimentSpec.from_dict({"kind": "intensity", "max_iters": max_iters}))
+
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"trials": 2, "n_measurement": 30}))
@@ -169,8 +197,10 @@ class TestRunSweep:
             for kind, grid in grids.items():
                 spec = tiny_sweep_spec(solver=solver, kind=kind, grid=grid, trials=2)
                 with monkeypatch.context() as m:
-                    one_at_a_time(m)
+                    used = one_at_a_time(m)
                     reference = run_sweep(spec)
+                # P4 sweeps are omniscient: their lambda walks are chains.
+                assert used == [{"P2": "solve_p2_batch", "P4": "solve_chains"}[solver]]
                 write_sweep_csv(reference, tmp_path / "ref.csv")
                 for workers in (1, 3):
                     got = run_sweep(dataclasses.replace(spec, workers=workers))
@@ -305,8 +335,10 @@ class TestImageRecon:
             stride=3, image_size=16, master_seed=3, lambda_points=4, max_iters=300,
         )
         batched = run_image_recon(spec, src, tmp_path / "b")
-        one_at_a_time(monkeypatch)
+        used = one_at_a_time(monkeypatch)
         single = run_image_recon(spec, src, tmp_path / "s")
+        path = {"omniscient": "solve_chains", "fixed": "solve_penalized_batch"}[lambda_mode]
+        assert used and set(used) == {path}
         for a, b in zip(batched["cells"], single["cells"]):
             assert (a["rrmse"], a["n_unconverged"]) == (b["rrmse"], b["n_unconverged"])
             assert Path(a["out_image"]).read_bytes() == Path(b["out_image"]).read_bytes()
@@ -321,8 +353,9 @@ class TestImageRecon:
             max_iters=300,
         )
         batched = run_image_recon(spec, src, tmp_path / "b")
-        one_at_a_time(monkeypatch)
+        used = one_at_a_time(monkeypatch)
         single = run_image_recon(spec, src, tmp_path / "s")
+        assert used and set(used) == {"solve_p2_batch"}
         for a, b in zip(batched["cells"], single["cells"]):
             assert (a["rrmse"], a["n_unconverged"]) == (b["rrmse"], b["n_unconverged"])
             assert Path(a["out_image"]).read_bytes() == Path(b["out_image"]).read_bytes()

@@ -11,9 +11,7 @@ from poisson_cs.sensing import (
     build_phi,
     compose_effective,
     estimate_ric,
-    load_matrix,
     sample_rip_matrix,
-    save_matrix,
 )
 from poisson_cs.transforms import dct2_basis, identity_basis
 
@@ -164,25 +162,3 @@ class TestComposeEffective:
             lhs = A @ (ta - tb)
             rhs = math.sqrt(0.25 / N) * (B @ (ta - tb))
             assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-class TestMatrixIO:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(16)
-        M = rng.standard_normal((7, 5))
-        path = tmp_path / "m.txt"
-        save_matrix(path, M)
-        back = load_matrix(path)
-        assert np.array_equal(M, back)
-
-    def test_phi_roundtrip_exact(self, tmp_path):
-        phi = build_phi(sample_rip_matrix(9, 11, 0.5, seed=17))
-        path = tmp_path / "phi.txt"
-        save_matrix(path, phi.entries)
-        assert np.array_equal(load_matrix(path), phi.entries)
-
-    def test_header_mismatch_detected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 3\n1.0 2.0 3.0\n")
-        with pytest.raises(InvalidParamError):
-            load_matrix(path)

@@ -7,40 +7,49 @@ import pytest
 
 from poisson_cs.errors import InvalidParamError, LengthMismatchError
 from poisson_cs.sensing import build_phi, sample_rip_matrix
-from poisson_cs.simulate import derive_rng, measure, poisson_draw
+from poisson_cs.simulate import derive_rng, measure
+
+
+def draws_at(rate, n, seed):
+    """Poisson draws ``measure`` makes at one rate.
+
+    The one-column sensing matrix has rows of 0 and 1/n, and the signal puts
+    ``rate`` on the 1/n rows.  Returns the rate, the counts of the rows at
+    that rate and the counts of the rows at rate 0.
+    """
+    phi = build_phi(sample_rip_matrix(n, 1, 0.5, seed=seed))
+    mv = measure(phi, np.array([rate * n]), seed=seed + 1)
+    lit = mv.rates > 0.0
+    return mv.rates[lit][0], mv.counts[lit], mv.counts[~lit]
 
 
 class TestPoissonDraw:
+    """The draws of ``measure``, looked at one rate at a time."""
+
     def test_zero_rate_always_zero(self):
-        rng = np.random.default_rng(0)
-        assert all(poisson_draw(0.0, rng) == 0 for _ in range(100))
+        _, _, dark = draws_at(1e4, 200, seed=0)
+        assert dark.size >= 50 and np.all(dark == 0)
 
     def test_invalid_rates(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidParamError):
-            poisson_draw(-1.0, rng)
-        with pytest.raises(InvalidParamError):
-            poisson_draw(float("nan"), rng)
-        with pytest.raises(InvalidParamError):
-            poisson_draw(float("inf"), rng)
+        phi = build_phi(sample_rip_matrix(5, 3, 0.5, seed=0))
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParamError):
+                measure(phi, np.array([1.0, bad, 1.0]), seed=0)
 
     def test_mean_at_high_rate(self):
-        rng = np.random.default_rng(1)
-        rate, n = 1e4, 100_000
-        draws = np.array([poisson_draw(rate, rng) for _ in range(n)])
+        rate, draws, _ = draws_at(1e4, 200_000, seed=1)
+        n = draws.size
         # CLT band: 3 sigma = 3 * sqrt(rate) / sqrt(n)
         assert abs(draws.mean() - rate) <= 3 * math.sqrt(rate) / math.sqrt(n)
 
     def test_equidispersion(self):
-        rng = np.random.default_rng(2)
-        rate, n = 1e4, 100_000
-        draws = np.array([poisson_draw(rate, rng) for _ in range(n)])
+        _, draws, _ = draws_at(1e4, 200_000, seed=2)
         assert 0.97 <= draws.var() / draws.mean() <= 1.03
 
     def test_huge_rate_fast_and_sane(self):
-        rng = np.random.default_rng(3)
-        draws = np.array([poisson_draw(1e8, rng) for _ in range(200)])
-        assert abs(draws.mean() - 1e8) <= 5 * math.sqrt(1e8) / math.sqrt(200)
+        rate, draws, _ = draws_at(1e8, 400, seed=3)
+        n = draws.size
+        assert abs(draws.mean() - 1e8) <= 5 * math.sqrt(rate) / math.sqrt(n)
 
 
 class TestMeasure:

@@ -23,7 +23,9 @@ from poisson_cs.solvers import (
     rrmse,
     soft_threshold,
     solve_p2,
+    solve_p2_batch,
     solve_penalized,
+    solve_penalized_batch,
 )
 from poisson_cs.sqjsd_stats import choose_epsilon
 from poisson_cs.transforms import identity_basis
@@ -174,17 +176,6 @@ class TestSolvePenalized:
                               SolverConfig(nonneg_signal=True))
         assert np.all(basis.synthesize(res.theta_star) >= 0.0)
 
-    def test_enforce_intensity_rescales(self):
-        x, phi, mv = sparse_instance(intensity=1e6, seed=15)
-        basis = identity_basis(100)
-        fit = FitTerm(FitKind.JSD)
-        lam = 1e-4 * gradient_scale(phi.entries, basis, mv, fit)
-        res = solve_penalized(
-            phi.entries, basis, mv, fit, lam,
-            SolverConfig(nonneg_signal=True, enforce_intensity=1e6),
-        )
-        assert np.sum(np.abs(basis.synthesize(res.theta_star))) == pytest.approx(1e6, rel=1e-9)
-
     def test_zero_count_rows_dropped_for_gen_kl(self):
         # Low intensity forces zero counts; GenKL at beta=0 must still run.
         x, phi, mv = sparse_instance(intensity=50.0, seed=16)
@@ -201,6 +192,29 @@ class TestSolvePenalized:
         with pytest.raises(InvalidParamError):
             solve_penalized(phi.entries, identity_basis(100), mv,
                             FitTerm(FitKind.JSD), 0.0)
+
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        # Such a weight used to stop after one iteration and return the start
+        # as converged.
+        _, phi, mv = sparse_instance(seed=17)
+        basis, fit = identity_basis(100), FitTerm(FitKind.JSD)
+        with pytest.raises(InvalidParamError, match="lam"):
+            solve_penalized(phi.entries, basis, mv, fit, lam)
+        with pytest.raises(InvalidParamError, match="lam"):
+            solve_penalized_batch([phi.entries] * 2, basis, [mv] * 2, fit, [1.0, lam])
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -0.1])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(InvalidParamError, match="beta"):
+            FitTerm(FitKind.SNLL, beta)
+
+    @pytest.mark.parametrize("name", ["grad_tol", "objective_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_bad_tolerance_rejected(self, name, value):
+        with pytest.raises(InvalidParamError, match=name):
+            SolverConfig(**{name: value})
 
 
 class TestSolveP2:
@@ -258,16 +272,37 @@ class TestSolveP2:
         assert s_rerun <= eps * (1.0 + 0.01) + 1e-9
 
     def test_counts_every_solve_of_the_search(self, monkeypatch):
-        _, phi, mv = sparse_instance(intensity=1e6, seed=28)
-        solves = []
-        solve = solvers.solve_penalized
-        monkeypatch.setattr(solvers, "solve_penalized",
-                            lambda *a, **k: solves.append(solve(*a, **k)) or solves[-1])
-        res = solve_p2(phi.entries, identity_basis(100), mv, choose_epsilon("theory", 50),
-                       SolverConfig(max_iters=400, nonneg_signal=True))
-        assert res.n_solves == len(solves) >= 2
-        assert res.total_iterations == sum(r.iterations for r in solves)
-        assert res.iterations in [r.iterations for r in solves]
+        # Every solve each radius search is sent, on one problem (the scalar
+        # loop) and on three at once (the lockstep loop).
+        sent, stacked = [], []
+        search, lockstep = solvers._radius_search, solvers._lockstep
+
+        def recorded(*args):
+            solves = []
+            sent.append(solves)
+            chain, res = search(*args), None
+            while True:
+                try:
+                    request = chain.send(res)
+                except StopIteration as stop:
+                    return stop.value
+                res = yield request
+                solves.append(res)
+
+        monkeypatch.setattr(solvers, "_radius_search", recorded)
+        monkeypatch.setattr(solvers, "_lockstep",
+                            lambda models, *a: stacked.append(len(models)) or lockstep(models, *a))
+        problems = [sparse_instance(intensity=1e6, seed=seed)[1:] for seed in (28, 29, 30)]
+        basis, eps = identity_basis(100), choose_epsilon("theory", 50)
+        cfg = SolverConfig(max_iters=400, nonneg_signal=True)
+        alone = solve_p2(problems[0][0].entries, basis, problems[0][1], eps, cfg)
+        together = solve_p2_batch([phi.entries for phi, _ in problems], basis,
+                                  [mv for _, mv in problems], [eps] * 3, cfg)
+        assert stacked == [3] and len(sent) == 4
+        for res, solves in zip([alone, *together], sent):
+            assert res.n_solves == len(solves) >= 2
+            assert res.total_iterations == sum(r.iterations for r in solves)
+            assert res.iterations in [r.iterations for r in solves]
 
     def test_beta_smoothing_runs(self):
         _, phi, mv = sparse_instance(intensity=1e4, seed=24)
@@ -281,6 +316,12 @@ class TestSolveP2:
         _, phi, mv = sparse_instance(seed=25)
         with pytest.raises(InvalidParamError):
             solve_p2(phi.entries, identity_basis(100), mv, 0.0)
+
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        _, phi, mv = sparse_instance(seed=25)
+        with pytest.raises(InvalidParamError, match="epsilon"):
+            solve_p2(phi.entries, identity_basis(100), mv, eps)
 
     def test_all_zero_counts(self):
         # Dark frame: y = 0 everywhere, so theta = 0 satisfies any radius.
