@@ -208,9 +208,30 @@ def jsd_rowwise(P, q) -> np.ndarray:
     ``P`` is (k, n); ``q`` is (n,) or (k, n).  Returns a (k,) array.  This is
     the vectorized path used by the Monte-Carlo machinery; entries must be
     non-negative (not re-validated here).
+
+    Integer counts ``P`` against a 1-D ``q`` take a table path: column ``i``
+    only holds counts in ``lo[i] .. hi[i]``, so ``_jsd_terms`` is evaluated
+    once per count in that range (an ``(n, width)`` table) and each entry's
+    term is gathered from it.  The table is used only when ``width <= k``,
+    so it is never larger than ``P``; wider count ranges (few rows, or very
+    high rates) and float input take the elementwise path.  Both paths
+    evaluate the same formula at the same points and sum each row in the
+    same order, so their results are bit-identical.
     """
-    P = np.asarray(P, dtype=float)
-    Q = np.broadcast_to(np.asarray(q, dtype=float), P.shape)
+    P = np.asarray(P)
+    q = np.asarray(q, dtype=float)
+    if P.dtype.kind == "i" and P.ndim == 2 and q.ndim == 1 and P.size:
+        lo = P.min(axis=0)
+        width = int(np.max(P.max(axis=0) - lo)) + 1
+        if width <= P.shape[0]:
+            # Row i of the table holds the terms of counts lo[i] .. lo[i] +
+            # width - 1 against q[i]; entry (r, i) is at flat position
+            # i * width + P[r, i] - lo[i].
+            table = _jsd_terms(lo[:, None] + np.arange(width, dtype=float), q[:, None])
+            terms = table.ravel().take(P + (np.arange(P.shape[1]) * width - lo))
+            return np.maximum(0.5 * np.sum(terms, axis=-1), 0.0)
+    P = P.astype(float, copy=False)
+    Q = np.broadcast_to(q, P.shape)
     return np.maximum(0.5 * np.sum(_jsd_terms(P, Q), axis=-1), 0.0)
 
 

@@ -42,6 +42,7 @@ from .solvers import (
     solve_penalized_batch,
 )
 from .sqjsd_stats import (
+    KS_MIN_SAMPLES,
     EpsilonMode,
     choose_epsilon,
     ks_gaussian_test,
@@ -121,8 +122,8 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidParamError("trials must be >= 1")
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise InvalidParamError(f"trials must be an integer >= 1, got {self.trials!r}")
         if self.workers < 1:
             raise InvalidParamError("workers must be >= 1")
         if self.solver not in ("P2", "P4", "P5", "P6"):
@@ -139,6 +140,9 @@ class ExperimentSpec:
             raise InvalidParamError(f"beta must be finite and >= 0, got {self.beta!r}")
         if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
             raise InvalidParamError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not (isinstance(self.lambda_points, numbers.Integral) and self.lambda_points >= 1):
+            raise InvalidParamError(
+                f"lambda_points must be an integer >= 1, got {self.lambda_points!r}")
         if not self.grid:
             self.grid = default_grid(self.kind, paper_scale=False)
         for value in self.grid.get("intensity", ()):
@@ -419,6 +423,38 @@ def write_sweep_csv(manifest: RunManifest, path) -> None:
         writer.writerows(sweep_csv_rows(manifest))
 
 
+def _verify_stats_grid(spec: ExperimentSpec) -> tuple[list[int], list[tuple[float, int]]]:
+    """The checked grid of a verify-stats run: its N values, and each
+    intensity with its quarter-decade level ``int(4 log10 I)``.
+
+    A cell's signal and Poisson streams are keyed by (N, level), so two
+    intensities on one level would share them, and an intensity below 1
+    would give a negative key.  Everything is checked before any cell runs.
+    """
+    if spec.trials < KS_MIN_SAMPLES:
+        raise InvalidParamError(
+            f"trials must be >= {KS_MIN_SAMPLES} for the KS test, got {spec.trials!r}")
+    grid_N = list(spec.grid.get("n_measurements", [50, 100, 500]))
+    for N in grid_N:
+        if not (isinstance(N, numbers.Integral) and N >= 1):
+            raise InvalidParamError(f"grid n_measurements must be integers >= 1, got {N!r}")
+    if len(set(grid_N)) < len(grid_N):
+        raise InvalidParamError(f"grid n_measurements has a repeated value: {grid_N!r}")
+    grid_I = []
+    levels: dict[int, float] = {}
+    for value in spec.grid.get("intensity", [1e3, 1e4, 1e6]):
+        if not (isinstance(value, numbers.Real) and 1.0 <= value < math.inf):
+            raise InvalidParamError(f"grid intensity must be finite and >= 1, got {value!r}")
+        level = int(math.log10(value) * 4)
+        if level in levels:
+            raise InvalidParamError(
+                f"grid intensity {levels[level]!r} and {value!r} share the quarter-decade "
+                f"level {level}, and with it their random streams")
+        levels[level] = value
+        grid_I.append((float(value), level))
+    return [int(N) for N in grid_N], grid_I
+
+
 def run_verify_stats(spec: ExperimentSpec) -> dict:
     """Monte-Carlo verification of the sqjsd concentration behavior.
 
@@ -427,19 +463,18 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
     and the variance-bound column is meaningful in all cells.
     """
     t0 = time.perf_counter()
-    grid_N = [int(v) for v in spec.grid.get("n_measurements", [50, 100, 500])]
-    grid_I = [float(v) for v in spec.grid.get("intensity", [1e3, 1e4, 1e6])]
+    grid_N, grid_I = _verify_stats_grid(spec)
     trials = spec.trials
     cells = []
     for N in grid_N:
         m = 2 * N
-        for intensity in grid_I:
-            idx = (N, int(math.log10(intensity) * 4))
+        phi = build_phi(
+            sample_rip_matrix(N, m, 0.5, seed=derive_seed(spec.master_seed, _STREAM_PHI, N))
+        )
+        for intensity, level in grid_I:
+            idx = (N, level)
             x = derive_rng(spec.master_seed, _STREAM_SIGNAL, *idx).uniform(0.5, 1.5, size=m)
             x *= intensity / x.sum()
-            phi = build_phi(
-                sample_rip_matrix(N, m, 0.5, seed=derive_seed(spec.master_seed, _STREAM_PHI, N))
-            )
             samples = monte_carlo_sqjsd(
                 phi, x, trials, derive_seed(spec.master_seed, _STREAM_STATS, *idx))
             bounds = concentration_bounds(phi, x)

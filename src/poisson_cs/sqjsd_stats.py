@@ -9,6 +9,13 @@ and sqrt(N)*(1/2 + sqrt(11)/8) is exceeded with probability at most
 KS-tests the empirical distribution against a moment-matched Gaussian, and
 turns the quantiles into the constraint radius used by the constrained
 reconstruction problem.
+
+Sampling runs in blocks of trials of about ``_BLOCK_ENTRIES`` counts each:
+a block's integer counts go straight to ``jsd_rowwise``, which evaluates
+the JSD term of each distinct count of a column once (its table path), so
+memory stays a few MB whatever the number of trials.  The blocks draw from
+one generator in the order a single ``(trials, N)`` draw would, so every
+sample is bit-identical to drawing all counts at once.
 """
 
 from __future__ import annotations
@@ -34,10 +41,18 @@ __all__ = [
     "ks_gaussian_test",
     "choose_epsilon",
     "TAIL_COEFFICIENT",
+    "KS_MIN_SAMPLES",
 ]
 
 # 1/2 + sqrt(11)/8 = 0.914578...; the sqrt(N)-scaled tail radius.
 TAIL_COEFFICIENT = 0.5 + math.sqrt(11.0) / 8.0
+
+# Fewest samples the KS test accepts.
+KS_MIN_SAMPLES = 30
+
+# Counts drawn per block of Monte-Carlo trials: 2^19 entries, 4 MB of int64
+# counts, whatever the number of trials.
+_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -80,14 +95,23 @@ class ConcentrationBounds:
 def monte_carlo_sqjsd(
     phi: SensingMatrix, x, trials: int, seed
 ) -> SqjsdSampleSet:
-    """Sample sqrt(J(y, Phi x)) over independent Poisson realizations of y."""
+    """Sample sqrt(J(y, Phi x)) over independent Poisson realizations of y.
+
+    Trials are drawn and reduced in row blocks (see the module docstring);
+    the samples equal those of one ``(trials, N)`` draw from ``seed``.
+    """
     if trials < 2:
         raise InvalidParamError(f"need trials >= 2, got {trials}")
     x = np.asarray(x, dtype=float)
     rates = phi.entries @ x
     rng = np.random.default_rng(seed)
-    counts = rng.poisson(lam=rates, size=(trials, rates.size)).astype(float)
-    samples = np.sqrt(jsd_rowwise(counts, rates))
+    rows = max(1, _BLOCK_ENTRIES // rates.size)
+    samples = np.empty(trials)
+    for start in range(0, trials, rows):
+        block = samples[start:start + rows]
+        counts = rng.poisson(lam=rates, size=(block.size, rates.size))
+        block[:] = jsd_rowwise(counts, rates)
+    np.sqrt(samples, out=samples)
     samples.setflags(write=False)
     return SqjsdSampleSet(
         samples=samples,
@@ -146,8 +170,8 @@ def ks_gaussian_test(samples, alpha: float = 0.01) -> KsResult:
         raise InvalidParamError(f"alpha must lie in (0,1), got {alpha}")
     vals = np.sort(np.asarray(getattr(samples, "samples", samples), dtype=float))
     n = vals.size
-    if n < 30:
-        raise InvalidParamError(f"need at least 30 samples, got {n}")
+    if n < KS_MIN_SAMPLES:
+        raise InvalidParamError(f"need at least {KS_MIN_SAMPLES} samples, got {n}")
     mu = float(np.mean(vals))
     sd = float(np.std(vals, ddof=1))
     if sd == 0.0:

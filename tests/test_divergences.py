@@ -1,6 +1,7 @@
 """Unit tests for the divergence functionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,50 @@ class TestRowwise:
 
     def test_zero_rows(self):
         assert jsd_rowwise(np.zeros((3, 4)), np.zeros(4)).tolist() == [0, 0, 0]
+
+    @staticmethod
+    def table_width(P):
+        return int(np.max(P.max(axis=0) - P.min(axis=0))) + 1
+
+    @pytest.mark.parametrize("rate", [1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e6, 1e8])
+    def test_integer_counts_match_float_path(self, rate):
+        # Rows enough for the per-column table (width <= rows), so the
+        # integer counts take the table path; zero counts everywhere at low
+        # rates, and a zero-rate column whose counts are all 0.
+        rows = int(16 * math.sqrt(rate)) + 64
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            q = rate * rng.uniform(0.5, 1.5, 5)
+            q[seed % 5] = 0.0
+            P = rng.poisson(q, size=(rows, 5))
+            assert self.table_width(P) <= rows
+            assert np.array_equal(jsd_rowwise(P, q), jsd_rowwise(P.astype(float), q))
+
+    @pytest.mark.parametrize("rate", [1e2, 1e4, 1e8])
+    def test_wide_count_range_takes_elementwise_path(self, rate):
+        for seed in range(12):
+            rng = np.random.default_rng(100 + seed)
+            q = rate * rng.uniform(0.5, 1.5, 40)
+            P = rng.poisson(q, size=(5, 40))
+            assert self.table_width(P) > 5
+            tracemalloc.start()
+            try:
+                got = jsd_rowwise(P, q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # No (40, width) table was built: the elementwise path's
+            # temporaries are a few (5, 40) arrays.
+            assert peak < 64_000
+            assert np.array_equal(got, jsd_rowwise(P.astype(float), q))
+
+    def test_integer_zeros(self):
+        P = np.zeros((3, 4), dtype=np.int64)
+        assert jsd_rowwise(P, np.zeros(4)).tolist() == [0, 0, 0]
+        P[1, 2] = 5
+        q = np.array([0.0, 1.5, 0.0, 2.0])
+        assert np.array_equal(jsd_rowwise(P, q), jsd_rowwise(P.astype(float), q))
+        assert jsd_rowwise(P, q)[1] == jsd(P[1], q).value
 
 
 def test_compensated_summation_large_n():

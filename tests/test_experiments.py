@@ -150,6 +150,22 @@ class TestSpec:
         with pytest.raises(InvalidParamError, match="max_iters"):
             run_sweep(ExperimentSpec.from_dict({"kind": "intensity", "max_iters": max_iters}))
 
+    @pytest.mark.parametrize("kind", ["intensity", "verify-stats"])
+    def test_non_integer_trials_rejected(self, kind):
+        # A float count used to pass the spec and fail later with a bare
+        # TypeError from range() or the Poisson draw.
+        with pytest.raises(InvalidParamError, match="trials"):
+            ExperimentSpec(kind=kind, trials=40.5)
+
+    @pytest.mark.parametrize("lambda_points", [0, -2, 2.5])
+    def test_bad_lambda_points_rejected_before_any_work(self, lambda_points, monkeypatch):
+        # With no lambda points an omniscient sweep used to build every
+        # trial and then fail with a TypeError in the lambda walk.
+        monkeypatch.setattr(experiments, "_run_trial", None)
+        with pytest.raises(InvalidParamError, match="lambda_points"):
+            run_sweep(ExperimentSpec.from_dict(
+                {"kind": "intensity", "solver": "P4", "lambda_points": lambda_points}))
+
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"trials": 2, "n_measurement": 30}))
@@ -273,6 +289,45 @@ class TestVerifyStats:
             np.log([c["N"] for c in cells]), np.log([c["mean"] for c in cells]), 1
         )[0]
         assert 0.40 <= slope <= 0.55
+
+    def test_phi_built_once_per_n(self, monkeypatch):
+        # Phi's seed depends on N alone, so every intensity of one N shares it.
+        calls = []
+        build = experiments.build_phi
+        monkeypatch.setattr(experiments, "build_phi",
+                            lambda matrix: calls.append(matrix.entries.shape) or build(matrix))
+        spec = ExperimentSpec(
+            kind="verify-stats",
+            grid={"n_measurements": [20, 40], "intensity": [1e2, 1e3, 1e4]},
+            trials=30,
+        )
+        assert len(run_verify_stats(spec)["cells"]) == 6
+        assert calls == [(20, 40), (40, 80)]
+
+    @pytest.mark.parametrize("grid, trials, field", [
+        ({"n_measurements": [20], "intensity": [1e3]}, 29, "trials"),
+        ({"n_measurements": [20], "intensity": [1e3, 0.5]}, 100, "grid intensity"),
+        ({"n_measurements": [20], "intensity": [2e3, 3e3]}, 100, "grid intensity"),
+        ({"n_measurements": [20, 0], "intensity": [1e3]}, 100, "grid n_measurements"),
+        ({"n_measurements": [20, 2.5], "intensity": [1e3]}, 100, "grid n_measurements"),
+        ({"n_measurements": [20, 20], "intensity": [1e3]}, 100, "grid n_measurements"),
+    ])
+    def test_bad_grid_rejected_before_any_cell(self, grid, trials, field, monkeypatch):
+        # These used to fail only after cells had run, truncate N to an
+        # integer, or (two intensities in one quarter-decade) give both cells
+        # one random stream.
+        monkeypatch.setattr(experiments, "sample_rip_matrix", None)
+        spec = ExperimentSpec(kind="verify-stats", grid=grid, trials=trials)
+        with pytest.raises(InvalidParamError, match=field):
+            run_verify_stats(spec)
+
+    @pytest.mark.parametrize("paper_scale", [False, True])
+    def test_default_grids_keep_their_stream_levels(self, paper_scale):
+        spec = ExperimentSpec(kind="verify-stats",
+                              grid=default_grid("verify-stats", paper_scale), trials=30)
+        _, grid_I = experiments._verify_stats_grid(spec)
+        assert [level for _, level in grid_I] == \
+            ([8, 12, 16, 24, 32] if paper_scale else [12, 16, 24])
 
 
 class TestImageRecon:

@@ -1,10 +1,13 @@
 """Unit tests for the sqjsd concentration statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from poisson_cs import sqjsd_stats
+from poisson_cs.divergences import jsd_rowwise
 from poisson_cs.errors import InvalidParamError, MissingSamplesError
 from poisson_cs.sensing import build_phi, sample_rip_matrix
 from poisson_cs.sqjsd_stats import (
@@ -21,6 +24,14 @@ def dense_signal(m, intensity, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.5, 1.5, m)
     return x * (intensity / x.sum())
+
+
+def one_shot_sqjsd(phi, x, trials, seed):
+    """Reference: every count drawn at once, as float, then one jsd_rowwise."""
+    rates = phi.entries @ np.asarray(x, dtype=float)
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(lam=rates, size=(trials, rates.size)).astype(float)
+    return np.sqrt(jsd_rowwise(counts, rates))
 
 
 class TestMonteCarlo:
@@ -52,6 +63,27 @@ class TestMonteCarlo:
         a = monte_carlo_sqjsd(phi, x, trials=64, seed=12)
         b = monte_carlo_sqjsd(phi, x, trials=64, seed=12)
         assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("N, intensity", [(10, 1e8), (50, 1e2), (500, 1e4)])
+    def test_row_blocks_match_one_shot_draws(self, N, intensity):
+        block = sqjsd_stats._BLOCK_ENTRIES // N
+        phi = build_phi(sample_rip_matrix(N, 2 * N, 0.5, seed=60))
+        x = dense_signal(2 * N, intensity, 61)
+        for trials in (2, block - 1, block, block + 1, 3 * block + 7):
+            got = monte_carlo_sqjsd(phi, x, trials=trials, seed=62 + trials).samples
+            assert np.array_equal(got, one_shot_sqjsd(phi, x, trials, 62 + trials))
+
+    def test_traced_peak_bounded_by_blocks(self):
+        # Drawing all 10^7 counts at once peaked near 410 MB.
+        phi = build_phi(sample_rip_matrix(500, 1000, 0.5, seed=63))
+        x = dense_signal(1000, 1e4, 64)
+        tracemalloc.start()
+        try:
+            monte_carlo_sqjsd(phi, x, trials=20_000, seed=65)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestConcentrationBounds:
