@@ -2,22 +2,21 @@
 
 Five entry points:
 
-``solve_penalized``
-    minimize  lam * ||theta||_1 + fit(y, A @ theta)
+``solve_chains``
+    K chains of penalized solves, one chain per problem, in one vectorized
+    loop.  Each solve minimizes
+        lam * ||theta||_1 + fit(y, A @ theta)
     where the data-fit term is the Jensen-Shannon divergence, the symmetrized
     Stirling negative log-likelihood, or the generalized KL divergence, each
     optionally smoothed by an offset beta (fit on y+beta against u+beta).
-
-``solve_chains``
-    K chains of penalized solves, one chain per problem, in one vectorized
-    loop.  A chain is a generator that yields each solve it needs as
+    A chain is a generator that yields each solve it needs as
     (lam, warm start) and is sent the result; a problem whose solve stops
-    starts its chain's next solve in the same pass.  Every solve equals
-    ``solve_penalized`` from the same start bit for bit.
+    starts its chain's next solve in the same pass.  A solve's result does
+    not depend on the other problems of the batch.
 
 ``solve_penalized_batch``
     the penalized problem for K independent (A, y, lam) triples: K chains of
-    one solve.
+    one solve.  ``solve_penalized`` is its call on one problem.
 
 ``solve_p2``
     minimize  ||theta||_1  subject to  sqrt(J(y, A @ theta)) <= epsilon
@@ -33,15 +32,17 @@ Five entry points:
 
 The inner solver is proximal gradient with backtracking line search and
 FISTA-style acceleration under a monotone restart, so the recorded
-objective trace never increases.  Zero-count measurements are retained for
-the JSD fit (finite by the 0*log(0) = 0 convention) and dropped for the
-SNLL/GenKL fits when beta = 0.
+objective trace never increases; it is written once, in ``_lockstep``.
+Zero-count measurements are retained for the JSD fit (finite by the
+0*log(0) = 0 convention) and masked out of the SNLL/GenKL fits when
+beta = 0.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -102,8 +103,9 @@ class SolverConfig:
     nonneg_signal: bool = False  # clamp the coefficients at 0; identity basis only
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidParamError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and not isinstance(self.max_iters, bool) and self.max_iters >= 1):
+            raise InvalidParamError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         for name in ("grad_tol", "objective_tol"):
             tol = getattr(self, name)
             if not (tol > 0.0 and math.isfinite(tol)):
@@ -142,8 +144,9 @@ def soft_threshold(v, t: float) -> np.ndarray:
 class _FitLaw:
     """The formulas of one fit on offset vectors yb = y + beta, ub = u + beta.
 
-    ``value`` sums the elementwise terms of ``divergences`` along the last
-    axis, so it serves one problem's (N,) vectors and a (K, N) stack alike.
+    ``terms`` are the elementwise terms of ``divergences``, and the fit
+    value is ``weight`` times their sum along the last axis (``value``), so
+    a law serves one problem's (N,) vectors and a (K, N) stack alike.
     ``grad`` is the derivative in u at the floored rate ubf = max(ub, floor):
     this turns the infinite slope at the domain boundary into a large finite
     one, so a monotone line search on the exact objective can still probe
@@ -153,15 +156,24 @@ class _FitLaw:
     counts > 0 (SNLL, GenKL).
     """
 
-    value: Callable
+    terms: Callable
+    weight: float
     grad: Callable
     curvature: Callable
     closed: bool
 
+    def value(self, yb, ub, keep=None):
+        """The fit value; rows where ``keep`` is False add nothing."""
+        terms = self.terms(yb, ub)
+        if keep is not None:
+            terms = np.where(keep, terms, 0.0)
+        return self.weight * np.sum(terms, axis=-1)
+
 
 _FITS = {
     FitKind.JSD: _FitLaw(
-        value=lambda yb, ub: 0.5 * np.sum(_jsd_terms(yb, ub), axis=-1),
+        terms=_jsd_terms,
+        weight=0.5,
         # At yb = ub = 0 the floored rate gives log(2)/2, the one-sided
         # derivative along u.
         grad=lambda yb, ubf: 0.5 * np.log(2.0 * ubf / (yb + ubf)),
@@ -169,13 +181,15 @@ _FITS = {
         closed=True,
     ),
     FitKind.SNLL: _FitLaw(
-        value=lambda yb, ub: np.sum(_snll_terms(yb, ub), axis=-1),
+        terms=_snll_terms,
+        weight=1.0,
         grad=lambda yb, ubf: 1.0 - yb / ubf + np.log(ubf / yb) + 0.5 / ubf,
         curvature=lambda yb, ub: yb / ub**2 + 1.0 / ub,
         closed=False,
     ),
     FitKind.GEN_KL: _FitLaw(
-        value=lambda yb, ub: np.sum(_gen_kl_terms(yb, ub), axis=-1),
+        terms=_gen_kl_terms,
+        weight=1.0,
         grad=lambda yb, ubf: 1.0 - yb / ubf,
         curvature=lambda yb, ub: yb / ub**2,
         closed=False,
@@ -188,7 +202,7 @@ def fit_value_and_gradient(fit: FitTerm, y, u):
 
     ``y`` may be a MeasurementVector or a plain count array.  Requires
     u_i + beta > 0 everywhere; the SNLL and GenKL fits with beta = 0
-    additionally require y_i > 0 (callers drop zero counts first).
+    additionally require y_i > 0 (the solvers mask zero counts out).
     """
     y = np.asarray(getattr(y, "counts", y), dtype=float)
     u = np.asarray(u, dtype=float)
@@ -208,7 +222,9 @@ def fit_value_and_gradient(fit: FitTerm, y, u):
 # row by row, the same floating-point operations as on one problem: matmul
 # over a stack issues one BLAS call per row with that row's shapes and
 # strides, and reductions along the last axis sum each row like a 1-D sum.
-# Keep it so; tests/test_batch_solver.py compares the two paths bit for bit.
+# Keep it so: a problem's result must not depend on the batch it is solved
+# in, and tests/test_batch_solver.py compares each row with a plain
+# one-problem loop bit for bit.
 
 
 def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -222,22 +238,26 @@ def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 class _FitModel:
-    """Fit term restricted to the rows the solver actually optimizes over.
+    """Fit term of one problem, or of a stack of problems with equal operator shapes.
 
     Serves one problem, with an (N, m) operator and (N,) offset counts, or a
-    stack of K problems whose kept operators have equal shapes, with
-    (K, N, m) operators, (K, N) counts and (K, 1) gradient floors; values and
-    curvature scales then come back per problem.  Rows whose A-row is
-    identically zero are constant in theta and dropped; zero-count rows are
-    additionally dropped for SNLL/GenKL at beta = 0.
+    stack of K problems, with (K, N, m) operators, (K, N) counts and (K, 1)
+    gradient floors; values and curvature scales then come back per problem.
+    ``keep`` marks the rows the fit is made of, or is None when every row of
+    every problem is kept.  A row whose A-row is identically zero is constant
+    in theta and is masked out; so is a zero-count row for SNLL/GenKL at
+    beta = 0.  A masked row plays no part in the value, the domain test, the
+    gradient, the curvature scale or the gradient floor, and its A-row is
+    zeroed, so the operator's spectral norm is that of the kept rows.
     """
 
-    def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor):
+    def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor, keep=None):
         self.fit = fit
         self.law = _FITS[fit.kind]
         self.A = A
         self.yb = yb
         self.grad_floor = grad_floor
+        self.keep = keep
 
     @classmethod
     def of(cls, A: np.ndarray, counts: np.ndarray, fit: FitTerm) -> "_FitModel":
@@ -245,25 +265,34 @@ class _FitModel:
         keep = np.any(A != 0.0, axis=1)
         if fit.beta == 0.0 and not _FITS[fit.kind].closed:
             keep &= counts > 0
-        yb = counts[keep].astype(float) + fit.beta
+        yb = counts.astype(float) + fit.beta
+        kept = yb[keep]
         # Boundary-gradient clip, relative to the data scale; rates this far
         # below the counts are indistinguishable from zero for the fit value.
-        grad_floor = 1e-12 * (float(np.mean(yb)) + 1.0) if yb.size else 1e-12
-        return cls(fit, A[keep], yb, grad_floor)
+        grad_floor = 1e-12 * (float(np.mean(kept)) + 1.0) if kept.size else 1e-12
+        if keep.all():
+            return cls(fit, A, yb, grad_floor)
+        return cls(fit, np.where(keep[:, None], A, 0.0), yb, grad_floor, keep)
 
     @classmethod
     def stack(cls, models) -> "_FitModel":
-        """The models of K problems whose kept operators have equal shapes."""
+        """The models of K problems whose operators have equal shapes."""
+        keep = None
+        if any(m.keep is not None for m in models):
+            keep = np.stack([np.ones(m.yb.shape, dtype=bool) if m.keep is None else m.keep
+                             for m in models])
         return cls(models[0].fit, np.stack([m.A for m in models]),
                    np.stack([m.yb for m in models]),
-                   np.array([[m.grad_floor] for m in models]))
+                   np.array([[m.grad_floor] for m in models]), keep)
 
     def take(self, rows) -> "_FitModel":
-        return _FitModel(self.fit, self.A[rows], self.yb[rows], self.grad_floor[rows])
+        return _FitModel(self.fit, self.A[rows], self.yb[rows], self.grad_floor[rows],
+                         None if self.keep is None else self.keep[rows])
 
     def widen(self) -> "_FitModel":
         """A stack's model for (K, W, m) coefficients, W points per problem."""
-        return _FitModel(self.fit, self.A[:, None], self.yb[:, None], self.grad_floor[:, None])
+        return _FitModel(self.fit, self.A[:, None], self.yb[:, None], self.grad_floor[:, None],
+                         None if self.keep is None else self.keep[:, None])
 
     def rates(self, X: np.ndarray) -> np.ndarray:
         return _matvec(self.A, X)
@@ -272,14 +301,23 @@ class _FitModel:
         """Exact fit value, +inf outside the domain (see ``_FitLaw.closed``):
         a float for one problem, an array with one value per row of a stack."""
         ub = U + self.fit.beta
-        outside = np.any(ub < 0.0 if self.law.closed else ub <= 0.0, axis=-1)
-        if U.ndim == 1:
-            return math.inf if outside else float(self.law.value(self.yb, ub))
+        bad = ub < 0.0 if self.law.closed else ub <= 0.0
+        if self.keep is not None:
+            bad &= self.keep
+        outside = np.any(bad, axis=-1)
+        if U.ndim == 1 and outside:
+            return math.inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(outside, math.inf, self.law.value(self.yb, ub))
+            value = self.law.value(self.yb, ub, self.keep)
+        return float(value) if U.ndim == 1 else np.where(outside, math.inf, value)
 
     def grad_theta(self, U: np.ndarray) -> np.ndarray:
-        gu = self.law.grad(self.yb, np.maximum(U + self.fit.beta, self.grad_floor))
+        ubf = np.maximum(U + self.fit.beta, self.grad_floor)
+        if self.keep is None:
+            gu = self.law.grad(self.yb, ubf)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gu = np.where(self.keep, self.law.grad(self.yb, ubf), 0.0)
         return _matvec(np.swapaxes(self.A, -1, -2), gu)
 
     def curvature_scale(self, U: np.ndarray):
@@ -287,25 +325,14 @@ class _FitModel:
 
         Evaluated no closer to the boundary than the half-data point
         u ~ (y+1)/2: the solution sits near u ~ y, and backtracking owns
-        correctness for whatever this estimate misses.  0 without rows.
+        correctness for whatever this estimate misses.  0 without kept rows.
         """
         ub = np.maximum(U + self.fit.beta, 0.5 * (self.yb + 1.0))
-        c = np.max(self.law.curvature(self.yb, ub), axis=-1, initial=0.0)
+        c = self.law.curvature(self.yb, ub)
+        if self.keep is not None:
+            c = np.where(self.keep, c, 0.0)
+        c = np.max(c, axis=-1, initial=0.0)
         return c if c.ndim else float(c)
-
-
-def _spectral_norm_sq(A: np.ndarray, iters: int = 40) -> float:
-    """Largest squared singular value by (deterministic) power iteration."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(A @ v) ** 2)
 
 
 def _default_start(basis: OrthonormalBasis, counts: np.ndarray):
@@ -364,8 +391,8 @@ def _next_momentum(t: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
 
 
-# The scalar loop's momentum sequence, which restarts from t = 1: entry i is
-# t after i steps.  A pure function of i, so one table serves every solve;
+# The FISTA momentum sequence, which restarts from t = 1: entry i is t after
+# i steps.  A pure function of i, so one table serves every solve;
 # ``_momenta`` extends it on demand.
 _MOMENTA = np.array([1.0])
 
@@ -401,117 +428,9 @@ def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
     return float(np.max(np.abs(g))) if g.size else 1.0
 
 
-def solve_penalized(
-    A,
-    basis: OrthonormalBasis,
-    y,
-    fit: FitTerm,
-    lam: float,
-    cfg: SolverConfig | None = None,
-    theta0=None,
-) -> SolveResult:
-    """Proximal-gradient minimization of lam*||theta||_1 + fit(y, A theta).
-
-    Raises InfeasibleStartError when ``theta0`` violates the fit domain.
-    """
-    _check_lam(lam)
-    cfg = _config(cfg, basis)
-    A = np.asarray(A, dtype=float)
-    counts = np.asarray(getattr(y, "counts", y), dtype=float)
-    model = _FitModel.of(A, counts, fit)
-
-    if theta0 is None:
-        theta0 = _default_start(basis, counts)
-    x = np.asarray(theta0, dtype=float).copy()
-    u = model.rates(x)
-    f_x = model.value(u)
-    if not math.isfinite(f_x):
-        raise InfeasibleStartError("starting point violates the fit domain")
-    return _descend(model, lam, cfg, _spectral_norm_sq(model.A), x, u, f_x)
-
-
-def _descend(model: _FitModel, lam, cfg: SolverConfig, norm_sq: float, x, u, f_x) -> SolveResult:
-    """The loop of ``solve_penalized`` from a feasible start x with rates u
-    and fit value f_x; ``norm_sq`` is the squared spectral norm of ``model.A``."""
-    L = norm_sq * model.curvature_scale(u)
-    eta = 1.0 / L if L > 0.0 else 1.0
-
-    F_cur = f_x + lam * float(np.sum(np.abs(x)))
-    trace = [F_cur]
-    z = x.copy()
-    t_momentum = 1.0
-    converged = False
-    flat_count = 0
-    bt = cfg.backtrack_factor
-    iterations = 0
-
-    for iterations in range(1, cfg.max_iters + 1):
-        eta = min(eta / bt, 1e18)  # let the step recover after conservative phases
-
-        u_base = model.rates(z)
-        f_base = model.value(u_base)
-        if math.isfinite(f_base):
-            base = z
-        else:
-            base, u_base, f_base = x, u, f_x
-            z = x.copy()
-            t_momentum = 1.0
-        g_base = model.grad_theta(u_base)
-
-        accepted = None
-        for attempt in range(2):  # second pass restarts from x on non-monotone step
-            eta_try = eta
-            for _ in range(_MAX_TRIES):
-                cand = _prox(base - eta_try * g_base, eta_try * lam, cfg)
-                d = cand - base
-                u_cand = model.rates(cand)
-                f_cand = model.value(u_cand)
-                if math.isfinite(f_cand):
-                    quad = f_base + float(g_base @ d) + float(d @ d) / (2.0 * eta_try)
-                    if f_cand <= quad + 1e-12 * max(1.0, abs(quad)):
-                        break
-                eta_try *= bt
-            else:
-                cand = None
-            if cand is None:
-                break
-            F_cand = f_cand + lam * float(np.sum(np.abs(cand)))
-            if F_cand <= F_cur:
-                accepted = (cand, u_cand, f_cand, F_cand, d, eta_try)
-                break
-            # Monotone restart: drop the momentum point and retry from x.
-            if base is x:
-                break
-            base, u_base, f_base = x, u, f_x
-            g_base = model.grad_theta(u_base)
-            z = x.copy()
-            t_momentum = 1.0
-
-        if accepted is None:
-            converged = True  # no descent step exists at any step size
-            break
-        cand, u_cand, f_cand, F_cand, d, eta = accepted
-
-        grad_map = float(np.linalg.norm(d)) / eta
-        rel_change = abs(F_cur - F_cand) / max(1.0, abs(F_cand))
-        flat_count = flat_count + 1 if rel_change < cfg.objective_tol else 0
-
-        t_next = _next_momentum(t_momentum)
-        z = cand + ((t_momentum - 1.0) / t_next) * (cand - x)
-        t_momentum = t_next
-        x, u, f_x, F_cur = cand, u_cand, f_cand, F_cand
-        trace.append(F_cur)
-
-        if flat_count >= 5 or grad_map < cfg.grad_tol:
-            converged = True
-            break
-
-    return SolveResult(theta_star=x, objective_trace=trace, iterations=iterations,
-                       converged=converged, lambda_used=lam)
-
-
 def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
-    """``_spectral_norm_sq`` of every matrix in a (K, N, m) stack."""
+    """Largest squared singular value of every matrix in a (K, N, m) stack,
+    by (deterministic) power iteration."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(A.shape[2])
     v /= np.linalg.norm(v)
@@ -525,20 +444,21 @@ def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
         V = W / nw[:, None]
     AV = _matvec(A, V)
     norms = np.sqrt(_rowdot(AV, AV))
-    # Python's float power, as in the scalar version: pow(x, 2) and x*x can
-    # differ in the last bit.
+    # Python's float power: pow(x, 2) and x*x can differ in the last bit, and
+    # this one keeps every step size, and so every past output, bit-identical.
     return np.array([0.0 if z else n**2 for z, n in zip(null.tolist(), norms.tolist())])
 
 
 def _backtrack(stack: _FitModel, base, f_base, G, eta, lam, cfg):
-    """The backtracking search of the scalar loop, for every row of a stack.
+    """The backtracking line search, for every row of a stack.
 
     Each pass tries the next ``_BLOCK`` step sizes of every row still
-    searching at once, and a row keeps the first one the scalar loop would
-    accept.  The step sizes come by repeated multiplication, as in the
-    scalar loop, so every row sees the same sequence bit for bit.  Returns
-    (found, cand, d, u_cand, f_cand, eta_try); rows not found hold their last
-    rejected try and the step size after it.
+    searching at once, and a row keeps the first one it accepts, as a search
+    of one try per pass would.  The step sizes come by repeated
+    multiplication, as one try at a time makes them: powers of the factor
+    can differ in the last bit, and this sequence keeps every past output
+    bit-identical.  Returns (found, cand, d, u_cand, f_cand, eta_try); rows
+    not found hold their last rejected try and the step size after it.
     """
     bt = cfg.backtrack_factor
     # The rows still searching, and their inputs with a step-size axis.
@@ -582,9 +502,9 @@ def _backtrack(stack: _FitModel, base, f_base, G, eta, lam, cfg):
 def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
     """The solves of K chains, chain k on problem k, as the rows of one stack.
 
-    ``models`` are the problems' fit models, whose kept operators have equal
+    ``models`` are the problems' fit models, whose operators have equal
     shapes, and ``requests`` the first (lam, warm start) of every chain.
-    Every pass advances each row by one iteration of the scalar loop, with
+    Every pass advances each row by one proximal-gradient iteration, with
     its own step size, momentum, restarts, stopping test and iteration
     count.  When a row's solve stops, its chain is sent the result and the
     chain's next solve starts on the row in the same pass, on the stacked
@@ -608,7 +528,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
 
     seed, leave = list(enumerate(requests)), []
     while True:
-        # Start each requested solve on its row, as the scalar loop starts it.
+        # Start each requested solve on its row.
         for j, (lam_j, warm) in seed:
             _check_lam(lam_j)
             k = owner[j]
@@ -684,19 +604,6 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
                 leave.append(j)
 
 
-def _run_alone(model: _FitModel, basis, counts, chain, request, cfg):
-    """The solves of one chain on one problem, through the scalar loop."""
-    norm_sq = _spectral_norm_sq(model.A)
-    while True:
-        lam, warm = request
-        _check_lam(lam)
-        res = _descend(model, lam, cfg, norm_sq, *_start(model, basis, counts, warm))
-        try:
-            request = chain.send(res)
-        except StopIteration as stop:
-            return stop.value
-
-
 def solve_chains(
     A,
     basis: OrthonormalBasis,
@@ -710,13 +617,12 @@ def solve_chains(
     A chain is a generator: it yields each solve it needs as (lam, warm
     start), is sent that solve's ``SolveResult``, and returns its own result.
     A warm start that is None or violates the fit domain is replaced by the
-    default start.  Problems whose kept operators have equal shapes run as
-    the rows of one vectorized loop; a problem whose solve stops starts its
-    chain's next solve in the same pass, so no chain waits for another.  A
-    problem alone in its group runs the scalar loop, which is faster for one
-    problem.  Groups run one after another, in the order of their first
-    problem.  Every solve is bit-identical to ``solve_penalized`` from the
-    start used.  Returns each chain's result.
+    default start.  Problems whose operators have equal shapes run as the
+    rows of one vectorized loop; a problem whose solve stops starts its
+    chain's next solve in the same pass, so no chain waits for another.
+    Groups run one after another, in the order of their first problem.
+    Every solve is bit-identical to solving its problem alone from the start
+    used.  Returns each chain's result.
     """
     cfg = _config(cfg, basis)
     A = [np.asarray(a, dtype=float) for a in A]
@@ -733,21 +639,15 @@ def solve_chains(
             requests[k] = next(chain)
         except StopIteration as stop:
             results[k] = stop.value
-    models = {k: _FitModel.of(A[k], counts[k], fit) for k in requests}
-    # Rows are dropped per problem (zero A-rows; zero counts for SNLL and
-    # GenKL at beta = 0), and padding them back would change the sums.
     groups: dict[tuple, list[int]] = {}
-    for k, model in models.items():
-        groups.setdefault(model.A.shape, []).append(k)
+    for k in requests:
+        groups.setdefault(A[k].shape, []).append(k)
 
     for rows in groups.values():
-        if len(rows) == 1:
-            k = rows[0]
-            results[k] = _run_alone(models[k], basis, counts[k], chains[k], requests[k], cfg)
-            continue
         with np.errstate(divide="ignore", invalid="ignore"):
-            solved = _lockstep([models[k] for k in rows], basis, [counts[k] for k in rows],
-                               [chains[k] for k in rows], [requests[k] for k in rows], cfg)
+            solved = _lockstep([_FitModel.of(A[k], counts[k], fit) for k in rows], basis,
+                               [counts[k] for k in rows], [chains[k] for k in rows],
+                               [requests[k] for k in rows], cfg)
         for k, value in zip(rows, solved):
             results[k] = value
     return results
@@ -767,7 +667,8 @@ def solve_penalized_batch(
     cfg: SolverConfig | None = None,
     theta0=None,
 ) -> list[SolveResult]:
-    """``solve_penalized`` on K independent problems that share a basis and a fit.
+    """Proximal-gradient minimization of lam*||theta||_1 + fit(y, A theta) on
+    K independent problems that share a basis and a fit.
 
     ``A`` holds one (N_k, m) operator per problem, as a list or a (K, N, m)
     stack; ``ys``, ``lams`` and ``theta0`` hold one count vector, weight and
@@ -785,6 +686,29 @@ def solve_penalized_batch(
         _check_lam(lam)
     return solve_chains(A, basis, ys, fit, [_one_solve(lam, warm)
                                             for lam, warm in zip(lams, theta0)], cfg)
+
+
+def solve_penalized(
+    A,
+    basis: OrthonormalBasis,
+    y,
+    fit: FitTerm,
+    lam: float,
+    cfg: SolverConfig | None = None,
+    theta0=None,
+) -> SolveResult:
+    """``solve_penalized_batch`` on one problem.
+
+    Raises InfeasibleStartError when ``theta0`` violates the fit domain.
+    """
+    _check_lam(lam)
+    _config(cfg, basis)
+    if theta0 is not None:
+        A = np.asarray(A, dtype=float)
+        model = _FitModel.of(A, np.asarray(getattr(y, "counts", y), dtype=float), fit)
+        if not math.isfinite(model.value(model.rates(np.asarray(theta0, dtype=float)))):
+            raise InfeasibleStartError("starting point violates the fit domain")
+    return solve_penalized_batch([A], basis, [y], fit, [lam], cfg, [theta0])[0]
 
 
 def _sqjsd_of(A, counts, theta, beta: float) -> float:
@@ -834,10 +758,10 @@ def solve_p2_batch(
     search runs its penalized solves back to back and result k is
     bit-identical to ``solve_p2`` on problem k alone.  An infeasible radius
     raises ``InfeasibleEpsilonError`` from the first search whose first
-    solve shows it: searches on equally shaped kept operators run together,
-    such groups run in the order of their first problem, and within a group
-    the search whose first solve ends in the earliest pass raises (the
-    lowest index on a tie).
+    solve shows it: searches on equally shaped operators run together, such
+    groups run in the order of their first problem, and within a group the
+    search whose first solve ends in the earliest pass raises (the lowest
+    index on a tie).
     """
     cfg = _config(cfg, basis)
     K = len(A)
@@ -845,6 +769,13 @@ def solve_p2_batch(
         raise LengthMismatchError(f"{K} operators need as many counts and radii")
     if not all(eps > 0.0 and math.isfinite(eps) for eps in epsilons):
         raise InvalidParamError("epsilon must be finite and > 0")
+    # NaN fails the comparison, so it is rejected too.
+    if not (0.0 < constraint_rtol < 1.0):
+        raise InvalidParamError(
+            f"constraint_rtol must be finite and in (0, 1), got {constraint_rtol!r}")
+    if not (isinstance(max_bisect, numbers.Integral) and not isinstance(max_bisect, bool)
+            and max_bisect >= 0):
+        raise InvalidParamError(f"max_bisect must be an integer >= 0, got {max_bisect!r}")
     A = [np.asarray(a, dtype=float) for a in A]
     counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
     fit = FitTerm(FitKind.JSD, beta)

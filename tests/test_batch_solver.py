@@ -1,7 +1,11 @@
-"""The batched penalized and P2 solvers against the scalar ones, bit for bit."""
+"""The batched penalized and P2 solvers against plain one-problem references, bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_cs import solvers
 from poisson_cs.errors import (
@@ -16,6 +20,7 @@ from poisson_cs.solvers import (
     FitKind,
     FitTerm,
     SolverConfig,
+    fit_value_and_gradient,
     gradient_scale,
     solve_chains,
     solve_p2,
@@ -54,14 +59,119 @@ def count_stacks(monkeypatch):
     return stacked
 
 
+def reference_norm_sq(A, iters=40):
+    """Largest squared singular value of one operator by the power iteration
+    of ``solvers._spectral_norms_sq``, one matrix at a time."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(A.shape[1])
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        w = A.T @ (A @ v)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+    return float(np.linalg.norm(A @ v) ** 2)
+
+
+def reference_descend(A, basis, y, fit, lam, cfg, theta0=None):
+    """The penalized solve on one problem, one plain iteration at a time: the
+    reference for the rows of ``solvers._lockstep``.  Raises
+    InfeasibleStartError when the start violates the fit domain."""
+    counts = np.asarray(getattr(y, "counts", y), dtype=float)
+    model = solvers._FitModel.of(np.asarray(A, dtype=float), counts, fit)
+    if theta0 is None:
+        theta0 = solvers._default_start(basis, counts)
+    x = np.asarray(theta0, dtype=float).copy()
+    u = model.rates(x)
+    f_x = model.value(u)
+    if not math.isfinite(f_x):
+        raise InfeasibleStartError("starting point violates the fit domain")
+
+    L = reference_norm_sq(model.A) * model.curvature_scale(u)
+    eta = 1.0 / L if L > 0.0 else 1.0
+    F_cur = f_x + lam * float(np.sum(np.abs(x)))
+    trace = [F_cur]
+    z = x.copy()
+    t_momentum = 1.0
+    converged = False
+    flat_count = 0
+    bt = cfg.backtrack_factor
+    iterations = 0
+
+    for iterations in range(1, cfg.max_iters + 1):
+        eta = min(eta / bt, 1e18)  # let the step recover after conservative phases
+
+        u_base = model.rates(z)
+        f_base = model.value(u_base)
+        if math.isfinite(f_base):
+            base = z
+        else:
+            base, u_base, f_base = x, u, f_x
+            z = x.copy()
+            t_momentum = 1.0
+        g_base = model.grad_theta(u_base)
+
+        accepted = None
+        for attempt in range(2):  # second pass restarts from x on non-monotone step
+            eta_try = eta
+            for _ in range(solvers._MAX_TRIES):
+                cand = solvers._prox(base - eta_try * g_base, eta_try * lam, cfg)
+                d = cand - base
+                u_cand = model.rates(cand)
+                f_cand = model.value(u_cand)
+                if math.isfinite(f_cand):
+                    quad = f_base + float(g_base @ d) + float(d @ d) / (2.0 * eta_try)
+                    if f_cand <= quad + 1e-12 * max(1.0, abs(quad)):
+                        break
+                eta_try *= bt
+            else:
+                cand = None
+            if cand is None:
+                break
+            F_cand = f_cand + lam * float(np.sum(np.abs(cand)))
+            if F_cand <= F_cur:
+                accepted = (cand, u_cand, f_cand, F_cand, d, eta_try)
+                break
+            # Monotone restart: drop the momentum point and retry from x.
+            if base is x:
+                break
+            base, u_base, f_base = x, u, f_x
+            g_base = model.grad_theta(u_base)
+            z = x.copy()
+            t_momentum = 1.0
+
+        if accepted is None:
+            converged = True  # no descent step exists at any step size
+            break
+        cand, u_cand, f_cand, F_cand, d, eta = accepted
+
+        grad_map = float(np.linalg.norm(d)) / eta
+        rel_change = abs(F_cur - F_cand) / max(1.0, abs(F_cand))
+        flat_count = flat_count + 1 if rel_change < cfg.objective_tol else 0
+
+        t_next = solvers._next_momentum(t_momentum)
+        z = cand + ((t_momentum - 1.0) / t_next) * (cand - x)
+        t_momentum = t_next
+        x, u, f_x, F_cur = cand, u_cand, f_cand, F_cand
+        trace.append(F_cur)
+
+        if flat_count >= 5 or grad_map < cfg.grad_tol:
+            converged = True
+            break
+
+    return solvers.SolveResult(theta_star=x, objective_trace=trace, iterations=iterations,
+                               converged=converged, lambda_used=lam)
+
+
 def scalar_reference(A, basis, y, fit, lam, cfg, warm):
-    """The scalar solve from ``warm``, or from the default start when it is infeasible."""
+    """The reference solve from ``warm``, or from the default start when it is infeasible."""
     if warm is not None:
         try:
-            return solve_penalized(A, basis, y, fit, lam, cfg, theta0=warm), False
+            return reference_descend(A, basis, y, fit, lam, cfg, theta0=warm), False
         except InfeasibleStartError:
             pass
-    return solve_penalized(A, basis, y, fit, lam, cfg), warm is not None
+    return reference_descend(A, basis, y, fit, lam, cfg), warm is not None
 
 
 def check_batch_matches_scalar(kind, beta, seed, canonical, monkeypatch, backtrack_factor=0.5):
@@ -152,7 +262,7 @@ def sequential_backtrack(stack, base, f_base, G, eta, lam, cfg):
 @pytest.mark.parametrize("backtrack_factor", [0.1, 0.5, 0.9])
 def test_block_backtracking_matches_one_try_per_pass(kind, backtrack_factor):
     basis = dct2_basis(5)
-    fit = FitTerm(kind, 0.4)  # beta > 0 keeps every row, so the kept shapes agree
+    fit = FitTerm(kind, 0.4)
     cfg = SolverConfig(backtrack_factor=backtrack_factor)
     tries = []
     for seed in (8, 9, 10):
@@ -192,10 +302,88 @@ def test_rows_hitting_the_iteration_cap():
     lams = [1e-4 * gradient_scale(A[k], basis, ys[k], fit) for k in range(5)]
     batch = solve_penalized_batch(A, basis, ys, fit, lams, cfg)
     for k in range(5):
-        ref = solve_penalized(A[k], basis, ys[k], fit, lams[k], cfg)
+        ref = reference_descend(A[k], basis, ys[k], fit, lams[k], cfg)
         assert np.array_equal(batch[k].theta_star, ref.theta_star)
         assert (batch[k].iterations, batch[k].converged) == (ref.iterations, ref.converged)
     assert not all(r.converged for r in batch)
+
+
+@pytest.mark.parametrize("kind", [FitKind.SNLL, FitKind.GEN_KL])
+@pytest.mark.parametrize("canonical", [False, True])
+def test_rows_masked_for_zero_counts_share_one_stack(kind, canonical, monkeypatch):
+    # At beta = 0 these fits leave zero-count rows out, and one operator row
+    # is zeroed; the problems mask different numbers of rows, yet run as one
+    # stack, and each solve is the solve of its problem alone.
+    if canonical:
+        basis, cfg = identity_basis(30), SolverConfig(max_iters=300, nonneg_signal=True)
+    else:
+        basis, cfg = dct2_basis(5), SolverConfig(max_iters=300)
+    fit = FitTerm(kind)
+    A, ys, rng = make_problems(basis, 12, intensities=[15.0, 25.0, 40.0, 60.0, 1e3, 1e5])
+    A[4, 3] = 0.0
+    K = len(ys)
+    masked = [int(np.sum((y.counts == 0) | ~np.any(a != 0.0, axis=1))) for a, y in zip(A, ys)]
+    assert len(set(masked)) >= 4 and 0 in masked
+    lams = [float(10 ** rng.uniform(-3.0, -1.0) * gradient_scale(A[k], basis, ys[k], fit))
+            for k in range(K)]
+
+    stacked = count_stacks(monkeypatch)
+    batch = solve_penalized_batch(A, basis, ys, fit, lams, cfg)
+    assert stacked == [K]
+    for k in range(K):
+        alone = solve_penalized(A[k], basis, ys[k], fit, lams[k], cfg)
+        for ref in (reference_descend(A[k], basis, ys[k], fit, lams[k], cfg), alone):
+            got = batch[k]
+            assert np.array_equal(got.theta_star, ref.theta_star), k
+            assert (got.iterations, got.converged) == (ref.iterations, ref.converged), k
+            assert got.objective_trace == ref.objective_trace, k
+            assert got.lambda_used == ref.lambda_used, k
+    assert len({r.iterations for r in batch}) > 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_intensity=st.floats(0.0, 8.0),
+       zero_rate=st.floats(0.0, 0.9), dead_rate=st.floats(0.0, 0.3),
+       kind=st.sampled_from(list(FitKind)), beta=st.sampled_from([0.0, 0.3]))
+def test_masked_model_is_the_fit_on_the_kept_rows(seed, log_intensity, zero_rate, dead_rate,
+                                                  kind, beta):
+    rng = np.random.default_rng(seed)
+    N, m = 24, 12
+    fit = FitTerm(kind, beta)
+    problems = []
+    for _ in range(2):
+        A = rng.uniform(0.0, 1.0, (N, m)) * (rng.uniform(size=(N, m)) < 0.6)
+        A[rng.uniform(size=N) < dead_rate] = 0.0
+        theta = rng.uniform(0.5, 1.5, m) * 10.0 ** log_intensity / m
+        u = A @ theta
+        counts = rng.poisson(u).astype(float)
+        counts[rng.uniform(size=N) < zero_rate] = 0.0
+        problems.append((A, counts, u))
+
+    models = []
+    for A, counts, u in problems:
+        model = solvers._FitModel.of(A, counts, fit)
+        models.append(model)
+        keep = np.any(A != 0.0, axis=1)
+        if beta == 0.0 and kind is not FitKind.JSD:
+            keep &= counts > 0
+        if not keep.any():
+            assert model.value(u) == 0.0 and not np.any(model.grad_theta(u))
+            continue
+        value, gu = fit_value_and_gradient(fit, counts[keep], u[keep])
+        assert model.value(u) == pytest.approx(value, rel=1e-12)
+        # Relative to the size of the summed terms: a coordinate whose terms
+        # cancel has no relative accuracy to compare.
+        grad = model.grad_theta(u)
+        want = A[keep].T @ gu
+        assert np.all(np.abs(grad - want) <= 1e-12 * (np.abs(A[keep].T) @ np.abs(gu)))
+    # In a stack with a problem of another mask, each row keeps its own bits.
+    stack = solvers._FitModel.stack(models)
+    U = np.stack([u for _, _, u in problems])
+    values, grads = stack.value(U), stack.grad_theta(U)
+    for k, model in enumerate(models):
+        assert values[k] == model.value(U[k])
+        assert np.array_equal(grads[k], model.grad_theta(U[k]))
 
 
 def logged_chain(log, steps):
@@ -319,13 +507,25 @@ def test_p2_batch_raises_for_an_infeasible_radius(canonical):
     assert str(batched.value) == str(single.value)
 
 
-def test_p2_batch_validates_its_inputs():
+def test_p2_batch_validates_its_inputs(monkeypatch):
     basis, cfg = p2_setting(False)
     A, ys, _ = make_problems(basis, 6, K=2)
     with pytest.raises(LengthMismatchError):
         solve_p2_batch(A, basis, ys, [1.0], cfg)
     with pytest.raises(InvalidParamError):
         solve_p2_batch(A, basis, ys, [1.0, float("nan")], cfg)
+    # Each is rejected by name before any solve starts.
+    stacked = count_stacks(monkeypatch)
+    eps = choose_epsilon("theory", A.shape[1])
+    for name, value in [("constraint_rtol", float("nan")), ("constraint_rtol", -0.5),
+                        ("constraint_rtol", 0.0), ("constraint_rtol", 1.0),
+                        ("constraint_rtol", 2.0), ("constraint_rtol", float("inf")),
+                        ("max_bisect", -3), ("max_bisect", 2.5), ("max_bisect", True)]:
+        with pytest.raises(InvalidParamError, match=name):
+            solve_p2_batch(A, basis, ys, [eps, eps], cfg, **{name: value})
+        with pytest.raises(InvalidParamError, match=name):
+            solve_p2(A[0], basis, ys[0], eps, cfg, **{name: value})
+    assert stacked == []
 
 
 def test_nonneg_signal_needs_the_identity_basis():

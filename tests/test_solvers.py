@@ -210,6 +210,15 @@ class TestSolvePenalized:
         with pytest.raises(InvalidParamError, match="beta"):
             FitTerm(FitKind.SNLL, beta)
 
+    @pytest.mark.parametrize("value", [2.5, True, False, 0, -3, "10", float("nan")])
+    def test_bad_max_iters_rejected(self, value):
+        # 2.5 used to fail later in np.empty, and True ran as one iteration.
+        with pytest.raises(InvalidParamError, match="max_iters"):
+            SolverConfig(max_iters=value)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        assert SolverConfig(max_iters=np.int64(7)).max_iters == 7
+
     @pytest.mark.parametrize("name", ["grad_tol", "objective_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
     def test_bad_tolerance_rejected(self, name, value):
@@ -272,8 +281,8 @@ class TestSolveP2:
         assert s_rerun <= eps * (1.0 + 0.01) + 1e-9
 
     def test_counts_every_solve_of_the_search(self, monkeypatch):
-        # Every solve each radius search is sent, on one problem (the scalar
-        # loop) and on three at once (the lockstep loop).
+        # Every solve each radius search is sent, on one problem (a stack of
+        # one) and on three at once (a stack of three).
         sent, stacked = [], []
         search, lockstep = solvers._radius_search, solvers._lockstep
 
@@ -298,7 +307,7 @@ class TestSolveP2:
         alone = solve_p2(problems[0][0].entries, basis, problems[0][1], eps, cfg)
         together = solve_p2_batch([phi.entries for phi, _ in problems], basis,
                                   [mv for _, mv in problems], [eps] * 3, cfg)
-        assert stacked == [3] and len(sent) == 4
+        assert stacked == [1, 3] and len(sent) == 4
         for res, solves in zip([alone, *together], sent):
             assert res.n_solves == len(solves) >= 2
             assert res.total_iterations == sum(r.iterations for r in solves)
