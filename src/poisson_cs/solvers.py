@@ -162,12 +162,9 @@ class _FitLaw:
     curvature: Callable
     closed: bool
 
-    def value(self, yb, ub, keep=None):
+    def value(self, yb, ub, keep=True):
         """The fit value; rows where ``keep`` is False add nothing."""
-        terms = self.terms(yb, ub)
-        if keep is not None:
-            terms = np.where(keep, terms, 0.0)
-        return self.weight * np.sum(terms, axis=-1)
+        return self.weight * np.where(keep, self.terms(yb, ub), 0.0).sum(axis=-1)
 
 
 _FITS = {
@@ -243,15 +240,15 @@ class _FitModel:
     Serves one problem, with an (N, m) operator and (N,) offset counts, or a
     stack of K problems, with (K, N, m) operators, (K, N) counts and (K, 1)
     gradient floors; values and curvature scales then come back per problem.
-    ``keep`` marks the rows the fit is made of, or is None when every row of
-    every problem is kept.  A row whose A-row is identically zero is constant
-    in theta and is masked out; so is a zero-count row for SNLL/GenKL at
-    beta = 0.  A masked row plays no part in the value, the domain test, the
-    gradient, the curvature scale or the gradient floor, and its A-row is
-    zeroed, so the operator's spectral norm is that of the kept rows.
+    ``keep`` marks the rows the fit is made of, with the shape of the counts.
+    A row whose A-row is identically zero is constant in theta and is masked
+    out; so is a zero-count row for SNLL/GenKL at beta = 0.  A masked row
+    plays no part in the value, the domain test, the gradient, the curvature
+    scale or the gradient floor, and its A-row is zeroed, so the operator's
+    spectral norm is that of the kept rows.
     """
 
-    def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor, keep=None):
+    def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor, keep):
         self.fit = fit
         self.law = _FITS[fit.kind]
         self.A = A
@@ -270,29 +267,26 @@ class _FitModel:
         # Boundary-gradient clip, relative to the data scale; rates this far
         # below the counts are indistinguishable from zero for the fit value.
         grad_floor = 1e-12 * (float(np.mean(kept)) + 1.0) if kept.size else 1e-12
-        if keep.all():
-            return cls(fit, A, yb, grad_floor)
-        return cls(fit, np.where(keep[:, None], A, 0.0), yb, grad_floor, keep)
+        if not keep.all():
+            A = np.where(keep[:, None], A, 0.0)
+        return cls(fit, A, yb, grad_floor, keep)
 
     @classmethod
     def stack(cls, models) -> "_FitModel":
         """The models of K problems whose operators have equal shapes."""
-        keep = None
-        if any(m.keep is not None for m in models):
-            keep = np.stack([np.ones(m.yb.shape, dtype=bool) if m.keep is None else m.keep
-                             for m in models])
         return cls(models[0].fit, np.stack([m.A for m in models]),
                    np.stack([m.yb for m in models]),
-                   np.array([[m.grad_floor] for m in models]), keep)
+                   np.array([[m.grad_floor] for m in models]),
+                   np.stack([m.keep for m in models]))
 
     def take(self, rows) -> "_FitModel":
         return _FitModel(self.fit, self.A[rows], self.yb[rows], self.grad_floor[rows],
-                         None if self.keep is None else self.keep[rows])
+                         self.keep[rows])
 
     def widen(self) -> "_FitModel":
         """A stack's model for (K, W, m) coefficients, W points per problem."""
         return _FitModel(self.fit, self.A[:, None], self.yb[:, None], self.grad_floor[:, None],
-                         None if self.keep is None else self.keep[:, None])
+                         self.keep[:, None])
 
     def rates(self, X: np.ndarray) -> np.ndarray:
         return _matvec(self.A, X)
@@ -301,10 +295,8 @@ class _FitModel:
         """Exact fit value, +inf outside the domain (see ``_FitLaw.closed``):
         a float for one problem, an array with one value per row of a stack."""
         ub = U + self.fit.beta
-        bad = ub < 0.0 if self.law.closed else ub <= 0.0
-        if self.keep is not None:
-            bad &= self.keep
-        outside = np.any(bad, axis=-1)
+        bad = (ub < 0.0 if self.law.closed else ub <= 0.0) & self.keep
+        outside = bad.any(axis=-1)
         if U.ndim == 1 and outside:
             return math.inf
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -313,11 +305,8 @@ class _FitModel:
 
     def grad_theta(self, U: np.ndarray) -> np.ndarray:
         ubf = np.maximum(U + self.fit.beta, self.grad_floor)
-        if self.keep is None:
-            gu = self.law.grad(self.yb, ubf)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gu = np.where(self.keep, self.law.grad(self.yb, ubf), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gu = np.where(self.keep, self.law.grad(self.yb, ubf), 0.0)
         return _matvec(np.swapaxes(self.A, -1, -2), gu)
 
     def curvature_scale(self, U: np.ndarray):
@@ -328,10 +317,8 @@ class _FitModel:
         correctness for whatever this estimate misses.  0 without kept rows.
         """
         ub = np.maximum(U + self.fit.beta, 0.5 * (self.yb + 1.0))
-        c = self.law.curvature(self.yb, ub)
-        if self.keep is not None:
-            c = np.where(self.keep, c, 0.0)
-        c = np.max(c, axis=-1, initial=0.0)
+        c = np.max(np.where(self.keep, self.law.curvature(self.yb, ub), 0.0),
+                   axis=-1, initial=0.0)
         return c if c.ndim else float(c)
 
 
@@ -345,22 +332,26 @@ def _default_start(basis: OrthonormalBasis, counts: np.ndarray):
     return basis.analyze(x0)
 
 
+def _point(model: _FitModel, theta):
+    """A copy of ``theta`` with its rates and fit value, which is finite
+    exactly when ``theta`` is a feasible start."""
+    x = np.array(theta, dtype=float)
+    u = model.rates(x)
+    return x, u, model.value(u)
+
+
 def _start(model: _FitModel, basis: OrthonormalBasis, counts: np.ndarray, warm):
     """The start of a solve from ``warm``: ``warm`` where the fit is finite
-    there, else the default start.  Returns the start with its rates and fit
-    value, which the solve then starts from without evaluating them again."""
+    there, else the default start, as ``_point`` gives it; the solve starts
+    from these rates and value without evaluating them again."""
     if warm is not None:
-        x = np.array(warm, dtype=float)
-        u = model.rates(x)
-        f_x = model.value(u)
-        if math.isfinite(f_x):
-            return x, u, f_x
-    x = _default_start(basis, counts)
-    u = model.rates(x)
-    f_x = model.value(u)
-    if not math.isfinite(f_x):
+        start = _point(model, warm)
+        if math.isfinite(start[2]):
+            return start
+    start = _point(model, _default_start(basis, counts))
+    if not math.isfinite(start[2]):
         raise InfeasibleStartError("the default start violates the fit domain")
-    return x, u, f_x
+    return start
 
 
 def _check_lam(lam) -> None:
@@ -465,10 +456,9 @@ def _backtrack(stack: _FitModel, base, f_base, G, eta, lam, cfg):
     rows = out = None
     base, G, f_base, lam = base[:, None], G[:, None], f_base[:, None], lam[:, None]
     for _ in range(_MAX_TRIES // _BLOCK):
-        E = np.empty((eta.size, _BLOCK))
+        E = np.full((eta.size, _BLOCK), bt)
         E[:, 0] = eta
-        for j in range(1, _BLOCK):
-            E[:, j] = E[:, j - 1] * bt
+        np.multiply.accumulate(E, axis=1, out=E)
         C = _prox(base - E[..., None] * G, (E * lam)[..., None], cfg)
         D = C - base
         wide = stack.widen()
@@ -559,18 +549,18 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
             f_base[at_x] = f_x[at_x]
         found, cand, d, u_cand, f_cand, eta_try = _backtrack(
             stack, Z, f_base, stack.grad_theta(u_base), eta, lam, cfg)
-        F_cand = f_cand + lam * np.sum(np.abs(cand), axis=-1)
+        F_cand = f_cand + lam * np.abs(cand).sum(axis=-1)
         accepted = found & (F_cand <= F_cur)
 
         # Monotone restart: drop the momentum point and retry from x.
-        retry = np.flatnonzero(found & ~accepted & ~at_x)
+        retry = (found & ~accepted & ~at_x).nonzero()[0]
         if retry.size:
             step[retry] = 0
             sub = stack.take(retry)
             r_found, r_cand, r_d, r_u, r_f, r_eta = _backtrack(
                 sub, X[retry], f_x[retry], sub.grad_theta(U[retry]), eta[retry],
                 lam[retry], cfg)
-            r_F = r_f + lam[retry] * np.sum(np.abs(r_cand), axis=-1)
+            r_F = r_f + lam[retry] * np.abs(r_cand).sum(axis=-1)
             accepted[retry] = r_found & (r_F <= F_cur[retry])
             cand[retry], d[retry], u_cand[retry] = r_cand, r_d, r_u
             f_cand[retry], F_cand[retry], eta_try[retry] = r_f, r_F, r_eta
@@ -586,12 +576,11 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
         it += 1
         X = np.where(accepted[:, None], cand, X)
         U, f_x, F_cur, eta = u_cand, f_cand, F_cand, eta_try
-        moved = np.flatnonzero(accepted)
-        trace[moved, it[moved]] = F_cand[moved]
+        trace[accepted, it[accepted]] = F_cand[accepted]
 
         done = ~accepted | (flat >= 5) | (grad_map < cfg.grad_tol)
         seed, leave = [], []
-        for j in np.flatnonzero(done | (it >= cfg.max_iters)).tolist():
+        for j in (done | (it >= cfg.max_iters)).nonzero()[0].tolist():
             k = owner[j]
             n = int(it[j])
             res = SolveResult(theta_star=X[j].copy(),
@@ -701,12 +690,10 @@ def solve_penalized(
 
     Raises InfeasibleStartError when ``theta0`` violates the fit domain.
     """
-    _check_lam(lam)
-    _config(cfg, basis)
     if theta0 is not None:
         A = np.asarray(A, dtype=float)
         model = _FitModel.of(A, np.asarray(getattr(y, "counts", y), dtype=float), fit)
-        if not math.isfinite(model.value(model.rates(np.asarray(theta0, dtype=float)))):
+        if not math.isfinite(_point(model, theta0)[2]):
             raise InfeasibleStartError("starting point violates the fit domain")
     return solve_penalized_batch([A], basis, [y], fit, [lam], cfg, [theta0])[0]
 
