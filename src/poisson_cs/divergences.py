@@ -40,6 +40,9 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# The error state of every evaluation of a term with a discarded branch.
+_QUIET = {"divide": "ignore", "invalid": "ignore"}
+
 # Above this length, plain pairwise summation is replaced by compensated
 # summation: sweep experiments sum many near-cancelling terms.
 _FSUM_THRESHOLD = 10_000
@@ -139,10 +142,9 @@ def _xlog_self_ratio(x: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Termwise x * log(x/other) with 0*log(0) = 0.
 
     Caller guarantees other > 0 wherever x > 0; the discarded branch at
-    x = 0 may be nan.
+    x = 0 may be nan, so callers hold ``np.errstate(**_QUIET)``.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > 0.0, _xlog_ratio(x, other), 0.0)
+    return np.where(x > 0.0, _xlog_ratio(x, other), 0.0)
 
 
 def _gen_kl_terms(y: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -171,20 +173,27 @@ def kl(p, q) -> DivergenceValue:
     pos = p > 0.0
     if np.any(q[pos] == 0.0):
         raise DomainError("kl undefined: p_i > 0 where q_i = 0")
-    return DivergenceValue(_accumulate(_xlog_self_ratio(p, q)), DivergenceKind.KL)
+    with np.errstate(**_QUIET):
+        terms = _xlog_self_ratio(p, q)
+    return DivergenceValue(_accumulate(terms), DivergenceKind.KL)
 
 
 def _jsd_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # 2 J(p,q) = sum_i [ p log(2p/(p+q)) + q log(2q/(p+q)) ], termwise on
     # arrays of any shape; callers halve the sum (exact in floating point).
-    # log(2p/(p+q)) = log1p((p-q)/(p+q)) keeps full precision when p ~ q,
-    # which is the regime of every high-intensity Poisson experiment.  Each
-    # product is kept only where its front factor is positive (then the log1p
-    # argument is strictly above -1); the discarded branch may be -inf or nan.
-    s = p + q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(p > 0.0, p * np.log1p((p - q) / s), 0.0)
-        out += np.where(q > 0.0, q * np.log1p((q - p) / s), 0.0)
+    # log(2p/(p+q)) = log1p(d) with d = (p-q)/(p+q) keeps full precision when
+    # p ~ q, which is the regime of every high-intensity Poisson experiment;
+    # the q-term's argument is -d, since q-p = -(p-q) exactly.  Each product
+    # is kept only where its front factor is positive (then the log1p argument
+    # is strictly above -1); the discarded branch may be -inf or nan, so
+    # callers hold np.errstate(**_QUIET).
+    d = p - q
+    d /= p + q
+    out = np.where(p > 0.0, p * np.log1p(d), 0.0)
+    np.negative(d, out=d)
+    np.log1p(d, out=d)
+    d *= q
+    out += np.where(q > 0.0, d, 0.0)
     return out
 
 
@@ -194,7 +203,9 @@ def jsd(p, q) -> DivergenceValue:
     Finite for any pair of non-negative vectors and symmetric in (p, q).
     """
     p, q = _pair(p, q)
-    return DivergenceValue(0.5 * _accumulate(_jsd_terms(p, q)), DivergenceKind.JSD)
+    with np.errstate(**_QUIET):
+        terms = _jsd_terms(p, q)
+    return DivergenceValue(0.5 * _accumulate(terms), DivergenceKind.JSD)
 
 
 def sqjsd(p, q) -> DivergenceValue:
@@ -227,12 +238,15 @@ def jsd_rowwise(P, q) -> np.ndarray:
             # Row i of the table holds the terms of counts lo[i] .. lo[i] +
             # width - 1 against q[i]; entry (r, i) is at flat position
             # i * width + P[r, i] - lo[i].
-            table = _jsd_terms(lo[:, None] + np.arange(width, dtype=float), q[:, None])
+            with np.errstate(**_QUIET):
+                table = _jsd_terms(lo[:, None] + np.arange(width, dtype=float), q[:, None])
             terms = table.ravel().take(P + (np.arange(P.shape[1]) * width - lo))
             return np.maximum(0.5 * np.sum(terms, axis=-1), 0.0)
     P = P.astype(float, copy=False)
     Q = np.broadcast_to(q, P.shape)
-    return np.maximum(0.5 * np.sum(_jsd_terms(P, Q), axis=-1), 0.0)
+    with np.errstate(**_QUIET):
+        terms = _jsd_terms(P, Q)
+    return np.maximum(0.5 * np.sum(terms, axis=-1), 0.0)
 
 
 def gen_kl(y, u) -> DivergenceValue:
@@ -241,7 +255,9 @@ def gen_kl(y, u) -> DivergenceValue:
     pos = y > 0.0
     if np.any(u[pos] == 0.0):
         raise DomainError("gen_kl undefined: y_i > 0 where u_i = 0")
-    return DivergenceValue(_accumulate(_gen_kl_terms(y, u)), DivergenceKind.GEN_KL)
+    with np.errstate(**_QUIET):
+        terms = _gen_kl_terms(y, u)
+    return DivergenceValue(_accumulate(terms), DivergenceKind.GEN_KL)
 
 
 def total_variation(p, q) -> DivergenceValue:
@@ -284,7 +300,8 @@ def nll_approx(y, u) -> DivergenceValue:
         raise DomainError("nll_approx undefined for zero counts (log y_i term)")
     if np.any(u == 0.0):
         raise DomainError("nll_approx requires u_i > 0")
-    terms = _gen_kl_terms(y, u) + 0.5 * np.log(y) + 0.5 * LOG_2PI
+    with np.errstate(**_QUIET):
+        terms = _gen_kl_terms(y, u) + 0.5 * np.log(y) + 0.5 * LOG_2PI
     return DivergenceValue(_accumulate(terms), DivergenceKind.NLL_APPROX)
 
 

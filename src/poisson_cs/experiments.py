@@ -97,6 +97,18 @@ def _check_positive(name: str, value) -> None:
         raise InvalidParamError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    # bool is an Integral, but True is no count.
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise InvalidParamError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+# The ExperimentSpec fields that count something, each at least 1.
+_COUNT_FIELDS = ("trials", "workers", "dim", "n_measurements", "sparsity", "patch", "stride",
+                 "max_iters", "lambda_points")
+
+
 @dataclass
 class ExperimentSpec:
     """Declarative description of one experiment run."""
@@ -122,10 +134,12 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
-            raise InvalidParamError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if self.workers < 1:
-            raise InvalidParamError("workers must be >= 1")
+        for name in _COUNT_FIELDS:
+            _check_integer(name, getattr(self, name), 1)
+        if self.image_size is not None:
+            _check_integer("image_size", self.image_size, 1)
+        # SeedSequence takes non-negative entropy only.
+        _check_integer("master_seed", self.master_seed, 0)
         if self.solver not in ("P2", "P4", "P5", "P6"):
             raise InvalidParamError(f"unknown solver {self.solver!r}")
         if self.lambda_mode not in ("omniscient", "fixed"):
@@ -138,11 +152,6 @@ class ExperimentSpec:
         if not (isinstance(self.beta, numbers.Real) and self.beta >= 0.0
                 and math.isfinite(self.beta)):
             raise InvalidParamError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
-            raise InvalidParamError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (isinstance(self.lambda_points, numbers.Integral) and self.lambda_points >= 1):
-            raise InvalidParamError(
-                f"lambda_points must be an integer >= 1, got {self.lambda_points!r}")
         if not self.grid:
             self.grid = default_grid(self.kind, paper_scale=False)
         for value in self.grid.get("intensity", ()):

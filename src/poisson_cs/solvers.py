@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _gen_kl_terms, _jsd_terms, _snll_terms
+from .divergences import _QUIET, _gen_kl_terms, _jsd_terms, _snll_terms
 from .errors import (
     DomainError,
     InfeasibleEpsilonError,
@@ -153,7 +153,9 @@ class _FitLaw:
     and leave the boundary.  ``curvature`` is the per-coordinate
     second-derivative scale.  A ``closed`` fit is finite on ub >= 0, zero
     counts included (JSD); an open one needs ub > 0 and, at beta = 0,
-    counts > 0 (SNLL, GenKL).
+    counts > 0 (SNLL, GenKL).  The formulas compute branches that are then
+    discarded, which may divide by zero: evaluate them under
+    ``np.errstate(**_QUIET)``.
     """
 
     terms: Callable
@@ -162,9 +164,12 @@ class _FitLaw:
     curvature: Callable
     closed: bool
 
-    def value(self, yb, ub, keep=True):
+    def value(self, yb, ub, keep=None):
         """The fit value; rows where ``keep`` is False add nothing."""
-        return self.weight * np.where(keep, self.terms(yb, ub), 0.0).sum(axis=-1)
+        terms = self.terms(yb, ub)
+        if keep is not None:
+            terms = np.where(keep, terms, 0.0)
+        return self.weight * terms.sum(axis=-1)
 
 
 _FITS = {
@@ -212,7 +217,8 @@ def fit_value_and_gradient(fit: FitTerm, y, u):
         raise DomainError("fit undefined: u_i + beta <= 0")
     if not law.closed and np.any(yb <= 0.0):
         raise DomainError(f"{fit.kind.value} with beta=0 requires y_i > 0")
-    return float(law.value(yb, ub)), law.grad(yb, np.maximum(ub, 1e-300))
+    with np.errstate(**_QUIET):
+        return float(law.value(yb, ub)), law.grad(yb, np.maximum(ub, 1e-300))
 
 
 # ``_FitModel`` and the batched kernel.  Every stacked operation below does,
@@ -245,16 +251,24 @@ class _FitModel:
     out; so is a zero-count row for SNLL/GenKL at beta = 0.  A masked row
     plays no part in the value, the domain test, the gradient, the curvature
     scale or the gradient floor, and its A-row is zeroed, so the operator's
-    spectral norm is that of the kept rows.
+    spectral norm is that of the kept rows.  Evaluations run under
+    ``np.errstate(**_QUIET)``, held by the caller.
     """
 
     def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor, keep):
         self.fit = fit
         self.law = _FITS[fit.kind]
         self.A = A
+        self.At = np.swapaxes(A, -1, -2)
         self.yb = yb
         self.grad_floor = grad_floor
         self.keep = keep
+        # The evaluations skip the mask of a model that keeps every row, as
+        # np.where(True, t, 0.0) is t; and the offset at beta = 0, as U + 0.0
+        # only turns -0.0 into 0.0, which no fit formula tells apart.
+        self.mask = None if keep.all() else keep
+        self.beta = fit.beta or None
+        self._wide = None
 
     @classmethod
     def of(cls, A: np.ndarray, counts: np.ndarray, fit: FitTerm) -> "_FitModel":
@@ -284,9 +298,16 @@ class _FitModel:
                          self.keep[rows])
 
     def widen(self) -> "_FitModel":
-        """A stack's model for (K, W, m) coefficients, W points per problem."""
-        return _FitModel(self.fit, self.A[:, None], self.yb[:, None], self.grad_floor[:, None],
-                         self.keep[:, None])
+        """A stack's model for (K, _BLOCK, m) coefficients, a block of tries
+        per problem; made once per stack.  Its counts and mask are repeated
+        along the block, since elementwise work on a broadcast operand costs
+        more than on a whole one."""
+        if self._wide is None:
+            self._wide = _FitModel(self.fit, self.A[:, None],
+                                   np.repeat(self.yb[:, None], _BLOCK, axis=1),
+                                   self.grad_floor[:, None],
+                                   np.repeat(self.keep[:, None], _BLOCK, axis=1))
+        return self._wide
 
     def rates(self, X: np.ndarray) -> np.ndarray:
         return _matvec(self.A, X)
@@ -294,20 +315,24 @@ class _FitModel:
     def value(self, U: np.ndarray):
         """Exact fit value, +inf outside the domain (see ``_FitLaw.closed``):
         a float for one problem, an array with one value per row of a stack."""
-        ub = U + self.fit.beta
-        bad = (ub < 0.0 if self.law.closed else ub <= 0.0) & self.keep
-        outside = bad.any(axis=-1)
-        if U.ndim == 1 and outside:
-            return math.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = self.law.value(self.yb, ub, self.keep)
-        return float(value) if U.ndim == 1 else np.where(outside, math.inf, value)
+        ub = U if self.beta is None else U + self.beta
+        bad = ub < 0.0 if self.law.closed else ub <= 0.0
+        if self.mask is not None:
+            bad &= self.mask
+        outside = np.count_nonzero(bad)
+        if U.ndim == 1:
+            return math.inf if outside else float(self.law.value(self.yb, ub, self.mask))
+        value = self.law.value(self.yb, ub, self.mask)
+        if outside:
+            value[np.logical_or.reduce(bad, axis=-1)] = math.inf
+        return value
 
     def grad_theta(self, U: np.ndarray) -> np.ndarray:
-        ubf = np.maximum(U + self.fit.beta, self.grad_floor)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gu = np.where(self.keep, self.law.grad(self.yb, ubf), 0.0)
-        return _matvec(np.swapaxes(self.A, -1, -2), gu)
+        ub = U if self.beta is None else U + self.beta
+        gu = self.law.grad(self.yb, np.maximum(ub, self.grad_floor))
+        if self.mask is not None:
+            gu = np.where(self.mask, gu, 0.0)
+        return _matvec(self.At, gu)
 
     def curvature_scale(self, U: np.ndarray):
         """Per-coordinate second-derivative scale for the initial step size.
@@ -415,7 +440,8 @@ def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
     A = np.asarray(A, dtype=float)
     counts = np.asarray(getattr(y, "counts", y), dtype=float)
     model = _FitModel.of(A, counts, fit)
-    g = model.grad_theta(model.rates(_default_start(basis, counts)))
+    with np.errstate(**_QUIET):
+        g = model.grad_theta(model.rates(_default_start(basis, counts)))
     return float(np.max(np.abs(g))) if g.size else 1.0
 
 
@@ -440,15 +466,17 @@ def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
     return np.array([0.0 if z else n**2 for z, n in zip(null.tolist(), norms.tolist())])
 
 
-def _backtrack(stack: _FitModel, base, f_base, G, eta, lam, cfg):
+def _backtrack(wide: _FitModel, base, f_base, G, eta, lam, cfg):
     """The backtracking line search, for every row of a stack.
 
-    Each pass tries the next ``_BLOCK`` step sizes of every row still
-    searching at once, and a row keeps the first one it accepts, as a search
-    of one try per pass would.  The step sizes come by repeated
-    multiplication, as one try at a time makes them: powers of the factor
-    can differ in the last bit, and this sequence keeps every past output
-    bit-identical.  Returns (found, cand, d, u_cand, f_cand, eta_try); rows
+    ``wide`` is the stack's model widened for a block of tries
+    (``_FitModel.widen``).  Each pass tries the next ``_BLOCK`` step sizes of
+    every row still searching at once, and a row keeps the first one it
+    accepts, as a search of one try per pass would.  The step sizes come by
+    repeated multiplication, as one try at a time makes them: powers of the
+    factor can differ in the last bit, and this sequence keeps every past
+    output bit-identical.  Returns (found, cand, dd, u_cand, f_cand,
+    eta_try), where dd is the squared length of the step cand - base; rows
     not found hold their last rejected try and the step size after it.
     """
     bt = cfg.backtrack_factor
@@ -456,36 +484,47 @@ def _backtrack(stack: _FitModel, base, f_base, G, eta, lam, cfg):
     rows = out = None
     base, G, f_base, lam = base[:, None], G[:, None], f_base[:, None], lam[:, None]
     for _ in range(_MAX_TRIES // _BLOCK):
-        E = np.full((eta.size, _BLOCK), bt)
+        K = eta.size
+        E = np.empty((K, _BLOCK))
         E[:, 0] = eta
+        E[:, 1:] = bt
         np.multiply.accumulate(E, axis=1, out=E)
         C = _prox(base - E[..., None] * G, (E * lam)[..., None], cfg)
         D = C - base
-        wide = stack.widen()
         UC = wide.rates(C)
         FC = wide.value(UC)
-        quad = f_base + _rowdot(G, D) + _rowdot(D, D) / (2.0 * E)
+        DD = _rowdot(D, D)
+        quad = f_base + _rowdot(G, D) + DD / (2.0 * E)
         ok = np.isfinite(FC) & (FC <= quad + 1e-12 * np.maximum(1.0, np.abs(quad)))
-        hit = ok.any(axis=1)
-        pick = np.where(hit, ok.argmax(axis=1), _BLOCK - 1)
-        at = np.arange(eta.size)
-        eta = E[:, -1] * bt
-        picked = (hit, C[at, pick], D[at, pick], UC[at, pick], FC[at, pick],
-                  np.where(hit, E[at, pick], eta))
+        # Each row's pick in the flattened block: its first accepted try, or
+        # its last try where it accepts none.
+        at = np.arange(0, K * _BLOCK, _BLOCK)
+        pick = at + ok.argmax(axis=1)
+        hit = ok.ravel().take(pick)
+        every = np.count_nonzero(hit) == K
+        if every:
+            eta_try = E.ravel().take(pick)
+        else:
+            eta = E[:, -1] * bt
+            pick = np.where(hit, pick, at + (_BLOCK - 1))
+            eta_try = np.where(hit, E.ravel().take(pick), eta)
+        picked = (hit, C.reshape(K * _BLOCK, -1).take(pick, axis=0), DD.ravel().take(pick),
+                  UC.reshape(K * _BLOCK, -1).take(pick, axis=0), FC.ravel().take(pick),
+                  eta_try)
         if out is None:
             # The first block holds every row: nearly always, every row hits.
-            if hit.all():
+            if every:
                 return picked
-            out, rows = picked, at
+            out, rows = picked, np.arange(K)
         else:
             for whole, part in zip(out, picked):
                 whole[rows] = part
-            if hit.all():
+            if every:
                 break
         miss = ~hit
         rows, eta, base, G, f_base, lam = (
             a[miss] for a in (rows, eta, base, G, f_base, lam))
-        stack = stack.take(miss)
+        wide = wide.take(miss)
     return out
 
 
@@ -510,10 +549,13 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
     step, flat, it = np.zeros(K, dtype=int), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
     trace = np.empty((K, cfg.max_iters + 1))  # row j's trace is trace[j, :it[j] + 1]
     owner = np.arange(K)  # the problem of each row
+    rows = np.arange(K)   # the row index of each row
     given = [None] * K    # the lam of each problem's current solve, as its chain gave it
     out = [None] * K
-    # The momentum of a row is momenta[step].
+    # The momentum of a row is t = momenta[step], and its extrapolation
+    # weight (t - 1) / t_next is pull[step]: elementwise, the same divisions.
     momenta = _momenta(cfg.max_iters)
+    pull = (momenta[:-1] - 1.0) / momenta[1:]
     bt = cfg.backtrack_factor
 
     seed, leave = list(enumerate(requests)), []
@@ -535,6 +577,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
             stack = stack.take(keep)
             X, Z, U, f_x, F_cur, eta, lam, step, flat, it, trace, owner = (
                 a[keep] for a in (X, Z, U, f_x, F_cur, eta, lam, step, flat, it, trace, owner))
+            rows = np.arange(owner.size)
             if not owner.size:
                 return out
 
@@ -542,48 +585,49 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
         u_base = stack.rates(Z)
         f_base = stack.value(u_base)
         at_x = ~np.isfinite(f_base)
-        if at_x.any():
+        if np.count_nonzero(at_x):
             Z[at_x] = X[at_x]
             step[at_x] = 0
             u_base[at_x] = U[at_x]
             f_base[at_x] = f_x[at_x]
-        found, cand, d, u_cand, f_cand, eta_try = _backtrack(
-            stack, Z, f_base, stack.grad_theta(u_base), eta, lam, cfg)
+        found, cand, dd, u_cand, f_cand, eta_try = _backtrack(
+            stack.widen(), Z, f_base, stack.grad_theta(u_base), eta, lam, cfg)
         F_cand = f_cand + lam * np.abs(cand).sum(axis=-1)
         accepted = found & (F_cand <= F_cur)
 
         # Monotone restart: drop the momentum point and retry from x.
-        retry = (found & ~accepted & ~at_x).nonzero()[0]
-        if retry.size:
-            step[retry] = 0
-            sub = stack.take(retry)
-            r_found, r_cand, r_d, r_u, r_f, r_eta = _backtrack(
-                sub, X[retry], f_x[retry], sub.grad_theta(U[retry]), eta[retry],
-                lam[retry], cfg)
-            r_F = r_f + lam[retry] * np.abs(r_cand).sum(axis=-1)
-            accepted[retry] = r_found & (r_F <= F_cur[retry])
-            cand[retry], d[retry], u_cand[retry] = r_cand, r_d, r_u
-            f_cand[retry], F_cand[retry], eta_try[retry] = r_f, r_F, r_eta
+        if np.count_nonzero(accepted) < accepted.size:
+            retry = (found & ~accepted & ~at_x).nonzero()[0]
+            if retry.size:
+                step[retry] = 0
+                sub = stack.take(retry)
+                r_found, r_cand, r_dd, r_u, r_f, r_eta = _backtrack(
+                    sub.widen(), X[retry], f_x[retry], sub.grad_theta(U[retry]), eta[retry],
+                    lam[retry], cfg)
+                r_F = r_f + lam[retry] * np.abs(r_cand).sum(axis=-1)
+                accepted[retry] = r_found & (r_F <= F_cur[retry])
+                cand[retry], dd[retry], u_cand[retry] = r_cand, r_dd, r_u
+                f_cand[retry], F_cand[retry], eta_try[retry] = r_f, r_F, r_eta
 
         # Rows without an accepted step stop: no descent step exists at any
-        # step size.  The others move to the candidate.
-        grad_map = np.sqrt(_rowdot(d, d)) / eta_try
+        # step size; they keep their point, and their trace ends before this
+        # pass's entry.  The others move to the candidate.
+        grad_map = np.sqrt(dd) / eta_try
         rel_change = np.abs(F_cur - F_cand) / np.maximum(1.0, np.abs(F_cand))
         flat = np.where(rel_change < cfg.objective_tol, flat + 1, 0)
-        t, t_next = momenta[step], momenta[step + 1]
-        Z = cand + ((t - 1.0) / t_next)[:, None] * (cand - X)
+        Z = cand + pull[step][:, None] * (cand - X)
         step += 1
         it += 1
-        X = np.where(accepted[:, None], cand, X)
+        last, X = X, cand
         U, f_x, F_cur, eta = u_cand, f_cand, F_cand, eta_try
-        trace[accepted, it[accepted]] = F_cand[accepted]
+        trace[rows, it] = F_cand
 
         done = ~accepted | (flat >= 5) | (grad_map < cfg.grad_tol)
         seed, leave = [], []
         for j in (done | (it >= cfg.max_iters)).nonzero()[0].tolist():
             k = owner[j]
             n = int(it[j])
-            res = SolveResult(theta_star=X[j].copy(),
+            res = SolveResult(theta_star=(X if accepted[j] else last)[j].copy(),
                               objective_trace=trace[j, :n + 1 if accepted[j] else n].tolist(),
                               iterations=n, converged=bool(done[j]), lambda_used=given[k])
             try:
@@ -623,22 +667,24 @@ def solve_chains(
     counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
     results = [None] * K
     requests = {}
-    for k, chain in enumerate(chains):
-        try:
-            requests[k] = next(chain)
-        except StopIteration as stop:
-            results[k] = stop.value
-    groups: dict[tuple, list[int]] = {}
-    for k in requests:
-        groups.setdefault(A[k].shape, []).append(k)
+    # The chains evaluate fits too, before their first request and between
+    # solves.
+    with np.errstate(**_QUIET):
+        for k, chain in enumerate(chains):
+            try:
+                requests[k] = next(chain)
+            except StopIteration as stop:
+                results[k] = stop.value
+        groups: dict[tuple, list[int]] = {}
+        for k in requests:
+            groups.setdefault(A[k].shape, []).append(k)
 
-    for rows in groups.values():
-        with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in groups.values():
             solved = _lockstep([_FitModel.of(A[k], counts[k], fit) for k in rows], basis,
                                [counts[k] for k in rows], [chains[k] for k in rows],
                                [requests[k] for k in rows], cfg)
-        for k, value in zip(rows, solved):
-            results[k] = value
+            for k, value in zip(rows, solved):
+                results[k] = value
     return results
 
 
@@ -693,7 +739,9 @@ def solve_penalized(
     if theta0 is not None:
         A = np.asarray(A, dtype=float)
         model = _FitModel.of(A, np.asarray(getattr(y, "counts", y), dtype=float), fit)
-        if not math.isfinite(_point(model, theta0)[2]):
+        with np.errstate(**_QUIET):
+            feasible = math.isfinite(_point(model, theta0)[2])
+        if not feasible:
             raise InfeasibleStartError("starting point violates the fit domain")
     return solve_penalized_batch([A], basis, [y], fit, [lam], cfg, [theta0])[0]
 

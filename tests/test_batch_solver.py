@@ -74,6 +74,7 @@ def reference_norm_sq(A, iters=40):
     return float(np.linalg.norm(A @ v) ** 2)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def reference_descend(A, basis, y, fit, lam, cfg, theta0=None):
     """The penalized solve on one problem, one plain iteration at a time: the
     reference for the rows of ``solvers._lockstep``.  Raises
@@ -241,15 +242,16 @@ def sequential_backtrack(stack, base, f_base, G, eta, lam, cfg):
     for _ in range(solvers._MAX_TRIES):
         cand = solvers._prox(base - eta_try[:, None] * G, (eta_try * lam)[:, None], cfg)
         d = cand - base
+        dd = solvers._rowdot(d, d)
         u_cand = stack.rates(cand)
         f_cand = stack.value(u_cand)
-        quad = f_base + solvers._rowdot(G, d) + solvers._rowdot(d, d) / (2.0 * eta_try)
+        quad = f_base + solvers._rowdot(G, d) + dd / (2.0 * eta_try)
         ok = np.isfinite(f_cand) & (f_cand <= quad + 1e-12 * np.maximum(1.0, np.abs(quad)))
         tries += searching
         if tried is None:
-            tried = [cand, d, u_cand, f_cand]
+            tried = [cand, dd, u_cand, f_cand]
         else:
-            for old, new in zip(tried, (cand, d, u_cand, f_cand)):
+            for old, new in zip(tried, (cand, dd, u_cand, f_cand)):
                 old[searching] = new[searching]
         searching &= ~ok
         if not searching.any():
@@ -282,11 +284,11 @@ def test_block_backtracking_matches_one_try_per_pass(kind, backtrack_factor):
         lam = 10 ** rng.uniform(-3.0, -1.0, K) * np.abs(G).max(axis=1)
         # No step size can meet the last row's lowered bound: it uses every try.
         f_base[-1] -= 1e6
-        args = (stack, base, f_base, G, eta, lam, cfg)
+        args = (base, f_base, G, eta, lam, cfg)
         with np.errstate(divide="ignore", invalid="ignore"):
-            got = solvers._backtrack(*args)
-            want, row_tries = sequential_backtrack(*args)
-        for name, g, w in zip(("found", "cand", "d", "u_cand", "f_cand", "eta"), got, want):
+            got = solvers._backtrack(stack.widen(), *args)
+            want, row_tries = sequential_backtrack(stack, *args)
+        for name, g, w in zip(("found", "cand", "dd", "u_cand", "f_cand", "eta"), got, want):
             assert np.array_equal(g, w, equal_nan=True), name
         assert not got[0][-1] and row_tries[-1] == solvers._MAX_TRIES
         tries += row_tries[:-1].tolist()
@@ -345,6 +347,7 @@ def test_rows_masked_for_zero_counts_share_one_stack(kind, canonical, monkeypatc
 @given(seed=st.integers(0, 2**32 - 1), log_intensity=st.floats(0.0, 8.0),
        zero_rate=st.floats(0.0, 0.9), dead_rate=st.floats(0.0, 0.3),
        kind=st.sampled_from(list(FitKind)), beta=st.sampled_from([0.0, 0.3]))
+@np.errstate(divide="ignore", invalid="ignore")
 def test_masked_model_is_the_fit_on_the_kept_rows(seed, log_intensity, zero_rate, dead_rate,
                                                   kind, beta):
     rng = np.random.default_rng(seed)

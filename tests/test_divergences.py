@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poisson_cs.divergences import (
     DivergenceKind,
@@ -20,6 +23,7 @@ from poisson_cs.divergences import (
     sym_kl,
     total_variation,
 )
+from poisson_cs.divergences import _jsd_terms
 from poisson_cs.errors import DomainError, LengthMismatchError
 
 LOG2 = math.log(2.0)
@@ -126,6 +130,47 @@ class TestJSD:
         ml = (pl + ql) / 2
         ref = float(0.5 * (np.sum(pl * np.log(pl / ml)) + np.sum(ql * np.log(ql / ml))))
         assert got == pytest.approx(ref, rel=1e-9)
+
+
+def two_quotient_jsd_terms(p, q):
+    """The JSD terms with one quotient per term, (p-q)/s and (q-p)/s: the
+    formula ``_jsd_terms`` replaced, and the reference it must match bit for
+    bit."""
+    s = p + q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(p > 0.0, p * np.log1p((p - q) / s), 0.0)
+        out += np.where(q > 0.0, q * np.log1p((q - p) / s), 0.0)
+    return out
+
+
+# Zeros, subnormal and tiny values, and everything up to 1e12.
+_entries = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e12))
+
+
+@st.composite
+def _term_operands(draw):
+    """(p, q) of shape (n,), (K, n) or (K, W, n); q may be broadcast along
+    its next-to-last axis, as a count vector is against a block of rates."""
+    shape = draw(st.sampled_from([(7,), (3, 7), (3, 4, 7), (1, 1), (2, 5, 1)]))
+    p = draw(hnp.arrays(float, shape, elements=_entries))
+    q_shape = shape
+    if len(shape) >= 2 and draw(st.booleans()):
+        q_shape = shape[:-2] + (1, shape[-1])
+    q = draw(hnp.arrays(float, q_shape, elements=_entries))
+    return (p, q) if draw(st.booleans()) else (q, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_operands())
+def test_jsd_terms_match_the_two_quotient_formula_bit_for_bit(operands):
+    # The q-term's log1p argument is -d: q-p = -(p-q) and (-a)/s = -(a/s)
+    # exactly, so every term keeps its bits, signed zeros included.
+    p, q = operands
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _jsd_terms(p, q)
+    want = two_quotient_jsd_terms(p, q)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestSqjsd:

@@ -142,7 +142,7 @@ class TestSpec:
         with pytest.raises(InvalidParamError, match="beta"):
             ExperimentSpec(kind="intensity", solver="P5", beta=beta)
 
-    @pytest.mark.parametrize("max_iters", [0, -3])
+    @pytest.mark.parametrize("max_iters", [0, -3, True])
     def test_bad_max_iters_rejected_before_any_work(self, max_iters, monkeypatch):
         # It used to raise only once every trial's signal, matrix and
         # measurement had been built.
@@ -157,7 +157,7 @@ class TestSpec:
         with pytest.raises(InvalidParamError, match="trials"):
             ExperimentSpec(kind=kind, trials=40.5)
 
-    @pytest.mark.parametrize("lambda_points", [0, -2, 2.5])
+    @pytest.mark.parametrize("lambda_points", [0, -2, 2.5, True])
     def test_bad_lambda_points_rejected_before_any_work(self, lambda_points, monkeypatch):
         # With no lambda points an omniscient sweep used to build every
         # trial and then fail with a TypeError in the lambda walk.
@@ -165,6 +165,32 @@ class TestSpec:
         with pytest.raises(InvalidParamError, match="lambda_points"):
             run_sweep(ExperimentSpec.from_dict(
                 {"kind": "intensity", "solver": "P4", "lambda_points": lambda_points}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", True), ("workers", "2"), ("workers", True),
+        ("dim", 10.5), ("n_measurements", 20.5), ("sparsity", True), ("patch", 7.5),
+        ("stride", True), ("image_size", 7.5), ("image_size", 0), ("master_seed", -1),
+        ("master_seed", 1.5),
+    ])
+    def test_bad_integer_field_rejected_before_any_work(self, field, value, monkeypatch):
+        # Each used to run (True trials), or fail only once cells ran, with a
+        # bare ValueError or TypeError that did not name the field.
+        monkeypatch.setattr(experiments, "_run_trial", None)
+        with pytest.raises(InvalidParamError, match=field):
+            run_sweep(ExperimentSpec.from_dict({"kind": "intensity", field: value}))
+
+    def test_integer_fields_accept_numpy_integers(self):
+        spec = ExperimentSpec(kind="image", trials=np.int64(2), dim=np.int32(40),
+                              master_seed=np.int64(0), image_size=None)
+        assert (spec.trials, spec.dim, spec.image_size) == (2, 40, None)
+
+    @pytest.mark.parametrize("command", ["sweep", "verify-stats"])
+    def test_negative_seed_rejected_by_the_cli(self, command, tmp_path, monkeypatch):
+        # It used to fail with a bare ValueError from SeedSequence.
+        monkeypatch.setattr(experiments, "_run_trial", None)
+        monkeypatch.setattr(experiments, "sample_rip_matrix", None)
+        with pytest.raises(InvalidParamError, match="master_seed"):
+            main([command, "--seed", "-1", "--out", str(tmp_path / "out")])
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
