@@ -26,7 +26,7 @@ from poisson_cs.transforms import identity_basis
 
 m, N, s = 100, 50, 5
 basis = identity_basis(m)
-cfg = SolverConfig(max_iters=1500, nonneg_signal=True)
+cfg = SolverConfig(max_iters=1500)
 rng = np.random.default_rng(0)
 
 print(f"signal: {s}-sparse, dim {m}; measurements: {N}")

@@ -78,8 +78,6 @@ _STREAM_Y = 2
 _STREAM_PILOT = 3
 _STREAM_STATS = 4
 
-SWEEP_KINDS = ("intensity", "measurements", "sparsity")
-
 _SOLVER_FITS = {"P4": FitKind.JSD, "P5": FitKind.SNLL, "P6": FitKind.GEN_KL}
 
 # Omniscient-lambda grid, relative to the gradient scale at the start point.
@@ -92,8 +90,9 @@ _LAMBDA_GRID_HI = 0.3
 
 
 def _check_positive(name: str, value) -> None:
-    # NaN fails the comparison, so it is rejected too.
-    if not (isinstance(value, numbers.Real) and value > 0.0 and math.isfinite(value)):
+    # NaN fails the comparison, so it is rejected too; True is no quantity.
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and value > 0.0 and math.isfinite(value)):
         raise InvalidParamError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -107,6 +106,12 @@ def _check_integer(name: str, value, least: int) -> None:
 # The ExperimentSpec fields that count something, each at least 1.
 _COUNT_FIELDS = ("trials", "workers", "dim", "n_measurements", "sparsity", "patch", "stride",
                  "max_iters", "lambda_points")
+
+# The grid key that each sweep kind, and an image run, walks, and the cell
+# parameter that each sweep kind sets from it.
+_GRID_AXES = {"intensity": "intensity", "measurements": "n_measurements",
+              "sparsity": "sparsity", "image": "intensity"}
+_CELL_KEYS = {"intensity": "intensity", "measurements": "N", "sparsity": "s"}
 
 
 @dataclass
@@ -156,6 +161,12 @@ class ExperimentSpec:
             self.grid = default_grid(self.kind, paper_scale=False)
         for value in self.grid.get("intensity", ()):
             _check_positive("grid intensity", value)
+        axis = _GRID_AXES.get(self.kind)
+        if axis is not None and not self.grid.get(axis):
+            raise InvalidParamError(f"a {self.kind} run needs a non-empty grid {axis}")
+        if axis in ("n_measurements", "sparsity"):
+            for value in self.grid[axis]:
+                _check_integer(f"grid {axis}", value, 1)
 
     @classmethod
     def from_dict(cls, config: dict) -> "ExperimentSpec":
@@ -207,30 +218,13 @@ def make_sparse_signal(m: int, s: int, intensity: float, rng) -> np.ndarray:
 
 
 def _cells(spec: ExperimentSpec) -> list[dict]:
-    base = {
-        "m": spec.dim,
-        "N": spec.n_measurements,
-        "s": spec.sparsity,
-        "intensity": spec.intensity,
-    }
-    cells = []
-    if spec.kind == "intensity":
-        for v in spec.grid["intensity"]:
-            cells.append({**base, "intensity": float(v)})
-    elif spec.kind == "measurements":
-        for v in spec.grid["n_measurements"]:
-            cells.append({**base, "N": int(v)})
-    elif spec.kind == "sparsity":
-        for v in spec.grid["sparsity"]:
-            cells.append({**base, "s": int(v)})
-    else:
+    if spec.kind not in _CELL_KEYS:
         raise InvalidParamError(f"run_sweep cannot handle kind {spec.kind!r}")
-    return cells
-
-
-def _sweep_solver_config(spec: ExperimentSpec) -> SolverConfig:
-    # 1-D sweeps use the canonical basis; the physical signal is non-negative.
-    return SolverConfig(max_iters=spec.max_iters, nonneg_signal=True)
+    key = _CELL_KEYS[spec.kind]
+    cast = float if key == "intensity" else int
+    base = {"m": spec.dim, "N": spec.n_measurements, "s": spec.sparsity,
+            "intensity": spec.intensity}
+    return [{**base, key: cast(v)} for v in spec.grid[_GRID_AXES[spec.kind]]]
 
 
 def _lambda_grid(scale: float, spec: ExperimentSpec) -> np.ndarray:
@@ -256,7 +250,7 @@ def _lambda_walk(basis, grid, reference):
     return best[1]
 
 
-def _estimate(spec: ExperimentSpec, A, basis, mvs, epsilons, references, cfg) -> list:
+def _estimate(spec: ExperimentSpec, A, basis, mvs, epsilons, references) -> list:
     """The estimator ``spec`` names, on every problem of a batch at once.
 
     ``A`` holds one operator per problem; ``epsilons`` are the P2 radii and
@@ -264,6 +258,7 @@ def _estimate(spec: ExperimentSpec, A, basis, mvs, epsilons, references, cfg) ->
     Returns one SolveResult per problem; its ``lambda_used`` is the weight
     the estimate was solved with.
     """
+    cfg = SolverConfig(max_iters=spec.max_iters)
     if spec.solver == "P2":
         return solve_p2_batch(A, basis, mvs, epsilons, cfg, beta=spec.beta)
     fit = FitTerm(_SOLVER_FITS[spec.solver], spec.beta)
@@ -307,7 +302,7 @@ def _sweep_run(args) -> list[dict]:
     spec = ExperimentSpec(**spec_dict)
     xs, A, mvs, epsilons = zip(*(_run_trial(spec, cells[ci], t) for ci, t in tasks))
     basis = identity_basis(spec.dim)
-    results = _estimate(spec, A, basis, mvs, epsilons, xs, _sweep_solver_config(spec))
+    results = _estimate(spec, A, basis, mvs, epsilons, xs)
     records = []
     for (_, trial), x, eps, res in zip(tasks, xs, epsilons, results):
         record = {
@@ -367,6 +362,17 @@ def _summarize(cell: dict, records: list[dict]) -> dict:
     }
 
 
+def _in_runs(work, n_items: int, workers: int, job) -> list:
+    """``work(job(run))`` for ``min(workers, n_items)`` contiguous runs of
+    item indices, each in its own worker process when there are several."""
+    runs = np.array_split(np.arange(n_items), min(workers, n_items))
+    jobs = [job(r) for r in runs]
+    if len(jobs) == 1:
+        return [work(jobs[0])]
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        return list(pool.map(work, jobs))
+
+
 def run_sweep(spec: ExperimentSpec) -> RunManifest:
     """Run every (cell, trial) of a sweep and summarize RRMSE quantiles."""
     t0 = time.perf_counter()
@@ -375,13 +381,8 @@ def run_sweep(spec: ExperimentSpec) -> RunManifest:
     spec_dict = spec.to_dict()
 
     # One contiguous run of tasks per worker, each solved as one batch.
-    runs = np.array_split(np.arange(len(tasks)), min(spec.workers, len(tasks)))
-    jobs = [(spec_dict, cells, [tasks[i] for i in r]) for r in runs]
-    if len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(_sweep_run, jobs))
-    else:
-        results = [_sweep_run(jobs[0])]
+    results = _in_runs(_sweep_run, len(tasks), spec.workers,
+                       lambda run: (spec_dict, cells, [tasks[i] for i in run]))
     records = [rec for run in results for rec in run]
 
     by_cell: dict[int, list] = {ci: [] for ci in range(len(cells))}
@@ -554,7 +555,6 @@ def _reconstruct_patches(args):
     spec_dict, patches, first, psi = args
     spec = ExperimentSpec(**spec_dict)
     basis = dct2_basis(spec.patch)
-    cfg = SolverConfig(max_iters=spec.max_iters, nonneg_signal=False)
     estimates = np.zeros_like(patches)
     converged = np.ones(len(patches), dtype=bool)
     lit = [j for j in range(len(patches)) if patches[j].sum() > 0.0]  # dark: nothing measurable
@@ -562,7 +562,7 @@ def _reconstruct_patches(args):
         return estimates, converged
     A, mvs = zip(*(_patch_task(spec, patches[j], first + j, psi) for j in lit))
     epsilons = [choose_epsilon(EpsilonMode.THEORY, spec.n_measurements)] * len(lit)
-    results = _estimate(spec, A, basis, mvs, epsilons, patches[lit], cfg)
+    results = _estimate(spec, A, basis, mvs, epsilons, patches[lit])
     for j, res in zip(lit, results):
         estimates[j] = basis.synthesize(res.theta_star)
         converged[j] = res.converged
@@ -596,13 +596,9 @@ def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
         scaled = img * (intensity / img.sum())
         patches = extract_patches(scaled, grid)
         # One contiguous run of patches per worker, each solved as a batch.
-        runs = np.array_split(np.arange(grid.n_patches), min(spec.workers, grid.n_patches))
-        tasks = [(spec_dict, patches[r[0]: r[-1] + 1], int(r[0]), psi) for r in runs]
-        if len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-                results = list(pool.map(_reconstruct_patches, tasks))
-        else:
-            results = [_reconstruct_patches(tasks[0])]
+        results = _in_runs(_reconstruct_patches, grid.n_patches, spec.workers,
+                           lambda run: (spec_dict, patches[run[0]: run[-1] + 1],
+                                        int(run[0]), psi))
         estimates = np.concatenate([est for est, _ in results])
         n_unconverged = int(sum(np.sum(~ok) for _, ok in results))
         recon = reassemble(estimates, grid)

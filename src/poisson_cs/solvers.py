@@ -33,6 +33,9 @@ Five entry points:
 The inner solver is proximal gradient with backtracking line search and
 FISTA-style acceleration under a monotone restart, so the recorded
 objective trace never increases; it is written once, in ``_lockstep``.
+Its proximal map follows from the basis, with no option to set: on the
+identity basis the soft threshold is followed by a clamp at 0, the exact
+projection onto theta >= 0; on the DCT basis it stands alone.
 Zero-count measurements are retained for the JSD fit (finite by the
 0*log(0) = 0 convention) and masked out of the SNLL/GenKL fits when
 beta = 0.
@@ -96,11 +99,12 @@ class FitTerm:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Iteration cap and stopping tolerances of every penalized solve.  The
+    basis decides the signal constraint (``_prox_of``); it is no option."""
+
     max_iters: int = 2000
     grad_tol: float = 1e-12
     objective_tol: float = 1e-8
-    backtrack_factor: float = 0.5
-    nonneg_signal: bool = False  # clamp the coefficients at 0; identity basis only
 
     def __post_init__(self):
         if not (isinstance(self.max_iters, numbers.Integral)
@@ -110,8 +114,6 @@ class SolverConfig:
             tol = getattr(self, name)
             if not (tol > 0.0 and math.isfinite(tol)):
                 raise InvalidParamError(f"{name} must be finite and > 0, got {tol!r}")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise InvalidParamError("backtrack_factor must lie in (0,1)")
 
 
 @dataclass
@@ -385,22 +387,16 @@ def _check_lam(lam) -> None:
         raise InvalidParamError(f"lam must be finite and > 0, got {lam!r}")
 
 
-def _config(cfg: SolverConfig | None, basis: OrthonormalBasis) -> SolverConfig:
-    """``cfg`` or the default configuration, checked against the basis."""
-    cfg = cfg or SolverConfig()
-    if cfg.nonneg_signal and basis.kind is not BasisKind.IDENTITY:
-        raise InvalidParamError(
-            "nonneg_signal clamps the coefficients, so it needs the identity basis")
-    return cfg
+def _shrink_nonneg(v: np.ndarray, t) -> np.ndarray:
+    """The prox of t*||.||_1 plus the indicator of theta >= 0."""
+    return np.maximum(_shrink(v, t), 0.0)
 
 
-def _prox(v: np.ndarray, t, cfg: SolverConfig):
-    """Soft threshold at t, then the optional non-negativity clamp.
-
-    ``v`` is one coefficient vector or a (K, dim) stack with t of shape (K, 1).
-    """
-    w = _shrink(v, t)
-    return np.maximum(w, 0.0) if cfg.nonneg_signal else w
+def _prox_of(basis: OrthonormalBasis):
+    """The proximal map prox(v, t) of the solves on ``basis``: on the identity
+    basis theta is the signal, a photon flux, and is clamped at 0; a DCT
+    coefficient has no sign constraint."""
+    return _shrink_nonneg if basis.kind is BasisKind.IDENTITY else _shrink
 
 
 def _next_momentum(t: float) -> float:
@@ -429,6 +425,11 @@ def _momenta(steps: int) -> np.ndarray:
 # stop early, a narrower one a numpy round trip per try on rows that do not.
 _MAX_TRIES = 200
 _BLOCK = 4
+# Each rejected step size is halved.  Halving is exact in binary floating
+# point, so a block's step sizes, its first times _HALVINGS, are the ones
+# repeated halving makes, bit for bit.
+_BACKTRACK = 0.5
+_HALVINGS = _BACKTRACK ** np.arange(_BLOCK)
 
 
 def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
@@ -466,30 +467,24 @@ def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
     return np.array([0.0 if z else n**2 for z, n in zip(null.tolist(), norms.tolist())])
 
 
-def _backtrack(wide: _FitModel, base, f_base, G, eta, lam, cfg):
+def _backtrack(wide: _FitModel, base, f_base, G, eta, lam, prox):
     """The backtracking line search, for every row of a stack.
 
     ``wide`` is the stack's model widened for a block of tries
-    (``_FitModel.widen``).  Each pass tries the next ``_BLOCK`` step sizes of
-    every row still searching at once, and a row keeps the first one it
-    accepts, as a search of one try per pass would.  The step sizes come by
-    repeated multiplication, as one try at a time makes them: powers of the
-    factor can differ in the last bit, and this sequence keeps every past
-    output bit-identical.  Returns (found, cand, dd, u_cand, f_cand,
+    (``_FitModel.widen``), and ``prox`` the proximal map (``_prox_of``).
+    Each pass tries the next ``_BLOCK`` step sizes of every row still
+    searching at once, and a row keeps the first one it accepts, as a search
+    of one try per pass would.  Returns (found, cand, dd, u_cand, f_cand,
     eta_try), where dd is the squared length of the step cand - base; rows
     not found hold their last rejected try and the step size after it.
     """
-    bt = cfg.backtrack_factor
     # The rows still searching, and their inputs with a step-size axis.
     rows = out = None
     base, G, f_base, lam = base[:, None], G[:, None], f_base[:, None], lam[:, None]
     for _ in range(_MAX_TRIES // _BLOCK):
         K = eta.size
-        E = np.empty((K, _BLOCK))
-        E[:, 0] = eta
-        E[:, 1:] = bt
-        np.multiply.accumulate(E, axis=1, out=E)
-        C = _prox(base - E[..., None] * G, (E * lam)[..., None], cfg)
+        E = eta[:, None] * _HALVINGS
+        C = prox(base - E[..., None] * G, (E * lam)[..., None])
         D = C - base
         UC = wide.rates(C)
         FC = wide.value(UC)
@@ -505,7 +500,7 @@ def _backtrack(wide: _FitModel, base, f_base, G, eta, lam, cfg):
         if every:
             eta_try = E.ravel().take(pick)
         else:
-            eta = E[:, -1] * bt
+            eta = E[:, -1] * _BACKTRACK
             pick = np.where(hit, pick, at + (_BLOCK - 1))
             eta_try = np.where(hit, E.ravel().take(pick), eta)
         picked = (hit, C.reshape(K * _BLOCK, -1).take(pick, axis=0), DD.ravel().take(pick),
@@ -528,11 +523,12 @@ def _backtrack(wide: _FitModel, base, f_base, G, eta, lam, cfg):
     return out
 
 
-def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
+def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
     """The solves of K chains, chain k on problem k, as the rows of one stack.
 
     ``models`` are the problems' fit models, whose operators have equal
-    shapes, and ``requests`` the first (lam, warm start) of every chain.
+    shapes, ``requests`` the first (lam, warm start) of every chain, and
+    ``prox`` the proximal map of the basis (``_prox_of``).
     Every pass advances each row by one proximal-gradient iteration, with
     its own step size, momentum, restarts, stopping test and iteration
     count.  When a row's solve stops, its chain is sent the result and the
@@ -556,7 +552,6 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
     # weight (t - 1) / t_next is pull[step]: elementwise, the same divisions.
     momenta = _momenta(cfg.max_iters)
     pull = (momenta[:-1] - 1.0) / momenta[1:]
-    bt = cfg.backtrack_factor
 
     seed, leave = list(enumerate(requests)), []
     while True:
@@ -581,7 +576,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
             if not owner.size:
                 return out
 
-        eta = np.minimum(eta / bt, 1e18)
+        eta = np.minimum(eta / _BACKTRACK, 1e18)
         u_base = stack.rates(Z)
         f_base = stack.value(u_base)
         at_x = ~np.isfinite(f_base)
@@ -591,7 +586,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
             u_base[at_x] = U[at_x]
             f_base[at_x] = f_x[at_x]
         found, cand, dd, u_cand, f_cand, eta_try = _backtrack(
-            stack.widen(), Z, f_base, stack.grad_theta(u_base), eta, lam, cfg)
+            stack.widen(), Z, f_base, stack.grad_theta(u_base), eta, lam, prox)
         F_cand = f_cand + lam * np.abs(cand).sum(axis=-1)
         accepted = found & (F_cand <= F_cur)
 
@@ -603,7 +598,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg) -> list:
                 sub = stack.take(retry)
                 r_found, r_cand, r_dd, r_u, r_f, r_eta = _backtrack(
                     sub.widen(), X[retry], f_x[retry], sub.grad_theta(U[retry]), eta[retry],
-                    lam[retry], cfg)
+                    lam[retry], prox)
                 r_F = r_f + lam[retry] * np.abs(r_cand).sum(axis=-1)
                 accepted[retry] = r_found & (r_F <= F_cur[retry])
                 cand[retry], dd[retry], u_cand[retry] = r_cand, r_dd, r_u
@@ -655,9 +650,11 @@ def solve_chains(
     chain's next solve in the same pass, so no chain waits for another.
     Groups run one after another, in the order of their first problem.
     Every solve is bit-identical to solving its problem alone from the start
-    used.  Returns each chain's result.
+    used.  The proximal map follows from ``basis`` (``_prox_of``).  Returns
+    each chain's result.
     """
-    cfg = _config(cfg, basis)
+    cfg = cfg or SolverConfig()
+    prox = _prox_of(basis)
     A = [np.asarray(a, dtype=float) for a in A]
     if any(a.ndim != 2 for a in A):
         raise InvalidParamError("A must hold one (N, m) operator per problem")
@@ -682,7 +679,7 @@ def solve_chains(
         for rows in groups.values():
             solved = _lockstep([_FitModel.of(A[k], counts[k], fit) for k in rows], basis,
                                [counts[k] for k in rows], [chains[k] for k in rows],
-                               [requests[k] for k in rows], cfg)
+                               [requests[k] for k in rows], cfg, prox)
             for k, value in zip(rows, solved):
                 results[k] = value
     return results
@@ -712,7 +709,6 @@ def solve_penalized_batch(
     ``solve_chains`` of one solve each, so result k is bit-identical to
     ``solve_penalized`` on problem k from the start used.
     """
-    cfg = _config(cfg, basis)
     K = len(A)
     theta0 = [None] * K if theta0 is None else list(theta0)
     if len(ys) != K or len(lams) != K or len(theta0) != K:
@@ -798,7 +794,6 @@ def solve_p2_batch(
     search whose first solve ends in the earliest pass raises (the lowest
     index on a tie).
     """
-    cfg = _config(cfg, basis)
     K = len(A)
     if len(ys) != K or len(epsilons) != K:
         raise LengthMismatchError(f"{K} operators need as many counts and radii")

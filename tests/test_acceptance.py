@@ -242,7 +242,7 @@ class TestCriterion7SmallInstanceOracle:
         lam = 0.05 * gradient_scale(phi.entries, basis, mv, fit)
         res = solve_penalized(
             phi.entries, basis, mv, fit, lam,
-            SolverConfig(max_iters=4000, nonneg_signal=True, objective_tol=1e-12),
+            SolverConfig(max_iters=4000, objective_tol=1e-12),
         )
         y = mv.counts.astype(float)
         A = phi.entries

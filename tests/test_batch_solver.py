@@ -77,8 +77,10 @@ def reference_norm_sq(A, iters=40):
 @np.errstate(divide="ignore", invalid="ignore")
 def reference_descend(A, basis, y, fit, lam, cfg, theta0=None):
     """The penalized solve on one problem, one plain iteration at a time: the
-    reference for the rows of ``solvers._lockstep``.  Raises
-    InfeasibleStartError when the start violates the fit domain."""
+    reference for the rows of ``solvers._lockstep``, with the proximal map
+    of its basis.  Raises InfeasibleStartError when the start violates the
+    fit domain."""
+    prox = solvers._prox_of(basis)
     counts = np.asarray(getattr(y, "counts", y), dtype=float)
     model = solvers._FitModel.of(np.asarray(A, dtype=float), counts, fit)
     if theta0 is None:
@@ -97,11 +99,10 @@ def reference_descend(A, basis, y, fit, lam, cfg, theta0=None):
     t_momentum = 1.0
     converged = False
     flat_count = 0
-    bt = cfg.backtrack_factor
     iterations = 0
 
     for iterations in range(1, cfg.max_iters + 1):
-        eta = min(eta / bt, 1e18)  # let the step recover after conservative phases
+        eta = min(eta / solvers._BACKTRACK, 1e18)  # let the step recover after conservative phases
 
         u_base = model.rates(z)
         f_base = model.value(u_base)
@@ -117,7 +118,7 @@ def reference_descend(A, basis, y, fit, lam, cfg, theta0=None):
         for attempt in range(2):  # second pass restarts from x on non-monotone step
             eta_try = eta
             for _ in range(solvers._MAX_TRIES):
-                cand = solvers._prox(base - eta_try * g_base, eta_try * lam, cfg)
+                cand = prox(base - eta_try * g_base, eta_try * lam)
                 d = cand - base
                 u_cand = model.rates(cand)
                 f_cand = model.value(u_cand)
@@ -125,7 +126,7 @@ def reference_descend(A, basis, y, fit, lam, cfg, theta0=None):
                     quad = f_base + float(g_base @ d) + float(d @ d) / (2.0 * eta_try)
                     if f_cand <= quad + 1e-12 * max(1.0, abs(quad)):
                         break
-                eta_try *= bt
+                eta_try *= solvers._BACKTRACK
             else:
                 cand = None
             if cand is None:
@@ -175,13 +176,13 @@ def scalar_reference(A, basis, y, fit, lam, cfg, warm):
     return reference_descend(A, basis, y, fit, lam, cfg), warm is not None
 
 
-def check_batch_matches_scalar(kind, beta, seed, canonical, monkeypatch, backtrack_factor=0.5):
-    if canonical:
-        basis = identity_basis(30)
-        cfg = SolverConfig(max_iters=300, nonneg_signal=True, backtrack_factor=backtrack_factor)
-    else:
-        basis = dct2_basis(5)
-        cfg = SolverConfig(max_iters=300, backtrack_factor=backtrack_factor)
+@pytest.mark.parametrize("kind", list(FitKind))
+@pytest.mark.parametrize("beta", [0.0, 0.4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("canonical", [False, True])
+def test_batch_matches_scalar_bit_for_bit(kind, beta, seed, canonical, monkeypatch):
+    basis = identity_basis(30) if canonical else dct2_basis(5)
+    cfg = SolverConfig(max_iters=300)
     fit = FitTerm(kind, beta)
     A, ys, rng = make_problems(basis, seed)
     K = len(ys)
@@ -212,27 +213,7 @@ def check_batch_matches_scalar(kind, beta, seed, canonical, monkeypatch, backtra
     assert len({r.iterations for r in batch}) > 1  # rows stopped at different iterations
 
 
-@pytest.mark.parametrize("kind", list(FitKind))
-@pytest.mark.parametrize("beta", [0.0, 0.4])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("canonical", [False, True])
-def test_batch_matches_scalar_bit_for_bit(kind, beta, seed, canonical, monkeypatch):
-    check_batch_matches_scalar(kind, beta, seed, canonical, monkeypatch)
-
-
-@pytest.mark.parametrize("kind", list(FitKind))
-@pytest.mark.parametrize("beta", [0.0, 0.4])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("backtrack_factor", [0.1, 0.9])
-def test_batch_matches_scalar_at_other_backtrack_factors(kind, beta, seed, backtrack_factor,
-                                                         monkeypatch):
-    # The default factor 0.5 has exact powers, so it cannot tell a step
-    # table made by repeated multiplication from one made by powers; seed 2
-    # runs on the canonical basis.
-    check_batch_matches_scalar(kind, beta, seed, seed == 2, monkeypatch, backtrack_factor)
-
-
-def sequential_backtrack(stack, base, f_base, G, eta, lam, cfg):
+def sequential_backtrack(stack, base, f_base, G, eta, lam, prox):
     """The stacked backtracking search one step size per pass: the reference
     for ``solvers._backtrack``.  Also returns each row's number of tries."""
     searching = np.ones(base.shape[0], dtype=bool)
@@ -240,7 +221,7 @@ def sequential_backtrack(stack, base, f_base, G, eta, lam, cfg):
     eta_try = eta.copy()
     tried = None
     for _ in range(solvers._MAX_TRIES):
-        cand = solvers._prox(base - eta_try[:, None] * G, (eta_try * lam)[:, None], cfg)
+        cand = prox(base - eta_try[:, None] * G, (eta_try * lam)[:, None])
         d = cand - base
         dd = solvers._rowdot(d, d)
         u_cand = stack.rates(cand)
@@ -256,16 +237,14 @@ def sequential_backtrack(stack, base, f_base, G, eta, lam, cfg):
         searching &= ~ok
         if not searching.any():
             break
-        eta_try[searching] *= cfg.backtrack_factor
+        eta_try[searching] *= solvers._BACKTRACK
     return (~searching, *tried, eta_try), tries
 
 
 @pytest.mark.parametrize("kind", list(FitKind))
-@pytest.mark.parametrize("backtrack_factor", [0.1, 0.5, 0.9])
-def test_block_backtracking_matches_one_try_per_pass(kind, backtrack_factor):
+def test_block_backtracking_matches_one_try_per_pass(kind):
     basis = dct2_basis(5)
     fit = FitTerm(kind, 0.4)
-    cfg = SolverConfig(backtrack_factor=backtrack_factor)
     tries = []
     for seed in (8, 9, 10):
         A, ys, rng = make_problems(basis, seed, K=12)
@@ -273,18 +252,18 @@ def test_block_backtracking_matches_one_try_per_pass(kind, backtrack_factor):
         stack = solvers._FitModel.stack([solvers._FitModel.of(A[k], ys[k].counts, fit)
                                          for k in range(K)])
         # Bases near each problem's default start, and first step sizes
-        # 2 bt^-u times the curvature estimate, u in [0, 8], so that rows
+        # 2^(1+u) times the curvature estimate, u in [0, 8], so that rows
         # stop before, at and after the end of a block of step sizes.
         base = np.stack([basis.analyze(rng.uniform(0.7, 1.3, basis.dim) * ys[k].counts.sum()
                                        / basis.dim) for k in range(K)])
         U = stack.rates(base)
         f_base, G = stack.value(U), stack.grad_theta(U)
         L = solvers._spectral_norms_sq(stack.A) * stack.curvature_scale(U)
-        eta = 2.0 * backtrack_factor ** -rng.uniform(0.0, 8.0, K) / L
+        eta = 2.0 * solvers._BACKTRACK ** -rng.uniform(0.0, 8.0, K) / L
         lam = 10 ** rng.uniform(-3.0, -1.0, K) * np.abs(G).max(axis=1)
         # No step size can meet the last row's lowered bound: it uses every try.
         f_base[-1] -= 1e6
-        args = (base, f_base, G, eta, lam, cfg)
+        args = (base, f_base, G, eta, lam, solvers._prox_of(basis))
         with np.errstate(divide="ignore", invalid="ignore"):
             got = solvers._backtrack(stack.widen(), *args)
             want, row_tries = sequential_backtrack(stack, *args)
@@ -316,10 +295,8 @@ def test_rows_masked_for_zero_counts_share_one_stack(kind, canonical, monkeypatc
     # At beta = 0 these fits leave zero-count rows out, and one operator row
     # is zeroed; the problems mask different numbers of rows, yet run as one
     # stack, and each solve is the solve of its problem alone.
-    if canonical:
-        basis, cfg = identity_basis(30), SolverConfig(max_iters=300, nonneg_signal=True)
-    else:
-        basis, cfg = dct2_basis(5), SolverConfig(max_iters=300)
+    basis = identity_basis(30) if canonical else dct2_basis(5)
+    cfg = SolverConfig(max_iters=300)
     fit = FitTerm(kind)
     A, ys, rng = make_problems(basis, 12, intensities=[15.0, 25.0, 40.0, 60.0, 1e3, 1e5])
     A[4, 3] = 0.0
@@ -460,9 +437,7 @@ def test_batch_validates_its_inputs():
 
 def p2_setting(canonical):
     # A cap that some inner solves of the brighter problems reach.
-    if canonical:
-        return identity_basis(30), SolverConfig(max_iters=120, nonneg_signal=True)
-    return dct2_basis(5), SolverConfig(max_iters=120)
+    return identity_basis(30) if canonical else dct2_basis(5), SolverConfig(max_iters=120)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3])
@@ -530,18 +505,3 @@ def test_p2_batch_validates_its_inputs(monkeypatch):
             solve_p2(A[0], basis, ys[0], eps, cfg, **{name: value})
     assert stacked == []
 
-
-def test_nonneg_signal_needs_the_identity_basis():
-    # The clamp acts on the coefficients, which are the signal only in the
-    # canonical basis; every entry point refuses it before any work starts.
-    basis = dct2_basis(5)
-    fit = FitTerm(FitKind.JSD)
-    A, ys, _ = make_problems(basis, 7, K=2)
-    cfg = SolverConfig(nonneg_signal=True)
-    with pytest.raises(InvalidParamError, match="nonneg_signal"):
-        solve_penalized(A[0], basis, ys[0], fit, 1.0, cfg)
-    with pytest.raises(InvalidParamError, match="nonneg_signal"):
-        solve_penalized_batch(A, basis, ys, fit, [1.0, 1.0], cfg)
-    # A radius slack at the origin would need no solve at all.
-    with pytest.raises(InvalidParamError, match="nonneg_signal"):
-        solve_p2_batch(A, basis, ys, [1e3, 1e3], cfg)

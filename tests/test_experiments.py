@@ -179,10 +179,29 @@ class TestSpec:
         with pytest.raises(InvalidParamError, match=field):
             run_sweep(ExperimentSpec.from_dict({"kind": "intensity", field: value}))
 
+    @pytest.mark.parametrize("kind, grid, field", [
+        ("measurements", {"n_measurements": [20.5, True]}, "grid n_measurements"),
+        ("measurements", {"n_measurements": [20, 0]}, "grid n_measurements"),
+        ("measurements", {"intensity": [1e4]}, "grid n_measurements"),
+        ("sparsity", {"sparsity": [2.7]}, "grid sparsity"),
+        ("sparsity", {"sparsity": [True]}, "grid sparsity"),
+        ("intensity", {"intensity": [True]}, "grid intensity"),
+        ("intensity", {"intensity": []}, "grid intensity"),
+        ("image", {"n_measurements": [20]}, "grid intensity"),
+    ])
+    def test_bad_grid_axis_rejected_before_any_work(self, kind, grid, field):
+        # Sweeps used to cast these with int() or float() unchecked, so N =
+        # 20.5 ran as 20, True as 1, s = 2.7 as 2 and I = True as 1.0; a
+        # missing axis failed with a bare KeyError once the run started.
+        with pytest.raises(InvalidParamError, match=field):
+            ExperimentSpec.from_dict({"kind": kind, "grid": grid})
+
     def test_integer_fields_accept_numpy_integers(self):
         spec = ExperimentSpec(kind="image", trials=np.int64(2), dim=np.int32(40),
                               master_seed=np.int64(0), image_size=None)
         assert (spec.trials, spec.dim, spec.image_size) == (2, 40, None)
+        spec = ExperimentSpec(kind="measurements", grid={"n_measurements": [np.int64(20)]})
+        assert experiments._cells(spec)[0]["N"] == 20
 
     @pytest.mark.parametrize("command", ["sweep", "verify-stats"])
     def test_negative_seed_rejected_by_the_cli(self, command, tmp_path, monkeypatch):
