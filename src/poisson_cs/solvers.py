@@ -425,11 +425,8 @@ def _momenta(steps: int) -> np.ndarray:
 # stop early, a narrower one a numpy round trip per try on rows that do not.
 _MAX_TRIES = 200
 _BLOCK = 4
-# Each rejected step size is halved.  Halving is exact in binary floating
-# point, so a block's step sizes, its first times _HALVINGS, are the ones
-# repeated halving makes, bit for bit.
+# Each rejected step size is multiplied by _BACKTRACK, a halving.
 _BACKTRACK = 0.5
-_HALVINGS = _BACKTRACK ** np.arange(_BLOCK)
 
 
 def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
@@ -474,16 +471,22 @@ def _backtrack(wide: _FitModel, base, f_base, G, eta, lam, prox):
     (``_FitModel.widen``), and ``prox`` the proximal map (``_prox_of``).
     Each pass tries the next ``_BLOCK`` step sizes of every row still
     searching at once, and a row keeps the first one it accepts, as a search
-    of one try per pass would.  Returns (found, cand, dd, u_cand, f_cand,
-    eta_try), where dd is the squared length of the step cand - base; rows
-    not found hold their last rejected try and the step size after it.
+    of one try per pass would.  A block's step sizes come by repeated
+    multiplication, as one try at a time makes them, so the search keeps
+    their bits at any factor, not only at an exact one such as 1/2.  Returns
+    (found, cand, dd, u_cand, f_cand, eta_try), where dd is the squared
+    length of the step cand - base; rows not found hold their last rejected
+    try and the step size after it.
     """
     # The rows still searching, and their inputs with a step-size axis.
     rows = out = None
     base, G, f_base, lam = base[:, None], G[:, None], f_base[:, None], lam[:, None]
     for _ in range(_MAX_TRIES // _BLOCK):
         K = eta.size
-        E = eta[:, None] * _HALVINGS
+        E = np.empty((K, _BLOCK))
+        E[:, 0] = eta
+        E[:, 1:] = _BACKTRACK
+        np.multiply.accumulate(E, axis=1, out=E)
         C = prox(base - E[..., None] * G, (E * lam)[..., None])
         D = C - base
         UC = wide.rates(C)

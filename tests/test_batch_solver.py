@@ -242,7 +242,12 @@ def sequential_backtrack(stack, base, f_base, G, eta, lam, prox):
 
 
 @pytest.mark.parametrize("kind", list(FitKind))
-def test_block_backtracking_matches_one_try_per_pass(kind):
+@pytest.mark.parametrize("factor", [0.1, 0.5, 0.9])
+def test_block_backtracking_matches_one_try_per_pass(kind, factor, monkeypatch):
+    # The solver halves (0.5), an exact factor whose powers cannot tell a
+    # block of step sizes made by repeated multiplication from one made by
+    # powers; 0.1 and 0.9 can, so the search is also run with those.
+    monkeypatch.setattr(solvers, "_BACKTRACK", factor)
     basis = dct2_basis(5)
     fit = FitTerm(kind, 0.4)
     tries = []
@@ -252,7 +257,7 @@ def test_block_backtracking_matches_one_try_per_pass(kind):
         stack = solvers._FitModel.stack([solvers._FitModel.of(A[k], ys[k].counts, fit)
                                          for k in range(K)])
         # Bases near each problem's default start, and first step sizes
-        # 2^(1+u) times the curvature estimate, u in [0, 8], so that rows
+        # 2 factor^-u times the curvature estimate, u in [0, 8], so that rows
         # stop before, at and after the end of a block of step sizes.
         base = np.stack([basis.analyze(rng.uniform(0.7, 1.3, basis.dim) * ys[k].counts.sum()
                                        / basis.dim) for k in range(K)])
