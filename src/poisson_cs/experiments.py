@@ -444,15 +444,15 @@ def _verify_stats_grid(spec: ExperimentSpec) -> tuple[list[int], list[tuple[floa
     if spec.trials < KS_MIN_SAMPLES:
         raise InvalidParamError(
             f"trials must be >= {KS_MIN_SAMPLES} for the KS test, got {spec.trials!r}")
-    grid_N = list(spec.grid.get("n_measurements", [50, 100, 500]))
+    fallback = default_grid("verify-stats")
+    grid_N = list(spec.grid.get("n_measurements", fallback["n_measurements"]))
     for N in grid_N:
-        if not (isinstance(N, numbers.Integral) and N >= 1):
-            raise InvalidParamError(f"grid n_measurements must be integers >= 1, got {N!r}")
+        _check_integer("grid n_measurements", N, 1)
     if len(set(grid_N)) < len(grid_N):
         raise InvalidParamError(f"grid n_measurements has a repeated value: {grid_N!r}")
     grid_I = []
     levels: dict[int, float] = {}
-    for value in spec.grid.get("intensity", [1e3, 1e4, 1e6]):
+    for value in spec.grid.get("intensity", fallback["intensity"]):
         if not (isinstance(value, numbers.Real) and 1.0 <= value < math.inf):
             raise InvalidParamError(f"grid intensity must be finite and >= 1, got {value!r}")
         level = int(math.log10(value) * 4)

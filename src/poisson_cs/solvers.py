@@ -31,8 +31,9 @@ Five entry points:
     ``solve_p2`` is its call on one problem.
 
 The inner solver is proximal gradient with backtracking line search and
-FISTA-style acceleration under a monotone restart, so the recorded
-objective trace never increases; it is written once, in ``_lockstep``.
+FISTA-style acceleration under a monotone restart, so the objective never
+increases from one iteration to the next; the loop is written once, in
+``_lockstep``.
 Its proximal map follows from the basis, with no option to set: on the
 identity basis the soft threshold is followed by a clamp at 0, the exact
 projection onto theta >= 0; on the DCT basis it stands alone.
@@ -99,33 +100,43 @@ class FitTerm:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration cap and stopping tolerances of every penalized solve.  The
-    basis decides the signal constraint (``_prox_of``); it is no option."""
+    """Iteration cap and flat-objective tolerance of every penalized solve.
+    The basis decides the signal constraint (``_prox_of``); it is no option."""
 
     max_iters: int = 2000
-    grad_tol: float = 1e-12
     objective_tol: float = 1e-8
 
     def __post_init__(self):
         if not (isinstance(self.max_iters, numbers.Integral)
                 and not isinstance(self.max_iters, bool) and self.max_iters >= 1):
             raise InvalidParamError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        for name in ("grad_tol", "objective_tol"):
-            tol = getattr(self, name)
-            if not (tol > 0.0 and math.isfinite(tol)):
-                raise InvalidParamError(f"{name} must be finite and > 0, got {tol!r}")
+        # NaN fails the comparison, so it is rejected too.
+        if not (self.objective_tol > 0.0 and math.isfinite(self.objective_tol)):
+            raise InvalidParamError(
+                f"objective_tol must be finite and > 0, got {self.objective_tol!r}")
 
 
 @dataclass
 class SolveResult:
+    """The outcome of a penalized solve or of a P2 radius search.
+
+    ``theta_star`` is the returned point and ``iterations`` the iterations of
+    its solve.  ``converged`` is True when a stopping test, not
+    ``max_iters``, ended the solve: a gradient map below ``_GRAD_TOL``, but
+    also five flat iterations (``SolverConfig.objective_tol``) or no descent
+    step at any step size, and these two certify no optimality.
+    ``lambda_used`` is the solve's weight.  For P2 these describe the chosen
+    solve, or the origin, with ``lambda_used`` None, when it meets the
+    radius; ``constraint_residual`` is sqjsd(y, A theta_star) - epsilon, and
+    ``n_solves`` and ``total_iterations`` count the search's solves and
+    their summed iterations.
+    """
+
     theta_star: np.ndarray
-    objective_trace: list
     iterations: int
     converged: bool
     constraint_residual: float | None = None
     lambda_used: float | None = None
-    # P2 only: the radius search's penalized solves and their summed
-    # iterations (``iterations`` counts the chosen solve alone).
     n_solves: int | None = None
     total_iterations: int | None = None
 
@@ -381,6 +392,33 @@ def _start(model: _FitModel, basis: OrthonormalBasis, counts: np.ndarray, warm):
     return start
 
 
+def _problems(A, basis: OrthonormalBasis, ys, starts=()):
+    """The operators and count vectors of K problems as float arrays, checked
+    before any work: each operator must be (N, m) with one column per basis
+    function, its counts finite, >= 0 and one per row, and each given start
+    (None is none) of one coefficient per basis function."""
+    A = [np.asarray(a, dtype=float) for a in A]
+    counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
+    if len(counts) != len(A):
+        raise LengthMismatchError(f"{len(A)} operators need as many counts")
+    for a, c in zip(A, counts):
+        if a.ndim != 2:
+            raise InvalidParamError("A must hold one (N, m) operator per problem")
+        bad = c[~((c >= 0.0) & (c < math.inf))]
+        if bad.size:
+            raise InvalidParamError(f"counts must be finite and >= 0, got {float(bad[0])!r}")
+        if c.shape != a.shape[:1]:
+            raise LengthMismatchError(f"{c.size} counts for an operator of {a.shape[0]} rows")
+        if a.shape[1] != basis.dim:
+            raise LengthMismatchError(
+                f"an operator of {a.shape[1]} columns for a basis of dim {basis.dim}")
+    for start in starts:
+        if start is not None and np.shape(start) != (basis.dim,):
+            raise LengthMismatchError(
+                f"a start of shape {np.shape(start)} for a basis of dim {basis.dim}")
+    return A, counts
+
+
 def _check_lam(lam) -> None:
     # NaN fails the comparison, so it is rejected too.
     if not (lam > 0.0 and math.isfinite(lam)):
@@ -425,8 +463,16 @@ def _momenta(steps: int) -> np.ndarray:
 # stop early, a narrower one a numpy round trip per try on rows that do not.
 _MAX_TRIES = 200
 _BLOCK = 4
-# Each rejected step size is multiplied by _BACKTRACK, a halving.
+# Each rejected step size is multiplied by _BACKTRACK, a halving, so the
+# block's step sizes are eta times _STEPS, exactly.
 _BACKTRACK = 0.5
+_STEPS = _BACKTRACK ** np.arange(_BLOCK)
+# A solve stops once its gradient map is below _GRAD_TOL.
+_GRAD_TOL = 1e-12
+# A radius search stops once sqjsd is within _CONSTRAINT_RTOL * epsilon of
+# the radius, or after _MAX_BISECT bisection steps on log(lam).
+_CONSTRAINT_RTOL = 0.01
+_MAX_BISECT = 40
 
 
 def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
@@ -471,9 +517,9 @@ def _backtrack(wide: _FitModel, base, f_base, G, eta, lam, prox):
     (``_FitModel.widen``), and ``prox`` the proximal map (``_prox_of``).
     Each pass tries the next ``_BLOCK`` step sizes of every row still
     searching at once, and a row keeps the first one it accepts, as a search
-    of one try per pass would.  A block's step sizes come by repeated
-    multiplication, as one try at a time makes them, so the search keeps
-    their bits at any factor, not only at an exact one such as 1/2.  Returns
+    of one try per pass would.  A block's step sizes are eta times powers of
+    1/2, which are exact, so they are the bits that repeated halving, one
+    try at a time, makes.  Returns
     (found, cand, dd, u_cand, f_cand, eta_try), where dd is the squared
     length of the step cand - base; rows not found hold their last rejected
     try and the step size after it.
@@ -483,10 +529,7 @@ def _backtrack(wide: _FitModel, base, f_base, G, eta, lam, prox):
     base, G, f_base, lam = base[:, None], G[:, None], f_base[:, None], lam[:, None]
     for _ in range(_MAX_TRIES // _BLOCK):
         K = eta.size
-        E = np.empty((K, _BLOCK))
-        E[:, 0] = eta
-        E[:, 1:] = _BACKTRACK
-        np.multiply.accumulate(E, axis=1, out=E)
+        E = eta[:, None] * _STEPS
         C = prox(base - E[..., None] * G, (E * lam)[..., None])
         D = C - base
         UC = wide.rates(C)
@@ -546,9 +589,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
     U = np.empty(stack.yb.shape)
     f_x, F_cur, eta, lam = np.empty(K), np.empty(K), np.empty(K), np.empty(K)
     step, flat, it = np.zeros(K, dtype=int), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
-    trace = np.empty((K, cfg.max_iters + 1))  # row j's trace is trace[j, :it[j] + 1]
     owner = np.arange(K)  # the problem of each row
-    rows = np.arange(K)   # the row index of each row
     given = [None] * K    # the lam of each problem's current solve, as its chain gave it
     out = [None] * K
     # The momentum of a row is t = momenta[step], and its extrapolation
@@ -566,16 +607,15 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
             L = norm_sq[k] * models[k].curvature_scale(u)
             X[j], Z[j], U[j], f_x[j] = x, x, u, f
             eta[j] = 1.0 / L if L > 0.0 else 1.0
-            F_cur[j] = trace[j, 0] = f + lam_j * float(np.sum(np.abs(x)))
+            F_cur[j] = f + lam_j * float(np.sum(np.abs(x)))
             lam[j], given[k] = lam_j, lam_j
             step[j] = flat[j] = it[j] = 0
         if leave:
             keep = np.ones(owner.size, dtype=bool)
             keep[leave] = False
             stack = stack.take(keep)
-            X, Z, U, f_x, F_cur, eta, lam, step, flat, it, trace, owner = (
-                a[keep] for a in (X, Z, U, f_x, F_cur, eta, lam, step, flat, it, trace, owner))
-            rows = np.arange(owner.size)
+            X, Z, U, f_x, F_cur, eta, lam, step, flat, it, owner = (
+                a[keep] for a in (X, Z, U, f_x, F_cur, eta, lam, step, flat, it, owner))
             if not owner.size:
                 return out
 
@@ -608,8 +648,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
                 f_cand[retry], F_cand[retry], eta_try[retry] = r_f, r_F, r_eta
 
         # Rows without an accepted step stop: no descent step exists at any
-        # step size; they keep their point, and their trace ends before this
-        # pass's entry.  The others move to the candidate.
+        # step size; they keep their point.  The others move to the candidate.
         grad_map = np.sqrt(dd) / eta_try
         rel_change = np.abs(F_cur - F_cand) / np.maximum(1.0, np.abs(F_cand))
         flat = np.where(rel_change < cfg.objective_tol, flat + 1, 0)
@@ -618,16 +657,14 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
         it += 1
         last, X = X, cand
         U, f_x, F_cur, eta = u_cand, f_cand, F_cand, eta_try
-        trace[rows, it] = F_cand
 
-        done = ~accepted | (flat >= 5) | (grad_map < cfg.grad_tol)
+        done = ~accepted | (flat >= 5) | (grad_map < _GRAD_TOL)
         seed, leave = [], []
         for j in (done | (it >= cfg.max_iters)).nonzero()[0].tolist():
             k = owner[j]
             n = int(it[j])
-            res = SolveResult(theta_star=(X if accepted[j] else last)[j].copy(),
-                              objective_trace=trace[j, :n + 1 if accepted[j] else n].tolist(),
-                              iterations=n, converged=bool(done[j]), lambda_used=given[k])
+            res = SolveResult(theta_star=(X if accepted[j] else last)[j].copy(), iterations=n,
+                              converged=bool(done[j]), lambda_used=given[k])
             try:
                 seed.append((j, chains[k].send(res)))
             except StopIteration as stop:
@@ -658,13 +695,10 @@ def solve_chains(
     """
     cfg = cfg or SolverConfig()
     prox = _prox_of(basis)
-    A = [np.asarray(a, dtype=float) for a in A]
-    if any(a.ndim != 2 for a in A):
-        raise InvalidParamError("A must hold one (N, m) operator per problem")
     K = len(A)
-    if len(ys) != K or len(chains) != K:
-        raise LengthMismatchError(f"{K} operators need as many counts and chains")
-    counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
+    if len(chains) != K:
+        raise LengthMismatchError(f"{K} operators need as many chains")
+    A, counts = _problems(A, basis, ys)
     results = [None] * K
     requests = {}
     # The chains evaluate fits too, before their first request and between
@@ -718,8 +752,9 @@ def solve_penalized_batch(
         raise LengthMismatchError(f"{K} operators need as many counts, weights and starts")
     for lam in lams:
         _check_lam(lam)
-    return solve_chains(A, basis, ys, fit, [_one_solve(lam, warm)
-                                            for lam, warm in zip(lams, theta0)], cfg)
+    A, counts = _problems(A, basis, ys, theta0)
+    return solve_chains(A, basis, counts, fit, [_one_solve(lam, warm)
+                                                for lam, warm in zip(lams, theta0)], cfg)
 
 
 def solve_penalized(
@@ -736,8 +771,8 @@ def solve_penalized(
     Raises InfeasibleStartError when ``theta0`` violates the fit domain.
     """
     if theta0 is not None:
-        A = np.asarray(A, dtype=float)
-        model = _FitModel.of(A, np.asarray(getattr(y, "counts", y), dtype=float), fit)
+        (A,), (counts,) = _problems([A], basis, [y], [theta0])
+        model = _FitModel.of(A, counts, fit)
         with np.errstate(**_QUIET):
             feasible = math.isfinite(_point(model, theta0)[2])
         if not feasible:
@@ -759,19 +794,16 @@ def solve_p2(
     epsilon: float,
     cfg: SolverConfig | None = None,
     beta: float = 0.0,
-    constraint_rtol: float = 0.01,
-    max_bisect: int = 40,
 ) -> SolveResult:
     """Minimal-l1 coefficients subject to sqjsd(y, A theta) <= epsilon.
 
     Bisects log(lam) over the penalized JSD problem, warm-starting each
     solve, and returns the feasible solution of largest lam (smallest l1
-    norm) once sqjsd is within ``constraint_rtol * epsilon`` of the radius
-    or the bisection budget is exhausted.  The result also counts the
-    search's penalized solves and their iterations.
+    norm) once sqjsd is within ``_CONSTRAINT_RTOL * epsilon`` (1 %) of the
+    radius or after ``_MAX_BISECT`` bisection steps.  The result also counts
+    the search's penalized solves and their iterations.
     """
-    return solve_p2_batch([A], basis, [y], [epsilon], cfg, beta, constraint_rtol,
-                          max_bisect)[0]
+    return solve_p2_batch([A], basis, [y], [epsilon], cfg, beta)[0]
 
 
 def solve_p2_batch(
@@ -781,8 +813,6 @@ def solve_p2_batch(
     epsilons,
     cfg: SolverConfig | None = None,
     beta: float = 0.0,
-    constraint_rtol: float = 0.01,
-    max_bisect: int = 40,
 ) -> list[SolveResult]:
     """``solve_p2`` on K independent problems that share a basis.
 
@@ -802,22 +832,13 @@ def solve_p2_batch(
         raise LengthMismatchError(f"{K} operators need as many counts and radii")
     if not all(eps > 0.0 and math.isfinite(eps) for eps in epsilons):
         raise InvalidParamError("epsilon must be finite and > 0")
-    # NaN fails the comparison, so it is rejected too.
-    if not (0.0 < constraint_rtol < 1.0):
-        raise InvalidParamError(
-            f"constraint_rtol must be finite and in (0, 1), got {constraint_rtol!r}")
-    if not (isinstance(max_bisect, numbers.Integral) and not isinstance(max_bisect, bool)
-            and max_bisect >= 0):
-        raise InvalidParamError(f"max_bisect must be an integer >= 0, got {max_bisect!r}")
-    A = [np.asarray(a, dtype=float) for a in A]
-    counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
+    A, counts = _problems(A, basis, ys)
     fit = FitTerm(FitKind.JSD, beta)
-    searches = [_radius_search(A[k], basis, counts[k], epsilons[k], fit, constraint_rtol,
-                               max_bisect) for k in range(K)]
+    searches = [_radius_search(A[k], basis, counts[k], epsilons[k], fit) for k in range(K)]
     return solve_chains(A, basis, counts, fit, searches, cfg)
 
 
-def _radius_search(A, basis, counts, epsilon, fit, constraint_rtol, max_bisect):
+def _radius_search(A, basis, counts, epsilon, fit):
     """The radius search of ``solve_p2`` for one problem, as a generator.
 
     It yields every penalized solve it needs as (lam, warm start), is sent
@@ -830,7 +851,6 @@ def _radius_search(A, basis, counts, epsilon, fit, constraint_rtol, max_bisect):
         # Constraint already slack at the origin: nothing beats ||0||_1.
         return SolveResult(
             theta_star=zero,
-            objective_trace=[0.0],
             iterations=0,
             converged=True,
             constraint_residual=s_zero - epsilon,
@@ -863,8 +883,8 @@ def _radius_search(A, basis, counts, epsilon, fit, constraint_rtol, max_bisect):
     if s_hi <= epsilon:
         best, lam_best, s_best = res_hi, lam_hi, s_hi
     else:
-        for _ in range(max_bisect):
-            if abs(s_best - epsilon) <= constraint_rtol * epsilon:
+        for _ in range(_MAX_BISECT):
+            if abs(s_best - epsilon) <= _CONSTRAINT_RTOL * epsilon:
                 break
             if lam_hi / lam_lo < 1.01:
                 # The map lam -> sqjsd jumps across epsilon here (support
@@ -878,7 +898,7 @@ def _radius_search(A, basis, counts, epsilon, fit, constraint_rtol, max_bisect):
                 lam_hi = lam_mid
 
     theta = best.theta_star
-    if s_best < epsilon * (1.0 - constraint_rtol):
+    if s_best < epsilon * (1.0 - _CONSTRAINT_RTOL):
         # The penalized path overshot the constraint.  Shrinking theta toward
         # zero keeps it feasible while strictly lowering the l1 objective, so
         # bisect the scale until the constraint is (nearly) active; sqjsd of
@@ -891,14 +911,13 @@ def _radius_search(A, basis, counts, epsilon, fit, constraint_rtol, max_bisect):
                 t_hi, s_best = t_mid, s_mid
             else:
                 t_lo = t_mid
-            if abs(s_mid - epsilon) <= constraint_rtol * epsilon:
+            if abs(s_mid - epsilon) <= _CONSTRAINT_RTOL * epsilon:
                 break
         theta = t_hi * theta
         s_best = _sqjsd_of(A, counts, theta, beta)
 
     return SolveResult(
         theta_star=theta,
-        objective_trace=best.objective_trace,
         iterations=best.iterations,
         converged=best.converged,
         constraint_residual=s_best - epsilon,

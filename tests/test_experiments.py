@@ -356,6 +356,8 @@ class TestVerifyStats:
         ({"n_measurements": [20, 0], "intensity": [1e3]}, 100, "grid n_measurements"),
         ({"n_measurements": [20, 2.5], "intensity": [1e3]}, 100, "grid n_measurements"),
         ({"n_measurements": [20, 20], "intensity": [1e3]}, 100, "grid n_measurements"),
+        # True is no count.
+        ({"n_measurements": [True, 50], "intensity": [1e3]}, 100, "grid n_measurements"),
     ])
     def test_bad_grid_rejected_before_any_cell(self, grid, trials, field, monkeypatch):
         # These used to fail only after cells had run, truncate N to an
