@@ -9,7 +9,8 @@ Subpackages by theme:
 - :mod:`poisson_cs.sqjsd_stats` — concentration bounds, KS check, and the
   data-driven constraint radius.
 - :mod:`poisson_cs.solvers` — l1-regularized reconstruction (penalized JSD /
-  SNLL / generalized-KL fits, and the constrained problem via bisection).
+  SNLL / generalized-KL fits, and the constrained problem via secant steps
+  on the regularization path).
 - :mod:`poisson_cs.transforms` — orthonormal bases and the patch pipeline.
 - :mod:`poisson_cs.experiments` — seeded, manifest-recorded experiment runs.
 """

@@ -20,10 +20,14 @@ Five entry points:
 
 ``solve_p2``
     minimize  ||theta||_1  subject to  sqrt(J(y, A @ theta)) <= epsilon
-    realized as an outer bisection on log(lam) over the penalized JSD
-    problem: the map lam -> sqjsd(y, A theta*(lam)) is monotone
+    realized as an outer root search on log(lam) over the penalized JSD
+    problem: for exact solves the map lam -> sqjsd(y, A theta*(lam)) is
     non-decreasing, so the largest lam whose solution still meets the
-    constraint yields the minimal-l1 feasible point.
+    constraint yields the minimal-l1 feasible point.  Solves that stop on
+    a flat objective break that order (on the DCT basis a solve far above
+    the crossing can be feasible by accident), so the search brackets the
+    crossing from a small lam and takes safeguarded secant steps that go at
+    most two decades above the feasible end of the bracket.
 
 ``solve_p2_batch``
     K independent radius searches, each one chain of ``solve_chains``, so a
@@ -469,10 +473,15 @@ _BACKTRACK = 0.5
 _STEPS = _BACKTRACK ** np.arange(_BLOCK)
 # A solve stops once its gradient map is below _GRAD_TOL.
 _GRAD_TOL = 1e-12
-# A radius search stops once sqjsd is within _CONSTRAINT_RTOL * epsilon of
-# the radius, or after _MAX_BISECT bisection steps on log(lam).
+# The radius search of ``solve_p2``: its tolerance, its cap on secant steps,
+# its first lam in units of the gradient scale (the floor of the omniscient
+# lambda grid, experiments._LAMBDA_GRID_LO), the lam at which it gives up,
+# and the largest secant step above the feasible end of the bracket.
 _CONSTRAINT_RTOL = 0.01
-_MAX_BISECT = 40
+_MAX_SECANT = 40
+_LAM_START = 1e-4
+_LAM_MIN = 1e-8
+_LOG_MAX_STEP = math.log(100.0)
 
 
 def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
@@ -597,13 +606,18 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
     momenta = _momenta(cfg.max_iters)
     pull = (momenta[:-1] - 1.0) / momenta[1:]
 
-    seed, leave = list(enumerate(requests)), []
+    seed, leave = [(j, request, False) for j, request in enumerate(requests)], []
     while True:
-        # Start each requested solve on its row.
-        for j, (lam_j, warm) in seed:
+        # Start each requested solve on its row.  A solve warm-started from
+        # the row's last accepted iterate starts from the rates and value the
+        # row holds, the bits ``_start`` would compute again.
+        for j, (lam_j, warm), held in seed:
             _check_lam(lam_j)
             k = owner[j]
-            x, u, f = _start(models[k], basis, counts[k], warm)
+            if held:
+                x, u, f = X[j], U[j], f_x[j]
+            else:
+                x, u, f = _start(models[k], basis, counts[k], warm)
             L = norm_sq[k] * models[k].curvature_scale(u)
             X[j], Z[j], U[j], f_x[j] = x, x, u, f
             eta[j] = 1.0 / L if L > 0.0 else 1.0
@@ -663,10 +677,14 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
         for j in (done | (it >= cfg.max_iters)).nonzero()[0].tolist():
             k = owner[j]
             n = int(it[j])
-            res = SolveResult(theta_star=(X if accepted[j] else last)[j].copy(), iterations=n,
+            # A row without an accepted step holds its rejected try in X, U
+            # and f_x; its solve returns the point before it.
+            moved = bool(accepted[j])
+            res = SolveResult(theta_star=(X if moved else last)[j].copy(), iterations=n,
                               converged=bool(done[j]), lambda_used=given[k])
             try:
-                seed.append((j, chains[k].send(res)))
+                request = chains[k].send(res)
+                seed.append((j, request, moved and request[1] is res.theta_star))
             except StopIteration as stop:
                 out[k] = stop.value
                 leave.append(j)
@@ -797,11 +815,20 @@ def solve_p2(
 ) -> SolveResult:
     """Minimal-l1 coefficients subject to sqjsd(y, A theta) <= epsilon.
 
-    Bisects log(lam) over the penalized JSD problem, warm-starting each
-    solve, and returns the feasible solution of largest lam (smallest l1
-    norm) once sqjsd is within ``_CONSTRAINT_RTOL * epsilon`` (1 %) of the
-    radius or after ``_MAX_BISECT`` bisection steps.  The result also counts
-    the search's penalized solves and their iterations.
+    Searches log(lam) over the penalized JSD problem, warm-starting each
+    solve from the best feasible point.  The first solve runs at
+    ``_LAM_START`` times the gradient scale at the default start, and lam
+    falls 100x at a time until a solve meets the radius; none does by
+    ``_LAM_MIN`` raises ``InfeasibleEpsilonError``.  After a solve at 100
+    times the gradient scale closes the bracket, safeguarded secant
+    (Illinois) steps on (log lam, log(sqjsd / epsilon)) follow, at most
+    ``_MAX_SECANT``, each at most two decades above the feasible end.  The
+    feasible solution of largest lam is kept; when its sqjsd is more than
+    ``_CONSTRAINT_RTOL * epsilon`` (1 %) below the radius, it is scaled
+    toward 0 until it lies within that band.  So the result has
+    ``-_CONSTRAINT_RTOL * epsilon <= constraint_residual <= 0``, unless the
+    origin meets the radius and is returned.  The result also counts the
+    search's penalized solves and their iterations.
     """
     return solve_p2_batch([A], basis, [y], [epsilon], cfg, beta)[0]
 
@@ -862,9 +889,8 @@ def _radius_search(A, basis, counts, epsilon, fit):
     model = _FitModel.of(A, counts, fit)
     theta_start = _default_start(basis, counts)
     g0 = model.grad_theta(model.rates(theta_start))
-    g_inf = float(np.max(np.abs(g0)))
-    lam_hi = max(g_inf, 1e-12) * 100.0
-    lam_lo = 1e-8
+    scale = max(float(np.max(np.abs(g0))), 1e-12)
+    tol = _CONSTRAINT_RTOL * epsilon
     iterations = []
 
     def _solve(lam, warm):
@@ -872,56 +898,80 @@ def _radius_search(A, basis, counts, epsilon, fit):
         iterations.append(res.iterations)
         return res, _sqjsd_of(A, counts, res.theta_star, beta)
 
-    res_lo, s_lo = yield from _solve(lam_lo, theta_start)
-    if s_lo > epsilon:
-        raise InfeasibleEpsilonError(
-            f"achievable sqjsd {s_lo:.4g} exceeds epsilon {epsilon:.4g}"
-        )
+    def _gap(s):
+        # log(sqjsd / epsilon), finite at sqjsd = 0 too.
+        return math.log(max(s, 1e-300) / epsilon)
 
-    best, lam_best, s_best = res_lo, lam_lo, s_lo
-    res_hi, s_hi = yield from _solve(lam_hi, best.theta_star)
+    # The feasible end of the bracket: from the floor of the omniscient lambda
+    # grid down, 100x at a time, each solve from the one before.
+    lam_lo = _LAM_START * scale
+    res, s = yield from _solve(lam_lo, theta_start)
+    while s > epsilon:
+        if lam_lo <= _LAM_MIN:
+            raise InfeasibleEpsilonError(
+                f"achievable sqjsd {s:.4g} exceeds epsilon {epsilon:.4g}"
+            )
+        lam_lo /= 100.0
+        res, s = yield from _solve(lam_lo, res.theta_star)
+    best, s_best = res, s
+
+    lam_hi = 100.0 * scale
+    res, s_hi = yield from _solve(lam_hi, best.theta_star)
     if s_hi <= epsilon:
-        best, lam_best, s_best = res_hi, lam_hi, s_hi
+        best, lam_lo, s_best = res, lam_hi, s_hi
     else:
-        for _ in range(_MAX_BISECT):
-            if abs(s_best - epsilon) <= _CONSTRAINT_RTOL * epsilon:
+        # Secant steps on h(log lam) = log(sqjsd / eps) inside the bracket
+        # [lam_lo, lam_hi], where h(lam_lo) <= 0 < h(lam_hi).
+        h_lo, h_hi = _gap(s_best), _gap(s_hi)
+        side = 0
+        for _ in range(_MAX_SECANT):
+            if s_best >= epsilon - tol:
                 break
             if lam_hi / lam_lo < 1.01:
                 # The map lam -> sqjsd jumps across epsilon here (support
                 # collapse); fall through to the scaling refinement below.
                 break
-            lam_mid = math.sqrt(lam_lo * lam_hi)
-            res_mid, s_mid = yield from _solve(lam_mid, best.theta_star)
-            if s_mid <= epsilon:
-                lam_lo, best, lam_best, s_best = lam_mid, res_mid, lam_mid, s_mid
+            x_lo, x_hi = math.log(lam_lo), math.log(lam_hi)
+            frac = min(max(h_lo / (h_lo - h_hi), 0.02), 0.98)
+            lam = math.exp(min(x_lo + frac * (x_hi - x_lo), x_lo + _LOG_MAX_STEP))
+            res, s = yield from _solve(lam, best.theta_star)
+            h = _gap(s)
+            # Illinois: an end kept twice in a row has its h halved.
+            if s <= epsilon:
+                best, lam_lo, s_best, h_lo = res, lam, s, h
+                if side == -1:
+                    h_hi *= 0.5
+                side = -1
             else:
-                lam_hi = lam_mid
+                lam_hi, h_hi = lam, h
+                if side == 1:
+                    h_lo *= 0.5
+                side = 1
 
     theta = best.theta_star
-    if s_best < epsilon * (1.0 - _CONSTRAINT_RTOL):
+    if s_best < epsilon - tol:
         # The penalized path overshot the constraint.  Shrinking theta toward
         # zero keeps it feasible while strictly lowering the l1 objective, so
-        # bisect the scale until the constraint is (nearly) active; sqjsd of
+        # bisect the scale until sqjsd is within tol below epsilon; sqjsd of
         # the scaled copies rises continuously to s_zero > epsilon at 0.
         t_lo, t_hi = 0.0, 1.0
         for _ in range(60):
             t_mid = 0.5 * (t_lo + t_hi)
             s_mid = _sqjsd_of(A, counts, t_mid * theta, beta)
-            if s_mid <= epsilon:
-                t_hi, s_best = t_mid, s_mid
-            else:
+            if s_mid > epsilon:
                 t_lo = t_mid
-            if abs(s_mid - epsilon) <= _CONSTRAINT_RTOL * epsilon:
+                continue
+            t_hi, s_best = t_mid, s_mid
+            if s_mid >= epsilon - tol:
                 break
         theta = t_hi * theta
-        s_best = _sqjsd_of(A, counts, theta, beta)
 
     return SolveResult(
         theta_star=theta,
         iterations=best.iterations,
         converged=best.converged,
         constraint_residual=s_best - epsilon,
-        lambda_used=lam_best,
+        lambda_used=lam_lo,
         n_solves=len(iterations),
         total_iterations=sum(iterations),
     )

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .divergences import jsd_rowwise
 from .errors import InvalidParamError, MissingSamplesError
@@ -176,6 +175,9 @@ def ks_gaussian_test(samples, alpha: float = 0.01) -> KsResult:
     sd = float(np.std(vals, ddof=1))
     if sd == 0.0:
         raise InvalidParamError("zero-variance samples: KS test degenerate")
+    # Imported here, so that importing the package loads numpy only.
+    from scipy.special import ndtr
+
     cdf = ndtr((vals - mu) / sd)
     idx = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(idx / n - cdf)

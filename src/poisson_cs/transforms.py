@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .errors import InvalidParamError, LengthMismatchError
 
@@ -54,6 +53,10 @@ class OrthonormalBasis:
             raise LengthMismatchError(f"expected length {self.dim}, got {theta.size}")
         if self.kind is BasisKind.IDENTITY:
             return theta.copy()
+        # scipy is imported where it is used, so that importing the package
+        # (and starting the CLI) loads numpy only.
+        from scipy.fft import idctn
+
         h, w = self.patch_shape
         return idctn(theta.reshape(h, w), norm="ortho").reshape(-1)
 
@@ -63,6 +66,8 @@ class OrthonormalBasis:
             raise LengthMismatchError(f"expected length {self.dim}, got {x.size}")
         if self.kind is BasisKind.IDENTITY:
             return x.copy()
+        from scipy.fft import dctn
+
         h, w = self.patch_shape
         return dctn(x.reshape(h, w), norm="ortho").reshape(-1)
 
@@ -70,6 +75,8 @@ class OrthonormalBasis:
         """Dense Psi; columns are the synthesized canonical coefficients."""
         if self.kind is BasisKind.IDENTITY:
             return np.eye(self.dim)
+        from scipy.fft import idctn
+
         h, w = self.patch_shape
         # Row j synthesizes the j-th canonical coefficient vector.
         rows = idctn(np.eye(self.dim).reshape(self.dim, h, w), axes=(1, 2), norm="ortho")

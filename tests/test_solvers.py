@@ -31,7 +31,7 @@ from poisson_cs.solvers import (
     solve_penalized_batch,
 )
 from poisson_cs.sqjsd_stats import choose_epsilon
-from poisson_cs.transforms import identity_basis
+from poisson_cs.transforms import dct2_basis, identity_basis
 
 
 def sparse_instance(m=100, N=50, s=5, intensity=1e8, seed=0):
@@ -255,7 +255,7 @@ class TestSolveP2:
         eps = choose_epsilon("theory", 50)
         cfg = SolverConfig(max_iters=1500)
         res = solve_p2(phi.entries, basis, mv, eps, cfg)
-        # Feasible from below, within the 1% bisection tolerance of epsilon.
+        # Feasible from below, within the 1% search tolerance of epsilon.
         assert -0.01 * eps - 1e-9 <= res.constraint_residual <= 1e-9
         # Reported residual is consistent with recomputing sqjsd at theta*.
         from poisson_cs.divergences import sqjsd
@@ -278,9 +278,36 @@ class TestSolveP2:
         u = phi.entries @ basis.synthesize(rerun.theta_star)
         s_rerun = math.sqrt(jsd(mv.counts.astype(float), np.maximum(u, 0.0)).value)
         # The penalized solution at lambda_used sits on the feasible side of
-        # the constraint; before the final scaling step it is the bisection's
+        # the constraint; before the final scaling step it is the search's
         # own iterate, so it cannot exceed epsilon by more than the tolerance.
         assert s_rerun <= eps * (1.0 + 0.01) + 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 3), log_intensity=st.floats(2.0, 8.0),
+           canonical=st.booleans())
+    def test_result_meets_the_radius(self, seed, log_intensity, canonical):
+        # The contract of solve_p2: sqjsd at the result is at most epsilon
+        # and within _CONSTRAINT_RTOL * epsilon of it, on either basis,
+        # unless the origin meets the radius and is the result.
+        intensity = 10.0**log_intensity
+        if canonical:
+            _, phi, mv = sparse_instance(m=40, N=20, s=3, intensity=intensity, seed=seed)
+            basis, A = identity_basis(40), phi.entries
+        else:
+            # A dense positive 5x5 patch, sparse in no basis.
+            basis, rng = dct2_basis(5), np.random.default_rng(seed)
+            x = rng.uniform(0.2, 1.0, basis.dim)
+            phi = build_phi(sample_rip_matrix(20, basis.dim, 0.5, seed=seed + 1))
+            mv = measure(phi, x * (intensity / x.sum()), seed=seed + 2)
+            A = phi.entries @ basis.matrix()
+        eps = choose_epsilon("theory", 20)
+        res = solve_p2(A, basis, mv, eps)
+        tol = solvers._CONSTRAINT_RTOL * eps
+        assert res.constraint_residual <= 1e-12
+        if res.lambda_used is None:
+            assert res.n_solves == 0 and not np.any(res.theta_star)
+        else:
+            assert res.constraint_residual >= -tol - 1e-12
 
     def test_counts_every_solve_of_the_search(self, monkeypatch):
         # Every solve each radius search is sent, on one problem (a stack of

@@ -1,8 +1,14 @@
 """Unit tests for bases, the patch pipeline, and PGM I/O."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import poisson_cs
 from poisson_cs.errors import InvalidParamError, LengthMismatchError
 from poisson_cs.transforms import (
     PatchGrid,
@@ -68,6 +74,24 @@ class TestBases:
     def test_dim_checked(self):
         with pytest.raises(LengthMismatchError):
             dct2_basis(7).synthesize(np.ones(10))
+
+
+def test_importing_the_cli_loads_numpy_only():
+    # scipy is imported where a DCT or the KS test needs it, so that starting
+    # the CLI does not pay for it; a DCT basis still synthesizes.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import poisson_cs.cli\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "from poisson_cs.transforms import dct2_basis\n"
+        "basis = dct2_basis(3)\n"
+        "x = basis.synthesize(np.eye(9)[0])\n"
+        "assert np.allclose(x, 1.0 / 3.0) and 'scipy' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(poisson_cs.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestPatchGrid:
