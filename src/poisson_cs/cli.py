@@ -6,6 +6,9 @@ Subcommands::
     poisson-cs verify-stats --out results/
     poisson-cs image --input img.pgm --out results/
 
+Each spec field comes from its flag, else from ``--config``, else from the
+subcommand's default (image: solver P4; verify-stats: 1000 trials), else
+from ``ExperimentSpec``; the spec is built and checked once, before any work.
 Sweeps write ``sweep_<kind>.csv`` (plot-ready quantiles) plus
 ``manifest_<kind>.json``; verify-stats and image write JSON reports.  Exit
 code is 0 on success and 2 if any cell failed to converge (results are
@@ -20,6 +23,8 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    SOLVERS,
+    SWEEP_KINDS,
     ExperimentSpec,
     default_grid,
     run_image_recon,
@@ -44,22 +49,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for sweep trials or runs of image patches")
 
 
-def _build_spec(args, kind: str, default_trials: int | None = None) -> ExperimentSpec:
-    fields: dict = {}
+def _build_spec(args, kind: str, **defaults) -> ExperimentSpec:
+    fields = dict(defaults)
     if args.config is not None:
         with open(args.config) as f:
             fields.update(json.load(f))
     fields["kind"] = kind
-    if "grid" not in fields or not fields.get("grid"):
+    if not fields.get("grid"):
         fields["grid"] = default_grid(kind, paper_scale=args.paper_scale)
-    if default_trials is not None:
-        fields.setdefault("trials", default_trials)
-    if args.seed is not None:
-        fields["master_seed"] = args.seed
-    if args.trials is not None:
-        fields["trials"] = args.trials
-    if args.workers is not None:
-        fields["workers"] = args.workers
+    flags = {"master_seed": args.seed, "trials": args.trials, "workers": args.workers,
+             "solver": getattr(args, "solver", None)}
+    fields.update((name, value) for name, value in flags.items() if value is not None)
     return ExperimentSpec.from_dict(fields)
 
 
@@ -72,9 +72,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="RRMSE sweep over a parameter grid")
-    p_sweep.add_argument("--kind", choices=["intensity", "measurements", "sparsity"],
-                         default="intensity")
-    p_sweep.add_argument("--solver", choices=["P2", "P4", "P5", "P6"], default=None)
+    p_sweep.add_argument("--kind", choices=SWEEP_KINDS, default="intensity")
+    p_sweep.add_argument("--solver", choices=SOLVERS, default=None)
     _add_common(p_sweep)
 
     p_stats = sub.add_parser("verify-stats", help="Monte-Carlo sqjsd statistics report")
@@ -82,7 +81,7 @@ def main(argv=None) -> int:
 
     p_image = sub.add_parser("image", help="patch-wise compressive image reconstruction")
     p_image.add_argument("--input", type=Path, required=True, help="input PGM image")
-    p_image.add_argument("--solver", choices=["P2", "P4", "P5", "P6"], default=None)
+    p_image.add_argument("--solver", choices=SOLVERS, default=None)
     _add_common(p_image)
 
     args = parser.parse_args(argv)
@@ -91,8 +90,6 @@ def main(argv=None) -> int:
 
     if args.command == "sweep":
         spec = _build_spec(args, args.kind)
-        if args.solver is not None:
-            spec.solver = args.solver
         manifest = run_sweep(spec)
         write_sweep_csv(manifest, out / f"sweep_{spec.kind}.csv")
         manifest.to_json(out / f"manifest_{spec.kind}.json")
@@ -101,7 +98,7 @@ def main(argv=None) -> int:
         return 2 if manifest.n_unconverged else 0
 
     if args.command == "verify-stats":
-        spec = _build_spec(args, "verify-stats", default_trials=1000)
+        spec = _build_spec(args, "verify-stats", trials=1000)
         report = run_verify_stats(spec)
         path = out / "verify_stats.json"
         with open(path, "w") as f:
@@ -111,8 +108,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "image":
-        spec = _build_spec(args, "image")
-        spec.solver = args.solver if args.solver is not None else "P4"
+        spec = _build_spec(args, "image", solver="P4")
         report = run_image_recon(spec, args.input, out)
         path = out / "image_recon.json"
         with open(path, "w") as f:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as LIBRARY_VERSION
-from .errors import InvalidParamError
+from .errors import InvalidParamError, check_integer, check_nonneg, check_positive
 from .sensing import build_phi, sample_rip_matrix
 from .simulate import derive_rng, derive_seed, measure
 from .solvers import (
@@ -79,6 +78,8 @@ _STREAM_PILOT = 3
 _STREAM_STATS = 4
 
 _SOLVER_FITS = {"P4": FitKind.JSD, "P5": FitKind.SNLL, "P6": FitKind.GEN_KL}
+# The estimators a spec may name: the constrained P2 and the penalized fits.
+SOLVERS = ("P2", *_SOLVER_FITS)
 
 # Omniscient-lambda grid, relative to the gradient scale at the start point.
 # The best pick sits around 1e-3..1e-2 of the scale for intensities between
@@ -87,20 +88,6 @@ _SOLVER_FITS = {"P4": FitKind.JSD, "P5": FitKind.SNLL, "P6": FitKind.GEN_KL}
 # iterations crawl without improving the reconstruction.
 _LAMBDA_GRID_LO = 1e-4
 _LAMBDA_GRID_HI = 0.3
-
-
-def _check_positive(name: str, value) -> None:
-    # NaN fails the comparison, so it is rejected too; True is no quantity.
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and value > 0.0 and math.isfinite(value)):
-        raise InvalidParamError(f"{name} must be finite and > 0, got {value!r}")
-
-
-def _check_integer(name: str, value, least: int) -> None:
-    # bool is an Integral, but True is no count.
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least):
-        raise InvalidParamError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # The ExperimentSpec fields that count something, each at least 1.
@@ -112,6 +99,8 @@ _COUNT_FIELDS = ("trials", "workers", "dim", "n_measurements", "sparsity", "patc
 _GRID_AXES = {"intensity": "intensity", "measurements": "n_measurements",
               "sparsity": "sparsity", "image": "intensity"}
 _CELL_KEYS = {"intensity": "intensity", "measurements": "N", "sparsity": "s"}
+# The kinds of sweep that ``run_sweep`` walks.
+SWEEP_KINDS = tuple(_CELL_KEYS)
 
 
 @dataclass
@@ -140,33 +129,31 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in _COUNT_FIELDS:
-            _check_integer(name, getattr(self, name), 1)
+            check_integer(name, getattr(self, name), 1)
         if self.image_size is not None:
-            _check_integer("image_size", self.image_size, 1)
+            check_integer("image_size", self.image_size, 1)
         # SeedSequence takes non-negative entropy only.
-        _check_integer("master_seed", self.master_seed, 0)
-        if self.solver not in ("P2", "P4", "P5", "P6"):
+        check_integer("master_seed", self.master_seed, 0)
+        if self.solver not in SOLVERS:
             raise InvalidParamError(f"unknown solver {self.solver!r}")
         if self.lambda_mode not in ("omniscient", "fixed"):
             raise InvalidParamError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.lambda_mode == "fixed":
-            _check_positive("lambda_value (fixed lambda_mode)", self.lambda_value)
+            check_positive("lambda_value (fixed lambda_mode)", self.lambda_value)
         if self.epsilon_mode not in ("theory", "percentile"):
             raise InvalidParamError(f"unknown epsilon_mode {self.epsilon_mode!r}")
-        _check_positive("intensity", self.intensity)
-        if not (isinstance(self.beta, numbers.Real) and self.beta >= 0.0
-                and math.isfinite(self.beta)):
-            raise InvalidParamError(f"beta must be finite and >= 0, got {self.beta!r}")
+        check_positive("intensity", self.intensity)
+        check_nonneg("beta", self.beta)
         if not self.grid:
             self.grid = default_grid(self.kind, paper_scale=False)
         for value in self.grid.get("intensity", ()):
-            _check_positive("grid intensity", value)
+            check_positive("grid intensity", value)
         axis = _GRID_AXES.get(self.kind)
         if axis is not None and not self.grid.get(axis):
             raise InvalidParamError(f"a {self.kind} run needs a non-empty grid {axis}")
         if axis in ("n_measurements", "sparsity"):
             for value in self.grid[axis]:
-                _check_integer(f"grid {axis}", value, 1)
+                check_integer(f"grid {axis}", value, 1)
 
     @classmethod
     def from_dict(cls, config: dict) -> "ExperimentSpec":
@@ -441,20 +428,20 @@ def _verify_stats_grid(spec: ExperimentSpec) -> tuple[list[int], list[tuple[floa
     intensities on one level would share them, and an intensity below 1
     would give a negative key.  Everything is checked before any cell runs.
     """
-    if spec.trials < KS_MIN_SAMPLES:
-        raise InvalidParamError(
-            f"trials must be >= {KS_MIN_SAMPLES} for the KS test, got {spec.trials!r}")
+    # The KS test takes no fewer samples.
+    check_integer("trials", spec.trials, KS_MIN_SAMPLES)
     fallback = default_grid("verify-stats")
     grid_N = list(spec.grid.get("n_measurements", fallback["n_measurements"]))
     for N in grid_N:
-        _check_integer("grid n_measurements", N, 1)
+        check_integer("grid n_measurements", N, 1)
     if len(set(grid_N)) < len(grid_N):
         raise InvalidParamError(f"grid n_measurements has a repeated value: {grid_N!r}")
     grid_I = []
     levels: dict[int, float] = {}
+    # The spec has checked every grid intensity finite and > 0.
     for value in spec.grid.get("intensity", fallback["intensity"]):
-        if not (isinstance(value, numbers.Real) and 1.0 <= value < math.inf):
-            raise InvalidParamError(f"grid intensity must be finite and >= 1, got {value!r}")
+        if value < 1.0:
+            raise InvalidParamError(f"grid intensity must be >= 1, got {value!r}")
         level = int(math.log10(value) * 4)
         if level in levels:
             raise InvalidParamError(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParamError, TooManySupportsError
+from .errors import InvalidParamError, TooManySupportsError, check_integer
 
 __all__ = [
     "RipMatrix",
@@ -88,8 +88,8 @@ def sample_rip_matrix(N: int, m: int, p: float = 0.5, seed: int | None = 0) -> R
     +sqrt(p/(1-p)) with probability 1-p, all divided by sqrt(N).  For
     p = 1/2 every entry is exactly +-1/sqrt(N).  Deterministic given seed.
     """
-    if N < 1 or m < 1:
-        raise InvalidParamError(f"need N >= 1 and m >= 1, got N={N}, m={m}")
+    check_integer("N", N, 1)
+    check_integer("m", m, 1)
     if not (0.0 < p < 1.0):
         raise InvalidParamError(f"p must lie in (0,1), got {p}")
     rng = np.random.default_rng(seed)

@@ -16,7 +16,9 @@ Five entry points:
 
 ``solve_penalized_batch``
     the penalized problem for K independent (A, y, lam) triples: K chains of
-    one solve.  ``solve_penalized`` is its call on one problem.
+    one solve.  ``solve_penalized`` is its call on one problem, so a start
+    outside the fit domain gives way to the default start for one problem
+    as for K.
 
 ``solve_p2``
     minimize  ||theta||_1  subject to  sqrt(J(y, A @ theta)) <= epsilon
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -63,6 +64,9 @@ from .errors import (
     InfeasibleStartError,
     InvalidParamError,
     LengthMismatchError,
+    check_integer,
+    check_nonneg,
+    check_positive,
 )
 from .transforms import BasisKind, OrthonormalBasis
 
@@ -97,9 +101,7 @@ class FitTerm:
     beta: float = 0.0
 
     def __post_init__(self):
-        # NaN fails the comparison, so it is rejected too.
-        if not (self.beta >= 0.0 and math.isfinite(self.beta)):
-            raise InvalidParamError(f"beta must be finite and >= 0, got {self.beta!r}")
+        check_nonneg("beta", self.beta)
 
 
 @dataclass(frozen=True)
@@ -111,13 +113,8 @@ class SolverConfig:
     objective_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, numbers.Integral)
-                and not isinstance(self.max_iters, bool) and self.max_iters >= 1):
-            raise InvalidParamError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        # NaN fails the comparison, so it is rejected too.
-        if not (self.objective_tol > 0.0 and math.isfinite(self.objective_tol)):
-            raise InvalidParamError(
-                f"objective_tol must be finite and > 0, got {self.objective_tol!r}")
+        check_integer("max_iters", self.max_iters, 1)
+        check_positive("objective_tol", self.objective_tol)
 
 
 @dataclass
@@ -152,8 +149,7 @@ def _shrink(v: np.ndarray, t) -> np.ndarray:
 def soft_threshold(v, t: float) -> np.ndarray:
     """Prox of t*||.||_1: sign(v) * max(|v| - t, 0)."""
     v = np.asarray(v, dtype=float)
-    if t < 0.0:
-        raise InvalidParamError("threshold must be >= 0")
+    check_nonneg("threshold", t)
     return _shrink(v, t)
 
 
@@ -423,12 +419,6 @@ def _problems(A, basis: OrthonormalBasis, ys, starts=()):
     return A, counts
 
 
-def _check_lam(lam) -> None:
-    # NaN fails the comparison, so it is rejected too.
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise InvalidParamError(f"lam must be finite and > 0, got {lam!r}")
-
-
 def _shrink_nonneg(v: np.ndarray, t) -> np.ndarray:
     """The prox of t*||.||_1 plus the indicator of theta >= 0."""
     return np.maximum(_shrink(v, t), 0.0)
@@ -599,7 +589,6 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
     f_x, F_cur, eta, lam = np.empty(K), np.empty(K), np.empty(K), np.empty(K)
     step, flat, it = np.zeros(K, dtype=int), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
     owner = np.arange(K)  # the problem of each row
-    given = [None] * K    # the lam of each problem's current solve, as its chain gave it
     out = [None] * K
     # The momentum of a row is t = momenta[step], and its extrapolation
     # weight (t - 1) / t_next is pull[step]: elementwise, the same divisions.
@@ -612,7 +601,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
         # the row's last accepted iterate starts from the rates and value the
         # row holds, the bits ``_start`` would compute again.
         for j, (lam_j, warm), held in seed:
-            _check_lam(lam_j)
+            check_positive("lam", lam_j)
             k = owner[j]
             if held:
                 x, u, f = X[j], U[j], f_x[j]
@@ -622,7 +611,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
             X[j], Z[j], U[j], f_x[j] = x, x, u, f
             eta[j] = 1.0 / L if L > 0.0 else 1.0
             F_cur[j] = f + lam_j * float(np.sum(np.abs(x)))
-            lam[j], given[k] = lam_j, lam_j
+            lam[j] = lam_j
             step[j] = flat[j] = it[j] = 0
         if leave:
             keep = np.ones(owner.size, dtype=bool)
@@ -681,7 +670,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
             # and f_x; its solve returns the point before it.
             moved = bool(accepted[j])
             res = SolveResult(theta_star=(X if moved else last)[j].copy(), iterations=n,
-                              converged=bool(done[j]), lambda_used=given[k])
+                              converged=bool(done[j]), lambda_used=float(lam[j]))
             try:
                 request = chains[k].send(res)
                 seed.append((j, request, moved and request[1] is res.theta_star))
@@ -769,7 +758,7 @@ def solve_penalized_batch(
     if len(ys) != K or len(lams) != K or len(theta0) != K:
         raise LengthMismatchError(f"{K} operators need as many counts, weights and starts")
     for lam in lams:
-        _check_lam(lam)
+        check_positive("lam", lam)
     A, counts = _problems(A, basis, ys, theta0)
     return solve_chains(A, basis, counts, fit, [_one_solve(lam, warm)
                                                 for lam, warm in zip(lams, theta0)], cfg)
@@ -784,17 +773,8 @@ def solve_penalized(
     cfg: SolverConfig | None = None,
     theta0=None,
 ) -> SolveResult:
-    """``solve_penalized_batch`` on one problem.
-
-    Raises InfeasibleStartError when ``theta0`` violates the fit domain.
-    """
-    if theta0 is not None:
-        (A,), (counts,) = _problems([A], basis, [y], [theta0])
-        model = _FitModel.of(A, counts, fit)
-        with np.errstate(**_QUIET):
-            feasible = math.isfinite(_point(model, theta0)[2])
-        if not feasible:
-            raise InfeasibleStartError("starting point violates the fit domain")
+    """``solve_penalized_batch`` on one problem: a ``theta0`` that violates
+    the fit domain is replaced by the default start, as in a batch."""
     return solve_penalized_batch([A], basis, [y], fit, [lam], cfg, [theta0])[0]
 
 
@@ -857,8 +837,8 @@ def solve_p2_batch(
     K = len(A)
     if len(ys) != K or len(epsilons) != K:
         raise LengthMismatchError(f"{K} operators need as many counts and radii")
-    if not all(eps > 0.0 and math.isfinite(eps) for eps in epsilons):
-        raise InvalidParamError("epsilon must be finite and > 0")
+    for eps in epsilons:
+        check_positive("epsilon", eps)
     A, counts = _problems(A, basis, ys)
     fit = FitTerm(FitKind.JSD, beta)
     searches = [_radius_search(A[k], basis, counts[k], epsilons[k], fit) for k in range(K)]
@@ -886,10 +866,7 @@ def _radius_search(A, basis, counts, epsilon, fit):
             total_iterations=0,
         )
 
-    model = _FitModel.of(A, counts, fit)
-    theta_start = _default_start(basis, counts)
-    g0 = model.grad_theta(model.rates(theta_start))
-    scale = max(float(np.max(np.abs(g0))), 1e-12)
+    scale = max(gradient_scale(A, basis, counts, fit), 1e-12)
     tol = _CONSTRAINT_RTOL * epsilon
     iterations = []
 
@@ -905,7 +882,7 @@ def _radius_search(A, basis, counts, epsilon, fit):
     # The feasible end of the bracket: from the floor of the omniscient lambda
     # grid down, 100x at a time, each solve from the one before.
     lam_lo = _LAM_START * scale
-    res, s = yield from _solve(lam_lo, theta_start)
+    res, s = yield from _solve(lam_lo, None)
     while s > epsilon:
         if lam_lo <= _LAM_MIN:
             raise InfeasibleEpsilonError(

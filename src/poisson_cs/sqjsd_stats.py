@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import jsd_rowwise
-from .errors import InvalidParamError, MissingSamplesError
+from .errors import InvalidParamError, MissingSamplesError, check_integer
 from .sensing import SensingMatrix
 
 __all__ = [
@@ -99,8 +99,7 @@ def monte_carlo_sqjsd(
     Trials are drawn and reduced in row blocks (see the module docstring);
     the samples equal those of one ``(trials, N)`` draw from ``seed``.
     """
-    if trials < 2:
-        raise InvalidParamError(f"need trials >= 2, got {trials}")
+    check_integer("trials", trials, 2)
     x = np.asarray(x, dtype=float)
     rates = phi.entries @ x
     rng = np.random.default_rng(seed)
@@ -202,7 +201,10 @@ def choose_epsilon(
     THEORY uses the tail bound sqrt(N)*(1/2 + sqrt(11)/8); PERCENTILE uses
     the empirical 99th percentile of a sample set (>= 100 trials).
     """
-    mode = EpsilonMode(mode) if not isinstance(mode, EpsilonMode) else mode
+    try:
+        mode = EpsilonMode(mode)
+    except ValueError:
+        raise InvalidParamError(f"mode must be 'theory' or 'percentile', got {mode!r}") from None
     if mode is EpsilonMode.THEORY:
         return math.sqrt(N) * TAIL_COEFFICIENT
     if samples is None or samples.trials < 100:

@@ -14,8 +14,9 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidParamError, LengthMismatchError
+from .errors import InvalidParamError, LengthMismatchError, check_integer
 
 __all__ = [
     "BasisKind",
@@ -84,16 +85,15 @@ class OrthonormalBasis:
 
 
 def identity_basis(dim: int) -> OrthonormalBasis:
-    if dim < 1:
-        raise InvalidParamError("dim must be >= 1")
+    check_integer("dim", dim, 1)
     return OrthonormalBasis(kind=BasisKind.IDENTITY, dim=dim)
 
 
 def dct2_basis(patch_h: int, patch_w: int | None = None) -> OrthonormalBasis:
     """Orthonormal 2-D type-II cosine basis on vectorized h x w patches."""
     patch_w = patch_h if patch_w is None else patch_w
-    if patch_h < 1 or patch_w < 1:
-        raise InvalidParamError("patch sides must be >= 1")
+    check_integer("patch_h", patch_h, 1)
+    check_integer("patch_w", patch_w, 1)
     return OrthonormalBasis(
         kind=BasisKind.DCT2, dim=patch_h * patch_w, patch_shape=(patch_h, patch_w)
     )
@@ -109,10 +109,10 @@ class PatchGrid:
     stride: int = 1
 
     def __post_init__(self):
+        check_integer("patch", self.patch, 1)
+        check_integer("stride", self.stride, 1)
         if self.patch > min(self.image_h, self.image_w):
             raise InvalidParamError("patch larger than image")
-        if self.stride < 1:
-            raise InvalidParamError("stride must be >= 1")
 
     @property
     def rows(self) -> range:
@@ -136,13 +136,9 @@ def extract_patches(image, grid: PatchGrid) -> np.ndarray:
             f"({grid.image_h}, {grid.image_w})"
         )
     k = grid.patch
-    out = np.empty((grid.n_patches, k * k))
-    idx = 0
-    for r in grid.rows:
-        for c in grid.cols:
-            out[idx] = image[r : r + k, c : c + k].reshape(-1)
-            idx += 1
-    return out
+    windows = sliding_window_view(image, (k, k))[:: grid.stride, :: grid.stride]
+    # A copy, as reshape returns a view when one patch covers the image.
+    return windows.reshape(-1, k * k).copy()
 
 
 def reassemble(patches_est, grid: PatchGrid) -> np.ndarray:
@@ -154,18 +150,18 @@ def reassemble(patches_est, grid: PatchGrid) -> np.ndarray:
     patches_est = np.asarray(patches_est, dtype=float)
     if patches_est.shape != (grid.n_patches, grid.patch * grid.patch):
         raise LengthMismatchError("patch array does not match grid layout")
-    k = grid.patch
-    acc = np.zeros((grid.image_h, grid.image_w))
-    cover = np.zeros((grid.image_h, grid.image_w))
-    idx = 0
-    for r in grid.rows:
-        for c in grid.cols:
-            acc[r : r + k, c : c + k] += patches_est[idx].reshape(k, k)
-            cover[r : r + k, c : c + k] += 1.0
-            idx += 1
+    k, h, w = grid.patch, grid.image_h, grid.image_w
+    # The flat pixel index of each entry of each patch.  np.add.at adds in
+    # patch order, so every pixel sums its patches as a loop over the grid.
+    corners = np.add.outer(np.array(grid.rows) * w, np.array(grid.cols)).reshape(-1, 1)
+    pixels = corners + np.add.outer(np.arange(k) * w, np.arange(k)).reshape(-1)
+    acc = np.zeros(h * w)
+    cover = np.zeros(h * w)
+    np.add.at(acc, pixels, patches_est)
+    np.add.at(cover, pixels, 1.0)
     covered = cover > 0.0
     acc[covered] /= cover[covered]
-    return acc
+    return acc.reshape(h, w)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -180,7 +176,15 @@ def read_pgm(path) -> np.ndarray:
             raise InvalidParamError(f"{path}: truncated PGM header")
         header.append(match.group(1))
         pos = match.end()
-    magic, width, height, maxval = header[0], int(header[1]), int(header[2]), int(header[3])
+    magic = header[0]
+    if magic not in (b"P5", b"P2"):
+        raise InvalidParamError(f"{path}: unsupported PGM magic {magic!r}")
+    width, height, maxval = (int(token) if token.isdigit() else token.decode(errors="replace")
+                             for token in header[1:])
+    for name, value in (("width", width), ("height", height), ("maxval", maxval)):
+        check_integer(f"{path}: PGM {name}", value, 1)
+    if maxval > 65535:
+        raise InvalidParamError(f"{path}: PGM maxval must be <= 65535, got {maxval}")
     count = width * height
     if magic == b"P5":
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
@@ -190,13 +194,11 @@ def read_pgm(path) -> np.ndarray:
                                     f"{width}x{height} pixels")
         img = np.frombuffer(data, dtype=dtype, count=count, offset=pos + 1)
         return img.reshape(height, width).astype(float)
-    if magic == b"P2":
-        vals = data[pos:].split()
-        if len(vals) != count:
-            raise InvalidParamError(f"{path}: PGM data holds {len(vals)} values for "
-                                    f"{width}x{height} pixels")
-        return np.array(vals, dtype=float).reshape(height, width)
-    raise InvalidParamError(f"{path}: unsupported PGM magic {magic!r}")
+    vals = data[pos:].split()
+    if len(vals) != count:
+        raise InvalidParamError(f"{path}: PGM data holds {len(vals)} values for "
+                                f"{width}x{height} pixels")
+    return np.array(vals, dtype=float).reshape(height, width)
 
 
 def write_pgm(path, image, maxval: int = 255) -> None:

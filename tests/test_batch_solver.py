@@ -210,6 +210,24 @@ def test_batch_matches_scalar_bit_for_bit(kind, beta, seed, canonical, monkeypat
     assert len({r.iterations for r in batch}) > 1  # rows stopped at different iterations
 
 
+@pytest.mark.parametrize("kind", list(FitKind))
+@pytest.mark.parametrize("canonical", [False, True])
+def test_one_problem_falls_back_from_an_infeasible_start_as_its_batch_row(kind, canonical):
+    # solve_penalized used to raise InfeasibleStartError for a start that
+    # solve_penalized_batch replaces by the default start.
+    basis = identity_basis(30) if canonical else dct2_basis(5)
+    cfg = SolverConfig(max_iters=300)
+    fit = FitTerm(kind, 0.4)
+    A, ys, _ = make_problems(basis, 4, K=3)
+    lams = [1e-2 * gradient_scale(A[k], basis, ys[k], fit) for k in range(3)]
+    outside = basis.analyze(np.full(basis.dim, -1e3))
+    batch = solve_penalized_batch(A, basis, ys, fit, lams, cfg, theta0=[None, outside, None])
+    alone = solve_penalized(A[1], basis, ys[1], fit, lams[1], cfg, theta0=outside)
+    fields = ("iterations", "converged", "lambda_used")
+    assert same_result(alone, batch[1], fields)
+    assert same_result(alone, solve_penalized(A[1], basis, ys[1], fit, lams[1], cfg), fields)
+
+
 def sequential_backtrack(stack, base, f_base, G, eta, lam, prox):
     """The stacked backtracking search one step size per pass: the reference
     for ``solvers._backtrack``.  Also returns each row's number of tries."""

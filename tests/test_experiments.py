@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import poisson_cs
-from poisson_cs import experiments
+from poisson_cs import cli, experiments
 from poisson_cs.cli import main
 from poisson_cs.errors import InvalidParamError
 from poisson_cs.experiments import (
@@ -560,6 +560,37 @@ class TestCli:
         assert code == 0
         report = json.loads((out / "image_recon.json").read_text())
         assert report["cells"][0]["rrmse"] < 0.5
+
+    @pytest.mark.parametrize("command, config, flags, field, used", [
+        # The image run used to drop the config's solver for P4.
+        ("image", {"solver": "P2"}, [], "solver", "P2"),
+        ("image", {"solver": "P2"}, ["--solver", "P6"], "solver", "P6"),
+        ("image", {}, [], "solver", "P4"),
+        ("sweep", {"solver": "P5"}, [], "solver", "P5"),
+        ("sweep", {"solver": "P5"}, ["--solver", "P4"], "solver", "P4"),
+        ("sweep", {}, [], "solver", "P2"),
+        ("verify-stats", {"trials": 50}, [], "trials", 50),
+        ("verify-stats", {"trials": 50}, ["--trials", "40"], "trials", 40),
+        ("verify-stats", {}, [], "trials", 1000),
+    ])
+    def test_flag_over_config_over_default(self, command, config, flags, field, used,
+                                           tmp_path, monkeypatch):
+        class Ran(Exception):
+            pass
+
+        def run(spec, *args):
+            raise Ran(spec)
+
+        for name in ("run_sweep", "run_verify_stats", "run_image_recon"):
+            monkeypatch.setattr(cli, name, run)
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
+        if command == "image":
+            argv += ["--input", str(tmp_path / "img.pgm")]
+        with pytest.raises(Ran) as ran:
+            main(argv)
+        assert getattr(ran.value.args[0], field) == used
 
     def test_unconverged_exit_code_two(self, tmp_path):
         # One iteration cannot converge; results must still be written.

@@ -175,6 +175,11 @@ class TestChooseEpsilon:
         object.__setattr__(ss, "samples", np.arange(1.0, 101.0))
         assert choose_epsilon(EpsilonMode.PERCENTILE, 10, ss) == pytest.approx(99.01)
 
+    def test_unknown_mode_refused_by_name(self):
+        # It used to raise a bare ValueError from EpsilonMode.
+        with pytest.raises(InvalidParamError, match="mode must be 'theory' or 'percentile'"):
+            choose_epsilon("bogus", 50)
+
     def test_percentile_requires_samples(self):
         with pytest.raises(MissingSamplesError):
             choose_epsilon(EpsilonMode.PERCENTILE, 50, None)

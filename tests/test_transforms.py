@@ -125,6 +125,34 @@ class TestPatchGrid:
                     covered[r : r + 7, c : c + 7] = True
             assert np.allclose(back[covered], img[covered], atol=1e-12)
 
+    @pytest.mark.parametrize("h, w, patch, stride",
+                             [(64, 64, 7, 3), (13, 13, 7, 3), (20, 17, 5, 2), (64, 64, 7, 1),
+                              (30, 30, 7, 4), (7, 7, 7, 1)])
+    def test_pipeline_matches_a_loop_over_the_grid(self, h, w, patch, stride):
+        # The vectorized extraction and reassembly against the plain double
+        # loops they replaced, bit for bit.
+        grid = PatchGrid(h, w, patch=patch, stride=stride)
+        rng = np.random.default_rng(h * w + patch + stride)
+        image = rng.uniform(0.0, 255.0, (h, w))
+        estimates = rng.uniform(0.0, 255.0, (grid.n_patches, patch * patch))
+        k = patch
+        ref_patches = np.empty((grid.n_patches, k * k))
+        acc, cover = np.zeros((h, w)), np.zeros((h, w))
+        idx = 0
+        for r in grid.rows:
+            for c in grid.cols:
+                ref_patches[idx] = image[r : r + k, c : c + k].reshape(-1)
+                acc[r : r + k, c : c + k] += estimates[idx].reshape(k, k)
+                cover[r : r + k, c : c + k] += 1.0
+                idx += 1
+        acc[cover > 0.0] /= cover[cover > 0.0]
+        patches = extract_patches(image, grid)
+        assert np.array_equal(patches, ref_patches)
+        # A copy, not a view of the image, also where one patch covers it.
+        patches[0, 0] = -1.0
+        assert image[0, 0] >= 0.0
+        assert np.array_equal(reassemble(estimates, grid), acc)
+
     def test_invalid_grid(self):
         with pytest.raises(InvalidParamError):
             PatchGrid(5, 5, patch=7)
@@ -170,6 +198,19 @@ class TestPgmIO:
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P7\n1 1\n255\n\x00")
         with pytest.raises(InvalidParamError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("content, field", [
+        (b"P5\nab 4\n255\n" + bytes(8), "width"),  # used to raise a bare ValueError
+        (b"P5\n2 2\n0\n" + bytes(4), "maxval"),     # used to be read
+        (b"P5\n0 4\n255\n", "width"),               # used to give a (4, 0) array
+        (b"P2\n2 -1\n255\n", "height"),
+        (b"P5\n1 1\n65536\n" + bytes(2), "maxval"),
+    ], ids=["non-numeric width", "maxval 0", "zero width", "negative height", "maxval 65536"])
+    def test_bad_header_field(self, tmp_path, content, field):
+        path = tmp_path / "header.pgm"
+        path.write_bytes(content)
+        with pytest.raises(InvalidParamError, match=f"header.pgm: PGM {field} must be"):
             read_pgm(path)
 
     @pytest.mark.parametrize("content", [
