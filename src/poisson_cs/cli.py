@@ -6,13 +6,13 @@ Subcommands::
     poisson-cs verify-stats --out results/
     poisson-cs image --input img.pgm --out results/
 
-Each spec field comes from its flag, else from ``--config``, else from the
-subcommand's default (image: solver P4; verify-stats: 1000 trials), else
-from ``ExperimentSpec``; the spec is built and checked once, before any work.
-Sweeps write ``sweep_<kind>.csv`` (plot-ready quantiles) plus
-``manifest_<kind>.json``; verify-stats and image write JSON reports.  Exit
-code is 0 on success and 2 if any cell failed to converge (results are
-still written).
+Each spec field comes from its flag, else from ``--config`` (a JSON
+object), else from the subcommand's default (image: solver P4;
+verify-stats: 1000 trials), else from ``ExperimentSpec``; the spec is built
+and checked once, before any output (a grid key its kind does not walk is
+refused).  Sweeps write ``sweep_<kind>.csv`` plus ``manifest_<kind>.json``;
+one writer writes the three JSON reports.  Exit code is 0 on success and 2
+if any cell failed to converge (results are still written).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import sys
 from pathlib import Path
 
+from .errors import InvalidParamError
 from .experiments import (
     SOLVERS,
     SWEEP_KINDS,
@@ -30,10 +31,14 @@ from .experiments import (
     run_image_recon,
     run_sweep,
     run_verify_stats,
+    write_report,
     write_sweep_csv,
 )
 
 __all__ = ["main"]
+
+# The spec fields whose default a subcommand changes.
+_DEFAULTS = {"verify-stats": {"trials": 1000}, "image": {"solver": "P4"}}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -53,7 +58,11 @@ def _build_spec(args, kind: str, **defaults) -> ExperimentSpec:
     fields = dict(defaults)
     if args.config is not None:
         with open(args.config) as f:
-            fields.update(json.load(f))
+            config = json.load(f)
+        if not isinstance(config, dict):
+            raise InvalidParamError(f"--config {args.config}: expected a JSON object of "
+                                    f"ExperimentSpec fields, got {type(config).__name__}")
+        fields.update(config)
     fields["kind"] = kind
     if not fields.get("grid"):
         fields["grid"] = default_grid(kind, paper_scale=args.paper_scale)
@@ -85,42 +94,31 @@ def main(argv=None) -> int:
     _add_common(p_image)
 
     args = parser.parse_args(argv)
+    # A sweep runs the kind it is given; the other subcommands are kinds.
+    kind = args.kind if args.command == "sweep" else args.command
+    spec = _build_spec(args, kind, **_DEFAULTS.get(args.command, {}))
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
 
     if args.command == "sweep":
-        spec = _build_spec(args, args.kind)
-        manifest = run_sweep(spec)
-        write_sweep_csv(manifest, out / f"sweep_{spec.kind}.csv")
-        manifest.to_json(out / f"manifest_{spec.kind}.json")
-        print(f"wrote {out / f'sweep_{spec.kind}.csv'} "
-              f"({len(manifest.cells)} cells, {spec.trials} trials each)")
-        return 2 if manifest.n_unconverged else 0
-
-    if args.command == "verify-stats":
-        spec = _build_spec(args, "verify-stats", trials=1000)
+        report = run_sweep(spec)
+        csv_path = out / f"sweep_{spec.kind}.csv"
+        write_sweep_csv(report, csv_path)
+        path = out / f"manifest_{spec.kind}.json"
+        lines = [f"wrote {csv_path} ({len(report['cells'])} cells, {spec.trials} trials each)"]
+    elif args.command == "verify-stats":
         report = run_verify_stats(spec)
         path = out / "verify_stats.json"
-        with open(path, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
-        print(f"wrote {path} ({len(report['cells'])} cells)")
-        return 0
-
-    if args.command == "image":
-        spec = _build_spec(args, "image", solver="P4")
+        lines = [f"wrote {path} ({len(report['cells'])} cells)"]
+    else:
         report = run_image_recon(spec, args.input, out)
         path = out / "image_recon.json"
-        with open(path, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
-        for cell in report["cells"]:
-            print(f"I={cell['intensity']:.3g}  rrmse={cell['rrmse']:.4f}  "
-                  f"-> {cell['out_image']}")
-        return 2 if any(c["n_unconverged"] for c in report["cells"]) else 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+        lines = [f"I={cell['intensity']:.3g}  rrmse={cell['rrmse']:.4f}  -> {cell['out_image']}"
+                 for cell in report["cells"]]
+    write_report(report, path)
+    print("\n".join(lines))
+    # Statistics cells run no solver, so they hold no n_unconverged.
+    return 2 if any(cell.get("n_unconverged") for cell in report["cells"]) else 0
 
 
 if __name__ == "__main__":

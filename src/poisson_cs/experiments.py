@@ -1,5 +1,9 @@
 """Seeded experiment harness: sweeps, statistics verification, image runs.
 
+One table, ``_KINDS``, gives each kind of run the grid axes it walks; the
+spec's grid defaults and checks read it.  Each run returns a plain dict,
+which ``write_report`` writes as JSON.
+
 Every run is driven by an :class:`ExperimentSpec` and a master seed.  All
 randomness flows through ``simulate.derive_seed``, that is
 ``SeedSequence([master_seed, stream, *indices])``, with fixed stream ids (0
@@ -20,9 +24,11 @@ import csv
 import json
 import math
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +66,6 @@ from .transforms import (
 
 __all__ = [
     "ExperimentSpec",
-    "RunManifest",
     "make_sparse_signal",
     "run_sweep",
     "run_verify_stats",
@@ -68,6 +73,7 @@ __all__ = [
     "make_test_image",
     "sweep_csv_rows",
     "write_sweep_csv",
+    "write_report",
     "LIBRARY_VERSION",
 ]
 
@@ -94,18 +100,43 @@ _LAMBDA_GRID_HI = 0.3
 _COUNT_FIELDS = ("trials", "workers", "dim", "n_measurements", "sparsity", "patch", "stride",
                  "max_iters", "lambda_points")
 
-# The grid key that each sweep kind, and an image run, walks, and the cell
-# parameter that each sweep kind sets from it.
-_GRID_AXES = {"intensity": "intensity", "measurements": "n_measurements",
-              "sparsity": "sparsity", "image": "intensity"}
-_CELL_KEYS = {"intensity": "intensity", "measurements": "N", "sparsity": "s"}
+
+class _Axis(NamedTuple):
+    """A grid axis: its key, desk and paper values, and the cell it sets."""
+
+    key: str
+    desk: tuple
+    paper: tuple
+    cell: str | None = None
+
+    def value(self, v):
+        """A grid value, checked: an intensity finite and > 0, a count >= 1."""
+        if self.key == "intensity":
+            check_positive("grid intensity", v)
+            return float(v)
+        check_integer(f"grid {self.key}", v, 1)
+        return int(v)
+
+
+# Every kind of run and the grid axes it walks.  A sweep kind walks one axis,
+# which sets a cell parameter; ``--paper-scale`` swaps in the paper values.
+_KINDS = {
+    "intensity": (_Axis("intensity", (1e4, 1e6, 1e8),
+                        (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10), "intensity"),),
+    "measurements": (_Axis("n_measurements", (20, 50, 100), (10, 20, 50, 100, 200), "N"),),
+    "sparsity": (_Axis("sparsity", (2, 5, 10), (2, 5, 10, 15, 20), "s"),),
+    "verify-stats": (_Axis("n_measurements", (50, 100, 500), (10, 25, 50, 100, 200, 400, 500)),
+                     _Axis("intensity", (1e3, 1e4, 1e6), (1e2, 1e3, 1e4, 1e6, 1e8))),
+    "image": (_Axis("intensity", (1e4, 1e8), (1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10)),),
+}
 # The kinds of sweep that ``run_sweep`` walks.
-SWEEP_KINDS = tuple(_CELL_KEYS)
+SWEEP_KINDS = tuple(kind for kind, axes in _KINDS.items() if axes[0].cell)
 
 
 @dataclass
 class ExperimentSpec:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.  A grid axis left out
+    takes its desk values; a grid key the kind does not walk is refused."""
 
     kind: str = "intensity"
     grid: dict = field(default_factory=dict)
@@ -134,6 +165,7 @@ class ExperimentSpec:
             check_integer("image_size", self.image_size, 1)
         # SeedSequence takes non-negative entropy only.
         check_integer("master_seed", self.master_seed, 0)
+        desk = default_grid(self.kind)  # refuses an unknown kind
         if self.solver not in SOLVERS:
             raise InvalidParamError(f"unknown solver {self.solver!r}")
         if self.lambda_mode not in ("omniscient", "fixed"):
@@ -144,20 +176,29 @@ class ExperimentSpec:
             raise InvalidParamError(f"unknown epsilon_mode {self.epsilon_mode!r}")
         check_positive("intensity", self.intensity)
         check_nonneg("beta", self.beta)
-        if not self.grid:
-            self.grid = default_grid(self.kind, paper_scale=False)
-        for value in self.grid.get("intensity", ()):
-            check_positive("grid intensity", value)
-        axis = _GRID_AXES.get(self.kind)
-        if axis is not None and not self.grid.get(axis):
-            raise InvalidParamError(f"a {self.kind} run needs a non-empty grid {axis}")
-        if axis in ("n_measurements", "sparsity"):
-            for value in self.grid[axis]:
-                check_integer(f"grid {axis}", value, 1)
+        if not isinstance(self.grid, Mapping):
+            raise InvalidParamError(f"grid must be a mapping of axis names to values, "
+                                    f"got {type(self.grid).__name__}")
+        unwalked = sorted(map(str, set(self.grid) - set(desk)))
+        if unwalked:
+            walked = " and ".join(f"grid {key}" for key in desk)
+            raise InvalidParamError(f"kind {self.kind!r} walks {walked} only, "
+                                    f"not grid {', '.join(unwalked)}")
+        self.grid = {key: self.grid.get(key, values) for key, values in desk.items()}
+        for axis in _KINDS[self.kind]:
+            values = self.grid[axis.key]
+            if not isinstance(values, (list, tuple)) or not values:
+                raise InvalidParamError(f"kind {self.kind!r} needs a non-empty list "
+                                        f"grid {axis.key}, got {values!r}")
+            for value in values:
+                axis.value(value)
 
     @classmethod
-    def from_dict(cls, config: dict) -> "ExperimentSpec":
+    def from_dict(cls, config) -> "ExperimentSpec":
         """The spec of a config mapping; unknown keys are rejected by name."""
+        if not isinstance(config, Mapping):
+            raise InvalidParamError(f"an ExperimentSpec config must be a mapping of field "
+                                    f"names, got {type(config).__name__}")
         unknown = sorted(set(config) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidParamError(f"unknown ExperimentSpec field(s): {', '.join(unknown)}")
@@ -174,24 +215,9 @@ class ExperimentSpec:
 
 def default_grid(kind: str, paper_scale: bool = False) -> dict:
     """Desk-scale grids by default; --paper-scale restores full settings."""
-    if kind == "intensity":
-        values = [1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10] if paper_scale else [1e4, 1e6, 1e8]
-        return {"intensity": values}
-    if kind == "measurements":
-        values = [10, 20, 50, 100, 200] if paper_scale else [20, 50, 100]
-        return {"n_measurements": values}
-    if kind == "sparsity":
-        values = [2, 5, 10, 15, 20] if paper_scale else [2, 5, 10]
-        return {"sparsity": values}
-    if kind == "verify-stats":
-        if paper_scale:
-            return {"n_measurements": [10, 25, 50, 100, 200, 400, 500],
-                    "intensity": [1e2, 1e3, 1e4, 1e6, 1e8]}
-        return {"n_measurements": [50, 100, 500], "intensity": [1e3, 1e4, 1e6]}
-    if kind == "image":
-        values = [1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10] if paper_scale else [1e4, 1e8]
-        return {"intensity": values}
-    raise InvalidParamError(f"unknown experiment kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InvalidParamError(f"unknown experiment kind {kind!r}")
+    return {axis.key: list(axis.paper if paper_scale else axis.desk) for axis in _KINDS[kind]}
 
 
 def make_sparse_signal(m: int, s: int, intensity: float, rng) -> np.ndarray:
@@ -205,13 +231,12 @@ def make_sparse_signal(m: int, s: int, intensity: float, rng) -> np.ndarray:
 
 
 def _cells(spec: ExperimentSpec) -> list[dict]:
-    if spec.kind not in _CELL_KEYS:
+    if spec.kind not in SWEEP_KINDS:
         raise InvalidParamError(f"run_sweep cannot handle kind {spec.kind!r}")
-    key = _CELL_KEYS[spec.kind]
-    cast = float if key == "intensity" else int
+    (axis,) = _KINDS[spec.kind]
     base = {"m": spec.dim, "N": spec.n_measurements, "s": spec.sparsity,
             "intensity": spec.intensity}
-    return [{**base, key: cast(v)} for v in spec.grid[_GRID_AXES[spec.kind]]]
+    return [{**base, axis.cell: axis.value(v)} for v in spec.grid[axis.key]]
 
 
 def _lambda_grid(scale: float, spec: ExperimentSpec) -> np.ndarray:
@@ -256,6 +281,12 @@ def _estimate(spec: ExperimentSpec, A, basis, mvs, epsilons, references) -> list
     return solve_chains(A, basis, mvs, fit, walks, cfg)
 
 
+def _phi(master_seed: int, N: int, m: int, index: int):
+    """The N x m sensing matrix (p = 0.5) of unit ``index``, from stream 1."""
+    return build_phi(
+        sample_rip_matrix(N, m, 0.5, seed=derive_seed(master_seed, _STREAM_PHI, index)))
+
+
 def _run_trial(spec: ExperimentSpec, cell: dict, trial: int):
     """Set up one (cell, trial) unit of a sweep; owns all of its randomness.
 
@@ -267,7 +298,7 @@ def _run_trial(spec: ExperimentSpec, cell: dict, trial: int):
 
     x = make_sparse_signal(m, s, intensity, derive_rng(master, _STREAM_SIGNAL, s))
 
-    phi = build_phi(sample_rip_matrix(N, m, 0.5, seed=derive_seed(master, _STREAM_PHI, trial)))
+    phi = _phi(master, N, m, trial)
     mv = measure(phi, x, derive_seed(master, _STREAM_Y, trial))
     eps = None
     if spec.solver == "P2":
@@ -307,30 +338,6 @@ def _sweep_run(args) -> list[dict]:
     return records
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record: spec echo, per-trial records, quantiles."""
-
-    spec: dict
-    cells: list
-    master_seed: int
-    library_version: str = LIBRARY_VERSION
-    wall_clock_s: float = 0.0
-    seed_rule: str = (
-        "SeedSequence([master_seed, stream, index]); "
-        "streams: 0 signal, 1 phi, 2 measurements, 3 pilot, 4 stats"
-    )
-
-    @property
-    def n_unconverged(self) -> int:
-        return sum(c["n_unconverged"] for c in self.cells)
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(asdict(self), f, indent=2)
-            f.write("\n")
-
-
 def _summarize(cell: dict, records: list[dict]) -> dict:
     errs = np.array([r["rrmse"] for r in records])
     qs = np.percentile(errs, [0, 25, 50, 75, 100])
@@ -360,8 +367,9 @@ def _in_runs(work, n_items: int, workers: int, job) -> list:
         return list(pool.map(work, jobs))
 
 
-def run_sweep(spec: ExperimentSpec) -> RunManifest:
-    """Run every (cell, trial) of a sweep and summarize RRMSE quantiles."""
+def run_sweep(spec: ExperimentSpec) -> dict:
+    """Run every (cell, trial) of a sweep; return its manifest: the spec
+    echo and each cell's RRMSE quantiles and trial records."""
     t0 = time.perf_counter()
     cells = _cells(spec)
     tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
@@ -376,12 +384,22 @@ def run_sweep(spec: ExperimentSpec) -> RunManifest:
     for (ci, _), rec in zip(tasks, records):
         by_cell[ci].append(rec)
     summaries = [_summarize(cells[ci], by_cell[ci]) for ci in range(len(cells))]
-    return RunManifest(
-        spec=spec_dict,
-        cells=summaries,
-        master_seed=spec.master_seed,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return {
+        "spec": spec_dict,
+        "cells": summaries,
+        "master_seed": spec.master_seed,
+        "library_version": LIBRARY_VERSION,
+        "wall_clock_s": time.perf_counter() - t0,
+        "seed_rule": "SeedSequence([master_seed, stream, index]); "
+                     "streams: 0 signal, 1 phi, 2 measurements, 3 pilot, 4 stats",
+    }
+
+
+def write_report(report: dict, path) -> None:
+    """Write a run's manifest or report as indented JSON."""
+    with open(path, "w") as f:
+        json.dump(report, f, indent=2)
+        f.write("\n")
 
 
 _SWEEP_CSV_COLUMNS = [
@@ -391,13 +409,13 @@ _SWEEP_CSV_COLUMNS = [
 ]
 
 
-def sweep_csv_rows(manifest: RunManifest) -> list[dict]:
+def sweep_csv_rows(manifest: dict) -> list[dict]:
     rows = []
-    for cell in manifest.cells:
+    for cell in manifest["cells"]:
         p, q = cell["params"], cell["rrmse"]
         rows.append({
-            "kind": manifest.spec["kind"],
-            "solver": manifest.spec["solver"],
+            "kind": manifest["spec"]["kind"],
+            "solver": manifest["spec"]["solver"],
             "m": p["m"],
             "N": p["N"],
             "s": p["s"],
@@ -413,7 +431,7 @@ def sweep_csv_rows(manifest: RunManifest) -> list[dict]:
     return rows
 
 
-def write_sweep_csv(manifest: RunManifest, path) -> None:
+def write_sweep_csv(manifest: dict, path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=_SWEEP_CSV_COLUMNS)
         writer.writeheader()
@@ -430,16 +448,13 @@ def _verify_stats_grid(spec: ExperimentSpec) -> tuple[list[int], list[tuple[floa
     """
     # The KS test takes no fewer samples.
     check_integer("trials", spec.trials, KS_MIN_SAMPLES)
-    fallback = default_grid("verify-stats")
-    grid_N = list(spec.grid.get("n_measurements", fallback["n_measurements"]))
-    for N in grid_N:
-        check_integer("grid n_measurements", N, 1)
+    # The spec has checked every grid N an integer >= 1 and every grid
+    # intensity finite and > 0.
+    grid_N = [int(N) for N in spec.grid["n_measurements"]]
     if len(set(grid_N)) < len(grid_N):
         raise InvalidParamError(f"grid n_measurements has a repeated value: {grid_N!r}")
-    grid_I = []
     levels: dict[int, float] = {}
-    # The spec has checked every grid intensity finite and > 0.
-    for value in spec.grid.get("intensity", fallback["intensity"]):
+    for value in spec.grid["intensity"]:
         if value < 1.0:
             raise InvalidParamError(f"grid intensity must be >= 1, got {value!r}")
         level = int(math.log10(value) * 4)
@@ -448,8 +463,7 @@ def _verify_stats_grid(spec: ExperimentSpec) -> tuple[list[int], list[tuple[floa
                 f"grid intensity {levels[level]!r} and {value!r} share the quarter-decade "
                 f"level {level}, and with it their random streams")
         levels[level] = value
-        grid_I.append((float(value), level))
-    return [int(N) for N in grid_N], grid_I
+    return grid_N, [(float(value), level) for level, value in levels.items()]
 
 
 def run_verify_stats(spec: ExperimentSpec) -> dict:
@@ -465,9 +479,7 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
     cells = []
     for N in grid_N:
         m = 2 * N
-        phi = build_phi(
-            sample_rip_matrix(N, m, 0.5, seed=derive_seed(spec.master_seed, _STREAM_PHI, N))
-        )
+        phi = _phi(spec.master_seed, N, m, N)
         for intensity, level in grid_I:
             idx = (N, level)
             x = derive_rng(spec.master_seed, _STREAM_SIGNAL, *idx).uniform(0.5, 1.5, size=m)
@@ -524,10 +536,7 @@ def _patch_task(spec: ExperimentSpec, patch, k: int, psi: np.ndarray):
 
     Returns the effective operator A = Phi @ Psi and the measurement.
     """
-    phi = build_phi(
-        sample_rip_matrix(spec.n_measurements, psi.shape[0], 0.5,
-                          seed=derive_seed(spec.master_seed, _STREAM_PHI, k))
-    )
+    phi = _phi(spec.master_seed, spec.n_measurements, psi.shape[0], k)
     mv = measure(phi, patch, derive_seed(spec.master_seed, _STREAM_Y, k))
     return phi.entries @ psi, mv
 
@@ -574,7 +583,6 @@ def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
 
     h, w = img.shape
     grid = PatchGrid(h, w, patch=spec.patch, stride=spec.stride)
-    master = spec.master_seed
     spec_dict = spec.to_dict()
     psi = dct2_basis(spec.patch).matrix()
 
@@ -603,7 +611,7 @@ def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
         })
     return {
         "kind": "image",
-        "master_seed": master,
+        "master_seed": spec.master_seed,
         "library_version": LIBRARY_VERSION,
         "image": str(image_path),
         "patch": spec.patch,

@@ -435,23 +435,6 @@ def _next_momentum(t: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
 
 
-# The FISTA momentum sequence, which restarts from t = 1: entry i is t after
-# i steps.  A pure function of i, so one table serves every solve;
-# ``_momenta`` extends it on demand.
-_MOMENTA = np.array([1.0])
-
-
-def _momenta(steps: int) -> np.ndarray:
-    """The momentum table with at least ``steps + 1`` entries."""
-    global _MOMENTA
-    if _MOMENTA.size <= steps:
-        table = _MOMENTA.tolist()
-        while len(table) <= steps:
-            table.append(_next_momentum(table[-1]))
-        _MOMENTA = np.array(table)
-    return _MOMENTA
-
-
 # Step sizes tried per backtracking search, and per pass of the stacked
 # search (a divisor of _MAX_TRIES): a wider block costs flops on rows that
 # stop early, a narrower one a numpy round trip per try on rows that do not.
@@ -488,7 +471,10 @@ def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
     return float(np.max(np.abs(g))) if g.size else 1.0
 
 
-def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
+_POWER_ITERS = 40  # per spectral norm
+
+
+def _spectral_norms_sq(A: np.ndarray) -> np.ndarray:
     """Largest squared singular value of every matrix in a (K, N, m) stack,
     by (deterministic) power iteration."""
     rng = np.random.default_rng(0)
@@ -497,7 +483,7 @@ def _spectral_norms_sq(A: np.ndarray, iters: int = 40) -> np.ndarray:
     V = np.tile(v, (A.shape[0], 1))
     At = A.transpose(0, 2, 1)
     null = np.zeros(A.shape[0], dtype=bool)
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         W = _matvec(At, _matvec(A, V))
         nw = np.sqrt(_rowdot(W, W))
         null |= nw == 0.0
@@ -590,9 +576,12 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
     step, flat, it = np.zeros(K, dtype=int), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
     owner = np.arange(K)  # the problem of each row
     out = [None] * K
-    # The momentum of a row is t = momenta[step], and its extrapolation
-    # weight (t - 1) / t_next is pull[step]: elementwise, the same divisions.
-    momenta = _momenta(cfg.max_iters)
+    # The FISTA momenta, restarting from t = 1: a row's t is momenta[step],
+    # and its weight (t - 1) / t_next is pull[step], the same divisions.
+    momenta = [1.0]
+    for _ in range(cfg.max_iters):
+        momenta.append(_next_momentum(momenta[-1]))
+    momenta = np.array(momenta)
     pull = (momenta[:-1] - 1.0) / momenta[1:]
 
     seed, leave = [(j, request, False) for j, request in enumerate(requests)], []

@@ -61,11 +61,10 @@ class SqjsdSampleSet:
     samples: np.ndarray
     n_measurements: int
     intensity: float
-    trials: int
 
-    def __post_init__(self):
-        if self.samples.size != self.trials:
-            raise InvalidParamError("trials must equal the number of samples")
+    @property
+    def trials(self) -> int:
+        return int(self.samples.size)
 
     @property
     def mean(self) -> float:
@@ -115,7 +114,6 @@ def monte_carlo_sqjsd(
         samples=samples,
         n_measurements=phi.n_measurements,
         intensity=float(np.sum(x)),
-        trials=trials,
     )
 
 

@@ -165,7 +165,8 @@ def reassemble(patches_est, grid: PatchGrid) -> np.ndarray:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read an 8- or 16-bit PGM (binary P5 or ASCII P2) as a float array."""
+    """Read an 8- or 16-bit PGM (binary P5 or ASCII P2), each pixel an
+    integer in 0..maxval, as a float array."""
     with open(path, "rb") as f:
         data = f.read()
     header = []
@@ -193,12 +194,16 @@ def read_pgm(path) -> np.ndarray:
             raise InvalidParamError(f"{path}: truncated PGM data: {found} of "
                                     f"{width}x{height} pixels")
         img = np.frombuffer(data, dtype=dtype, count=count, offset=pos + 1)
-        return img.reshape(height, width).astype(float)
-    vals = data[pos:].split()
-    if len(vals) != count:
-        raise InvalidParamError(f"{path}: PGM data holds {len(vals)} values for "
-                                f"{width}x{height} pixels")
-    return np.array(vals, dtype=float).reshape(height, width)
+    else:
+        vals = data[pos:].split()
+        if len(vals) != count:
+            raise InvalidParamError(f"{path}: PGM data holds {len(vals)} values for "
+                                    f"{width}x{height} pixels")
+        # A value that is not a decimal integer reads as -1, refused below.
+        img = np.array([float(v) if v.isdigit() else -1.0 for v in vals])
+    if not 0 <= img.min() <= img.max() <= maxval:
+        raise InvalidParamError(f"{path}: PGM pixel must be an integer in 0..{maxval}")
+    return img.reshape(height, width).astype(float)
 
 
 def write_pgm(path, image, maxval: int = 255) -> None:

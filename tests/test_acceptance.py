@@ -295,7 +295,7 @@ def intensity_sweep_manifest():
 
 class TestCriterion8IntensityTrend:
     def test_median_rrmse_decreasing_in_intensity(self, intensity_sweep_manifest):
-        cells = intensity_sweep_manifest.cells
+        cells = intensity_sweep_manifest["cells"]
         meds = [c["rrmse"]["median"] for c in cells]
         decreasing = meds[0] > meds[1] > meds[2]
         ok = decreasing and meds[2] < 0.1
@@ -317,7 +317,7 @@ class TestCriterion9FlatTrendInN:
             epsilon_mode="theory",
             intensity=1e8,
         )
-        meds = [c["rrmse"]["median"] for c in run_sweep(spec).cells]
+        meds = [c["rrmse"]["median"] for c in run_sweep(spec)["cells"]]
         ratio = max(meds) / min(meds)
         _report(9, ratio <= 2.0,
                 "median RRMSE over N=20,50,100 at I=1e8: "
@@ -337,7 +337,7 @@ class TestCriterion10EstimatorAgreement:
                 master_seed=1,
                 solver=solver,
             )
-            medians[solver] = run_sweep(spec).cells[0]["rrmse"]["median"]
+            medians[solver] = run_sweep(spec)["cells"][0]["rrmse"]["median"]
         spread = max(medians.values()) - min(medians.values())
         _report(10, spread <= 0.05,
                 "omniscient-lambda medians "

@@ -20,6 +20,7 @@ from poisson_cs.experiments import (
     run_sweep,
     run_verify_stats,
     sweep_csv_rows,
+    write_report,
     write_sweep_csv,
 )
 from poisson_cs.solvers import rrmse, solve_p2
@@ -77,7 +78,7 @@ def one_at_a_time(monkeypatch):
 
 
 def trial_records(manifest):
-    return [c["trial_records"] for c in manifest.cells]
+    return [c["trial_records"] for c in manifest["cells"]]
 
 
 class TestSignalGenerator:
@@ -188,6 +189,16 @@ class TestSpec:
         ("intensity", {"intensity": [True]}, "grid intensity"),
         ("intensity", {"intensity": []}, "grid intensity"),
         ("image", {"n_measurements": [20]}, "grid intensity"),
+        # A key the kind does not walk used to be ignored.
+        ("intensity", {"intensity": [1e4], "n_measurements": [2.5]}, "grid intensity"),
+        ("verify-stats", {"n_measurements": [20], "sparsity": [2]},
+         "grid n_measurements and grid intensity"),
+        # An empty axis used to run no cell and report none.
+        ("verify-stats", {"intensity": []}, "grid intensity"),
+        ("verify-stats", {"n_measurements": [20, 2.5]}, "grid n_measurements"),
+        # An unknown kind used to be accepted.
+        ("bogus", {}, "kind"),
+        ("bogus", {"intensity": [1e4]}, "kind"),
     ])
     def test_bad_grid_axis_rejected_before_any_work(self, kind, grid, field):
         # Sweeps used to cast these with int() or float() unchecked, so N =
@@ -195,6 +206,26 @@ class TestSpec:
         # missing axis failed with a bare KeyError once the run started.
         with pytest.raises(InvalidParamError, match=field):
             ExperimentSpec.from_dict({"kind": kind, "grid": grid})
+
+    def test_missing_axis_takes_its_desk_values(self):
+        # The verify-stats run used to fill the axis itself.
+        spec = ExperimentSpec(kind="verify-stats", grid={"n_measurements": [30]}, trials=30)
+        assert spec.grid == {"n_measurements": [30],
+                             "intensity": default_grid("verify-stats")["intensity"]}
+
+    @pytest.mark.parametrize("config", [[1], "intensity", 3])
+    def test_non_mapping_config_rejected(self, config, tmp_path):
+        # The CLI used to die in a bare TypeError from dict.update.
+        with pytest.raises(InvalidParamError, match="mapping"):
+            ExperimentSpec.from_dict(config)
+        with pytest.raises(InvalidParamError, match="mapping"):
+            ExperimentSpec(grid=config)
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with pytest.raises(InvalidParamError, match=r"--config .*list\.json"):
+            main(["sweep", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
 
     def test_integer_fields_accept_numpy_integers(self):
         spec = ExperimentSpec(kind="image", trials=np.int64(2), dim=np.int32(40),
@@ -223,8 +254,10 @@ class TestSpec:
 class TestRunSweep:
     def test_manifest_structure(self):
         man = run_sweep(tiny_sweep_spec())
-        assert len(man.cells) == 2
-        for cell in man.cells:
+        assert list(man) == ["spec", "cells", "master_seed", "library_version",
+                             "wall_clock_s", "seed_rule"]
+        assert len(man["cells"]) == 2
+        for cell in man["cells"]:
             assert cell["trials"] == 3
             assert len(cell["trial_records"]) == 3
             q = cell["rrmse"]
@@ -238,10 +271,9 @@ class TestRunSweep:
         write_sweep_csv(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
         # Manifests agree on everything except the wall-clock field.
-        da, db = dataclasses.asdict(a), dataclasses.asdict(b)
-        da.pop("wall_clock_s")
-        db.pop("wall_clock_s")
-        assert da == db
+        a.pop("wall_clock_s")
+        b.pop("wall_clock_s")
+        assert a == b
 
     def test_seed_changes_results(self):
         a = run_sweep(tiny_sweep_spec())
@@ -273,7 +305,7 @@ class TestRunSweep:
 
     def test_p2_records_constraint_fields(self):
         man = run_sweep(tiny_sweep_spec(solver="P2", trials=2))
-        rec = man.cells[0]["trial_records"][0]
+        rec = man["cells"][0]["trial_records"][0]
         assert rec["constraint_residual"] is not None
         assert "epsilon" in rec
         # The whole radius search is counted, not only its chosen solve.
@@ -282,7 +314,7 @@ class TestRunSweep:
 
     def test_manifest_carries_the_package_version(self, tmp_path):
         man = run_sweep(tiny_sweep_spec(trials=1, grid={"intensity": [1e4]}))
-        man.to_json(tmp_path / "manifest.json")
+        write_report(man, tmp_path / "manifest.json")
         written = json.loads((tmp_path / "manifest.json").read_text())
         assert written["library_version"] == poisson_cs.__version__
 
@@ -290,7 +322,7 @@ class TestRunSweep:
         man = run_sweep(
             tiny_sweep_spec(lambda_mode="fixed", lambda_value=1e-3, trials=2)
         )
-        for cell in man.cells:
+        for cell in man["cells"]:
             for rec in cell["trial_records"]:
                 assert rec["lambda_used"] == 1e-3
 
@@ -298,7 +330,7 @@ class TestRunSweep:
         man = run_sweep(
             tiny_sweep_spec(solver="P2", epsilon_mode="percentile", trials=2)
         )
-        for cell in man.cells:
+        for cell in man["cells"]:
             for rec in cell["trial_records"]:
                 # Pilot-estimated radius: positive and O(sqrt(N)).
                 assert 0.0 < rec["epsilon"] < 10.0 * np.sqrt(20)
@@ -363,10 +395,10 @@ class TestVerifyStats:
         # These used to fail only after cells had run, truncate N to an
         # integer, or (two intensities in one quarter-decade) give both cells
         # one random stream.
+        # The spec refuses a bad N itself; the run refuses the rest.
         monkeypatch.setattr(experiments, "sample_rip_matrix", None)
-        spec = ExperimentSpec(kind="verify-stats", grid=grid, trials=trials)
         with pytest.raises(InvalidParamError, match=field):
-            run_verify_stats(spec)
+            run_verify_stats(ExperimentSpec(kind="verify-stats", grid=grid, trials=trials))
 
     @pytest.mark.parametrize("paper_scale", [False, True])
     def test_default_grids_keep_their_stream_levels(self, paper_scale):

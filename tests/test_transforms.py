@@ -206,7 +206,14 @@ class TestPgmIO:
         (b"P5\n0 4\n255\n", "width"),               # used to give a (4, 0) array
         (b"P2\n2 -1\n255\n", "height"),
         (b"P5\n1 1\n65536\n" + bytes(2), "maxval"),
-    ], ids=["non-numeric width", "maxval 0", "zero width", "negative height", "maxval 65536"])
+        (b"P2\n2 1\n255\n1 x\n", "pixel"),    # used to raise a bare ValueError
+        (b"P2\n2 1\n255\n1 300\n", "pixel"),  # used to be read as 300
+        (b"P2\n2 1\n255\n-4 3\n", "pixel"),   # used to be read as -4
+        (b"P2\n2 1\n255\n1.5 3\n", "pixel"),
+        (b"P5\n2 1\n100\n\x01\xc8", "pixel"),  # 200 above maxval 100, used to be read
+    ], ids=["non-numeric width", "maxval 0", "zero width", "negative height", "maxval 65536",
+            "non-numeric pixel", "pixel above maxval", "negative pixel", "fractional pixel",
+            "binary pixel above maxval"])
     def test_bad_header_field(self, tmp_path, content, field):
         path = tmp_path / "header.pgm"
         path.write_bytes(content)
