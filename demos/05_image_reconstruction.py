@@ -3,9 +3,10 @@
 Every 7x7 patch is measured through its own sensing matrix (25 counts per
 patch), reconstructed independently with the penalized JSD estimator in a
 2-D DCT basis, and overlapping estimates are averaged.  Reconstruction
-quality improves sharply with the total photon budget.
+quality improves sharply with the total photon budget.  The scene and the
+reconstructed images are written to a temporary directory, removed at exit.
 
-Run:  python3 demos/05_image_reconstruction.py    (a few minutes)
+Run:  python3 demos/05_image_reconstruction.py    (about 10 s on a 2-core desk)
 """
 
 import tempfile
@@ -13,11 +14,6 @@ from pathlib import Path
 
 from poisson_cs.experiments import ExperimentSpec, make_test_image, run_image_recon
 from poisson_cs.transforms import write_pgm
-
-work = Path(tempfile.mkdtemp(prefix="poisson_cs_demo_"))
-scene = work / "scene.pgm"
-write_pgm(scene, make_test_image(64, 64))
-print(f"synthetic 64x64 scene written to {scene}")
 
 spec = ExperimentSpec(
     kind="image",
@@ -30,8 +26,11 @@ spec = ExperimentSpec(
     master_seed=0,
     max_iters=800,
 )
-report = run_image_recon(spec, scene, work / "recon")
+with tempfile.TemporaryDirectory(prefix="poisson_cs_demo_") as tmp:
+    work = Path(tmp)
+    scene = work / "scene.pgm"
+    write_pgm(scene, make_test_image(64, 64))
+    report = run_image_recon(spec, scene, work / "recon")
 print(f"{report['cells'][0]['n_patches']} patches per intensity level")
 for cell in report["cells"]:
-    print(f"  I={cell['intensity']:8.0e}  RRMSE={cell['rrmse']:.4f}"
-          f"  -> {cell['out_image']}")
+    print(f"  I={cell['intensity']:8.0e}  RRMSE={cell['rrmse']:.4f}")

@@ -19,8 +19,6 @@ Subpackages by theme:
 __version__ = "0.1.0"
 
 from .divergences import (
-    DivergenceKind,
-    DivergenceValue,
     delta,
     gen_kl,
     jsd,

@@ -18,16 +18,15 @@ if any cell failed to converge (results are still written).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .errors import InvalidParamError
 from .experiments import (
     SOLVERS,
     SWEEP_KINDS,
     ExperimentSpec,
     default_grid,
+    read_config,
     run_image_recon,
     run_sweep,
     run_verify_stats,
@@ -57,12 +56,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _build_spec(args, kind: str, **defaults) -> ExperimentSpec:
     fields = dict(defaults)
     if args.config is not None:
-        with open(args.config) as f:
-            config = json.load(f)
-        if not isinstance(config, dict):
-            raise InvalidParamError(f"--config {args.config}: expected a JSON object of "
-                                    f"ExperimentSpec fields, got {type(config).__name__}")
-        fields.update(config)
+        fields.update(read_config(args.config, "--config"))
     fields["kind"] = kind
     if not fields.get("grid"):
         fields["grid"] = default_grid(kind, paper_scale=args.paper_scale)

@@ -1,6 +1,6 @@
 """Scalar divergences between non-negative vectors.
 
-All functions operate on non-negative real vectors (not necessarily
+All functions operate on non-negative real 1-D vectors (not necessarily
 normalized), use natural logarithms, and apply the conventions
 
     0 * log(0)   = 0
@@ -10,21 +10,23 @@ so that the Jensen-Shannon divergence is finite on the whole closed
 non-negative orthant.  A support violation in the plain KL direction
 (p_i > 0 while q_i = 0) raises :class:`DomainError` instead of returning
 infinity: in this library that situation always indicates a caller bug.
+
+Each function returns a Python ``float``, the ``np.sum`` of its terms.
+The divergences that are non-negative by construction (generalized KL,
+JSD, SQJSD, total variation, triangular discrimination and symmetrized KL)
+return rounding below 0 as 0.0; plain KL and the two Stirling NLLs may be
+negative and come back as summed.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, LengthMismatchError
 
 __all__ = [
-    "DivergenceKind",
-    "DivergenceValue",
     "as_nonneg_vector",
     "kl",
     "jsd",
@@ -43,68 +45,28 @@ LOG_2PI = math.log(2.0 * math.pi)
 # The error state of every evaluation of a term with a discarded branch.
 _QUIET = {"divide": "ignore", "invalid": "ignore"}
 
-# Above this length, plain pairwise summation is replaced by compensated
-# summation: sweep experiments sum many near-cancelling terms.
-_FSUM_THRESHOLD = 10_000
-
-
-class DivergenceKind(enum.Enum):
-    KL = "kl"
-    GEN_KL = "gen_kl"
-    JSD = "jsd"
-    SQJSD = "sqjsd"
-    TV = "tv"
-    DELTA = "delta"
-    SNLL = "snll"
-    NLL_APPROX = "nll_approx"
-    SYM_KL = "sym_kl"
-
-
-# Kinds that are non-negative by construction on arbitrary non-negative
-# vectors.  Plain KL is excluded: without normalization it can go negative
-# (its symmetrized form cannot).  SNLL / NLL_APPROX carry additive log-terms
-# and may be negative as well.
-_NONNEG_KINDS = frozenset(
-    {
-        DivergenceKind.GEN_KL,
-        DivergenceKind.JSD,
-        DivergenceKind.SQJSD,
-        DivergenceKind.TV,
-        DivergenceKind.DELTA,
-        DivergenceKind.SYM_KL,
-    }
-)
-
 # Rounding can leave values like -1e-17 where the exact result is 0; anything
-# more negative than this on a non-negative kind is a genuine bug.
+# more negative than this on a non-negative divergence is a genuine bug.
 _NEG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DivergenceValue:
-    """A computed divergence together with the functional it came from."""
-
-    value: float
-    kind: DivergenceKind
-
-    def __post_init__(self):
-        if self.kind in _NONNEG_KINDS:
-            if self.value < -_NEG_TOL:
-                raise DomainError(
-                    f"{self.kind.value} produced negative value {self.value!r}"
-                )
-            if self.value < 0.0:
-                object.__setattr__(self, "value", 0.0)
-
-    def __float__(self) -> float:
-        return self.value
+def _nonneg(name: str, value: float) -> float:
+    """``value`` of the non-negative divergence ``name``, with rounding below
+    0 returned as 0.0; below ``-_NEG_TOL`` it raises :class:`DomainError`."""
+    if value < -_NEG_TOL:
+        raise DomainError(f"{name} produced negative value {value!r}")
+    return 0.0 if value < 0.0 else value
 
 
 def as_nonneg_vector(values, name: str = "vector") -> np.ndarray:
-    """Validate and convert to a 1-D float64 array with entries >= 0."""
-    arr = np.asarray(values, dtype=float)
+    """Validate and convert to a 1-D float64 array with entries >= 0.
+
+    A scalar is a vector of length 1; an array of more than one dimension
+    is refused.
+    """
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
     if arr.ndim != 1:
-        arr = arr.reshape(-1)
+        raise DomainError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size < 1:
         raise DomainError(f"{name} must have length >= 1")
     if not np.all(np.isfinite(arr)):
@@ -120,12 +82,6 @@ def _pair(p, q):
     if p.shape != q.shape:
         raise LengthMismatchError(f"length {p.size} vs {q.size}")
     return p, q
-
-
-def _accumulate(terms: np.ndarray) -> float:
-    if terms.size > _FSUM_THRESHOLD:
-        return math.fsum(terms.tolist())
-    return float(np.sum(terms))
 
 
 def _xlog_ratio(x: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -164,7 +120,7 @@ def _snll_terms(y: np.ndarray, u: np.ndarray) -> np.ndarray:
     )
 
 
-def kl(p, q) -> DivergenceValue:
+def kl(p, q) -> float:
     """Kullback-Leibler divergence sum_i p_i log(p_i / q_i).
 
     Requires q_i > 0 wherever p_i > 0; terms with p_i = 0 contribute 0.
@@ -175,7 +131,7 @@ def kl(p, q) -> DivergenceValue:
         raise DomainError("kl undefined: p_i > 0 where q_i = 0")
     with np.errstate(**_QUIET):
         terms = _xlog_self_ratio(p, q)
-    return DivergenceValue(_accumulate(terms), DivergenceKind.KL)
+    return float(np.sum(terms))
 
 
 def _jsd_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -197,7 +153,7 @@ def _jsd_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def jsd(p, q) -> DivergenceValue:
+def jsd(p, q) -> float:
     """Jensen-Shannon divergence (D(p,m) + D(q,m)) / 2 with m = (p+q)/2.
 
     Finite for any pair of non-negative vectors and symmetric in (p, q).
@@ -205,12 +161,12 @@ def jsd(p, q) -> DivergenceValue:
     p, q = _pair(p, q)
     with np.errstate(**_QUIET):
         terms = _jsd_terms(p, q)
-    return DivergenceValue(0.5 * _accumulate(terms), DivergenceKind.JSD)
+    return _nonneg("jsd", 0.5 * float(np.sum(terms)))
 
 
-def sqjsd(p, q) -> DivergenceValue:
+def sqjsd(p, q) -> float:
     """Square root of the Jensen-Shannon divergence (a metric)."""
-    return DivergenceValue(math.sqrt(jsd(p, q).value), DivergenceKind.SQJSD)
+    return _nonneg("sqjsd", math.sqrt(jsd(p, q)))
 
 
 def jsd_rowwise(P, q) -> np.ndarray:
@@ -249,7 +205,7 @@ def jsd_rowwise(P, q) -> np.ndarray:
     return np.maximum(0.5 * np.sum(terms, axis=-1), 0.0)
 
 
-def gen_kl(y, u) -> DivergenceValue:
+def gen_kl(y, u) -> float:
     """Generalized KL divergence sum_i y_i log(y_i/u_i) - y_i + u_i (>= 0)."""
     y, u = _pair(y, u)
     pos = y > 0.0
@@ -257,16 +213,16 @@ def gen_kl(y, u) -> DivergenceValue:
         raise DomainError("gen_kl undefined: y_i > 0 where u_i = 0")
     with np.errstate(**_QUIET):
         terms = _gen_kl_terms(y, u)
-    return DivergenceValue(_accumulate(terms), DivergenceKind.GEN_KL)
+    return _nonneg("gen_kl", float(np.sum(terms)))
 
 
-def total_variation(p, q) -> DivergenceValue:
+def total_variation(p, q) -> float:
     """l1 distance sum_i |p_i - q_i| (the paper-style unhalved V)."""
     p, q = _pair(p, q)
-    return DivergenceValue(_accumulate(np.abs(p - q)), DivergenceKind.TV)
+    return _nonneg("tv", float(np.sum(np.abs(p - q))))
 
 
-def delta(p, q) -> DivergenceValue:
+def delta(p, q) -> float:
     """Triangular discrimination sum_i |p_i - q_i|^2 / (p_i + q_i).
 
     Indices with p_i + q_i = 0 contribute 0 (there |p_i - q_i| = 0 as well).
@@ -277,18 +233,18 @@ def delta(p, q) -> DivergenceValue:
     out = np.zeros_like(s)
     pos = s > 0.0
     out[pos] = d[pos] ** 2 / s[pos]
-    return DivergenceValue(_accumulate(out), DivergenceKind.DELTA)
+    return _nonneg("delta", float(np.sum(out)))
 
 
-def sym_kl(u, v) -> DivergenceValue:
+def sym_kl(u, v) -> float:
     """Symmetrized KL divergence D(u,v) + D(v,u).
 
     Requires mutual absolute continuity: both KL directions must be defined.
     """
-    return DivergenceValue(kl(u, v).value + kl(v, u).value, DivergenceKind.SYM_KL)
+    return _nonneg("sym_kl", kl(u, v) + kl(v, u))
 
 
-def nll_approx(y, u) -> DivergenceValue:
+def nll_approx(y, u) -> float:
     """Stirling-approximated Poisson negative log-likelihood.
 
     gen_kl(y, u) + sum_i (log(y_i)/2 + log(2*pi)/2); requires y_i > 0 for
@@ -302,10 +258,10 @@ def nll_approx(y, u) -> DivergenceValue:
         raise DomainError("nll_approx requires u_i > 0")
     with np.errstate(**_QUIET):
         terms = _gen_kl_terms(y, u) + 0.5 * np.log(y) + 0.5 * LOG_2PI
-    return DivergenceValue(_accumulate(terms), DivergenceKind.NLL_APPROX)
+    return float(np.sum(terms))
 
 
-def snll(y, u) -> DivergenceValue:
+def snll(y, u) -> float:
     """Symmetrized, Stirling-approximated Poisson negative log-likelihood.
 
     gen_kl(y,u) + gen_kl(u,y) + sum_i (log(y_i)/2 + log(u_i)/2 + log(2*pi)).
@@ -313,4 +269,4 @@ def snll(y, u) -> DivergenceValue:
     y, u = _pair(y, u)
     if np.any(y == 0.0) or np.any(u == 0.0):
         raise DomainError("snll requires y_i > 0 and u_i > 0")
-    return DivergenceValue(_accumulate(_snll_terms(y, u)), DivergenceKind.SNLL)
+    return float(np.sum(_snll_terms(y, u)))

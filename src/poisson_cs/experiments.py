@@ -66,6 +66,7 @@ from .transforms import (
 
 __all__ = [
     "ExperimentSpec",
+    "read_config",
     "make_sparse_signal",
     "run_sweep",
     "run_verify_stats",
@@ -206,11 +207,25 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_config(path))
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def read_config(path, name: str = "config") -> dict:
+    """The JSON object of spec fields in file ``path``.  Invalid JSON or any
+    other JSON value raises ``InvalidParamError`` naming ``name`` and the
+    file."""
+    with open(path) as f:
+        try:
+            config = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise InvalidParamError(f"{name} {path}: not valid JSON ({exc})") from None
+    if not isinstance(config, dict):
+        raise InvalidParamError(f"{name} {path}: expected a JSON object of "
+                                f"ExperimentSpec fields, got {type(config).__name__}")
+    return config
 
 
 def default_grid(kind: str, paper_scale: bool = False) -> dict:

@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParamError, TooManySupportsError, check_integer
+from .errors import (
+    InvalidParamError,
+    LengthMismatchError,
+    TooManySupportsError,
+    check_integer,
+)
 
 __all__ = [
     "RipMatrix",
@@ -70,6 +75,20 @@ class SensingMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[1]
+
+    def rates(self, x) -> np.ndarray:
+        """Measurement rates ``Phi x`` of the signal ``x``, which must be 1-D
+        of length ``dim``, finite and non-negative."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or x.size != self.dim:
+            raise LengthMismatchError(
+                f"signal length {x.size} does not match matrix dim {self.dim}"
+            )
+        if not np.all(np.isfinite(x)):
+            raise InvalidParamError("signal must be finite")
+        if np.any(x < 0.0):
+            raise InvalidParamError("signal must be non-negative")
+        return self.entries @ x
 
 
 @dataclass(frozen=True)

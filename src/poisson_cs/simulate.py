@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamError, LengthMismatchError
+from .errors import LengthMismatchError
 from .sensing import SensingMatrix
 
 __all__ = ["MeasurementVector", "measure", "derive_seed", "derive_rng"]
@@ -58,16 +58,7 @@ def measure(phi: SensingMatrix, x, seed) -> MeasurementVector:
     SeedSequence creates a fresh PCG64 stream, so repeated calls are
     reproducible, and a Generator is used as is.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != phi.dim:
-        raise LengthMismatchError(
-            f"signal length {x.size} does not match matrix dim {phi.dim}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InvalidParamError("signal must be finite")
-    if np.any(x < 0.0):
-        raise InvalidParamError("signal must be non-negative")
-    rates = phi.entries @ x
+    rates = phi.rates(x)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(rates).astype(np.int64)
     counts.setflags(write=False)

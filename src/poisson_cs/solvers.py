@@ -947,6 +947,9 @@ def rrmse(x, x_star) -> float:
     """Relative reconstruction error ||x - x*||_2 / ||x||_2."""
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
+    if x.shape != x_star.shape:
+        raise LengthMismatchError(f"estimate of shape {x_star.shape} for a signal of "
+                                  f"shape {x.shape}")
     denom = float(np.linalg.norm(x))
     if denom == 0.0:
         raise InvalidParamError("rrmse undefined for a zero reference signal")

@@ -59,8 +59,6 @@ class SqjsdSampleSet:
     """Monte-Carlo draws of sqrt(J(y, Phi x)) for one fixed (Phi, x)."""
 
     samples: np.ndarray
-    n_measurements: int
-    intensity: float
 
     @property
     def trials(self) -> int:
@@ -99,8 +97,7 @@ def monte_carlo_sqjsd(
     the samples equal those of one ``(trials, N)`` draw from ``seed``.
     """
     check_integer("trials", trials, 2)
-    x = np.asarray(x, dtype=float)
-    rates = phi.entries @ x
+    rates = phi.rates(x)
     rng = np.random.default_rng(seed)
     rows = max(1, _BLOCK_ENTRIES // rates.size)
     samples = np.empty(trials)
@@ -110,18 +107,13 @@ def monte_carlo_sqjsd(
         block[:] = jsd_rowwise(counts, rates)
     np.sqrt(samples, out=samples)
     samples.setflags(write=False)
-    return SqjsdSampleSet(
-        samples=samples,
-        n_measurements=phi.n_measurements,
-        intensity=float(np.sum(x)),
-    )
+    return SqjsdSampleSet(samples=samples)
 
 
 def concentration_bounds(phi: SensingMatrix, x) -> ConcentrationBounds:
     """Evaluate the concentration bounds at s_i = N * (Phi x)_i."""
-    x = np.asarray(x, dtype=float)
     N = phi.n_measurements
-    s = N * (phi.entries @ x)
+    s = N * phi.rates(x)
     s_min = float(np.min(s)) if s.size else 0.0
     if np.any(s == 0.0):
         inv_sum = math.inf
@@ -203,6 +195,7 @@ def choose_epsilon(
         mode = EpsilonMode(mode)
     except ValueError:
         raise InvalidParamError(f"mode must be 'theory' or 'percentile', got {mode!r}") from None
+    check_integer("N", N, 1)
     if mode is EpsilonMode.THEORY:
         return math.sqrt(N) * TAIL_COEFFICIENT
     if samples is None or samples.trials < 100:

@@ -82,8 +82,8 @@ class TestCriterion1DivergenceInequalities:
         for _ in range(200):
             p, q, r = (rng.uniform(0, 10, 4) for _ in range(3))
             assert (
-                pcs.sqjsd(p, q).value
-                <= pcs.sqjsd(p, r).value + pcs.sqjsd(q, r).value + 1e-10
+                pcs.sqjsd(p, q)
+                <= pcs.sqjsd(p, r) + pcs.sqjsd(q, r) + 1e-10
             )
         elapsed = time.perf_counter() - t0
         _report(1, worst <= 1e-10 and elapsed < 10.0,

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from poisson_cs.divergences import (
-    DivergenceKind,
-    DivergenceValue,
     delta,
     gen_kl,
     jsd,
@@ -23,7 +21,7 @@ from poisson_cs.divergences import (
     sym_kl,
     total_variation,
 )
-from poisson_cs.divergences import _jsd_terms
+from poisson_cs.divergences import _jsd_terms, _nonneg
 from poisson_cs.errors import DomainError, LengthMismatchError
 
 LOG2 = math.log(2.0)
@@ -49,15 +47,15 @@ def gen_kl_oracle(y, u):
 
 class TestKL:
     def test_identity(self):
-        assert kl([0.5, 0.5], [0.5, 0.5]).value == 0.0
+        assert kl([0.5, 0.5], [0.5, 0.5]) == 0.0
 
     def test_half_support(self):
-        assert kl([1, 0], [0.5, 0.5]).value == pytest.approx(LOG2, rel=1e-12)
+        assert kl([1, 0], [0.5, 0.5]) == pytest.approx(LOG2, rel=1e-12)
 
     def test_scalar_oracle(self):
         expect = 0.2 * math.log(0.2 / 0.6) + 0.8 * math.log(0.8 / 0.4)
         assert expect == pytest.approx(0.3347952867143343)
-        assert kl([0.2, 0.8], [0.6, 0.4]).value == pytest.approx(expect, rel=1e-12)
+        assert kl([0.2, 0.8], [0.6, 0.4]) == pytest.approx(expect, rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -75,21 +73,30 @@ class TestKL:
         with pytest.raises(DomainError):
             kl([], [])
 
+    def test_two_dimensional_rejected(self):
+        # A 2-D input used to be flattened: a 2x2 array against its own four
+        # entries had jsd 0.0.  A scalar is still a vector of length 1.
+        with pytest.raises(DomainError, match="p must be 1-D"):
+            jsd([[1, 2], [3, 4]], [1, 2, 3, 4])
+        with pytest.raises(DomainError, match="q must be 1-D"):
+            gen_kl([1, 2], [[1], [2]])
+        assert kl(1.0, 0.5) == pytest.approx(LOG2, rel=1e-12)
+
     def test_random_against_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = rng.integers(1, 40)
             p = rng.uniform(0.0, 10.0, n)
             q = rng.uniform(0.1, 10.0, n)
-            assert kl(p, q).value == pytest.approx(kl_oracle(p, q), rel=1e-10, abs=1e-12)
+            assert kl(p, q) == pytest.approx(kl_oracle(p, q), rel=1e-10, abs=1e-12)
 
 
 class TestJSD:
     def test_identity(self):
-        assert jsd([3, 7], [3, 7]).value == 0.0
+        assert jsd([3, 7], [3, 7]) == 0.0
 
     def test_disjoint_support(self):
-        assert jsd([1, 0], [0, 1]).value == pytest.approx(LOG2, rel=1e-12)
+        assert jsd([1, 0], [0, 1]) == pytest.approx(LOG2, rel=1e-12)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(1)
@@ -97,11 +104,11 @@ class TestJSD:
             n = rng.integers(1, 30)
             p = rng.uniform(0, 10, n)
             q = rng.uniform(0, 10, n)
-            assert jsd(p, q).value == jsd(q, p).value
+            assert jsd(p, q) == jsd(q, p)
 
     def test_always_finite_on_boundary(self):
         # m dominates both supports, so zeros anywhere are fine.
-        v = jsd([0, 2, 0], [1, 0, 0]).value
+        v = jsd([0, 2, 0], [1, 0, 0])
         assert math.isfinite(v) and v > 0
 
     def test_against_oracle(self):
@@ -110,21 +117,21 @@ class TestJSD:
             n = rng.integers(1, 25)
             p = rng.uniform(0, 5, n)
             q = rng.uniform(0, 5, n)
-            assert jsd(p, q).value == pytest.approx(jsd_oracle(p, q), rel=1e-10, abs=1e-12)
+            assert jsd(p, q) == pytest.approx(jsd_oracle(p, q), rel=1e-10, abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         p = rng.uniform(0, 10, 20)
         q = rng.uniform(0, 10, 20)
         perm = rng.permutation(20)
-        assert jsd(p[perm], q[perm]).value == pytest.approx(jsd(p, q).value, rel=1e-12)
+        assert jsd(p[perm], q[perm]) == pytest.approx(jsd(p, q), rel=1e-12)
 
     def test_high_intensity_precision(self):
         # p ~ q ~ 1e8: the log1p formulation must keep the small difference.
         rng = np.random.default_rng(4)
         p = rng.uniform(0.9e8, 1.1e8, 50)
         q = p + rng.normal(0, 1e4, 50)
-        got = jsd(p, q).value
+        got = jsd(p, q)
         # Reference accumulated in extended precision from the definition.
         pl, ql = np.array(p, dtype=np.longdouble), np.array(q, dtype=np.longdouble)
         ml = (pl + ql) / 2
@@ -175,10 +182,10 @@ def test_jsd_terms_match_the_two_quotient_formula_bit_for_bit(operands):
 
 class TestSqjsd:
     def test_identity(self):
-        assert sqjsd([2.0, 3.0], [2.0, 3.0]).value == 0.0
+        assert sqjsd([2.0, 3.0], [2.0, 3.0]) == 0.0
 
     def test_disjoint(self):
-        assert sqjsd([1, 0], [0, 1]).value == pytest.approx(math.sqrt(LOG2), rel=1e-12)
+        assert sqjsd([1, 0], [0, 1]) == pytest.approx(math.sqrt(LOG2), rel=1e-12)
 
     def test_triangle_spot(self):
         rng = np.random.default_rng(5)
@@ -186,20 +193,20 @@ class TestSqjsd:
             n = rng.integers(1, 20)
             p, q, r = (rng.uniform(0, 10, n) for _ in range(3))
             assert (
-                sqjsd(p, q).value
-                <= sqjsd(p, r).value + sqjsd(q, r).value + 1e-10
+                sqjsd(p, q)
+                <= sqjsd(p, r) + sqjsd(q, r) + 1e-10
             )
 
 
 class TestGenKL:
     def test_identity(self):
-        assert gen_kl([2, 5], [2, 5]).value == 0.0
+        assert gen_kl([2, 5], [2, 5]) == 0.0
 
     def test_zero_counts_reduce_to_sum(self):
-        assert gen_kl([0, 0], [1, 2]).value == pytest.approx(3.0, rel=1e-12)
+        assert gen_kl([0, 0], [1, 2]) == pytest.approx(3.0, rel=1e-12)
 
     def test_scalar_oracle(self):
-        assert gen_kl([4], [2]).value == pytest.approx(4 * LOG2 - 2, rel=1e-12)
+        assert gen_kl([4], [2]) == pytest.approx(4 * LOG2 - 2, rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
@@ -207,7 +214,7 @@ class TestGenKL:
             n = rng.integers(1, 30)
             y = rng.uniform(0, 20, n)
             u = rng.uniform(0.05, 20, n)
-            assert gen_kl(y, u).value >= 0.0
+            assert gen_kl(y, u) >= 0.0
 
     def test_support_violation(self):
         with pytest.raises(DomainError):
@@ -216,21 +223,21 @@ class TestGenKL:
 
 class TestTotalVariationAndDelta:
     def test_tv(self):
-        assert total_variation([1, 1], [1, 1]).value == 0.0
-        assert total_variation([1, 0], [0, 1]).value == 2.0
-        assert total_variation([0.3], [0.7]).value == pytest.approx(0.4)
+        assert total_variation([1, 1], [1, 1]) == 0.0
+        assert total_variation([1, 0], [0, 1]) == 2.0
+        assert total_variation([0.3], [0.7]) == pytest.approx(0.4)
 
     def test_delta(self):
-        assert delta([1, 2], [1, 2]).value == 0.0
-        assert delta([1, 0], [0, 1]).value == pytest.approx(2.0)
-        assert delta([0, 0], [0, 0]).value == 0.0
+        assert delta([1, 2], [1, 2]) == 0.0
+        assert delta([1, 0], [0, 1]) == pytest.approx(2.0)
+        assert delta([0, 0], [0, 0]) == 0.0
 
     def test_chain_boundary_tightness(self):
         # p=[1,0], q=[0,1]: V^2/2 = 2 = Delta < 4J = 4 log 2.
         p, q = [1, 0], [0, 1]
-        v = total_variation(p, q).value
-        d = delta(p, q).value
-        j = jsd(p, q).value
+        v = total_variation(p, q)
+        d = delta(p, q)
+        j = jsd(p, q)
         assert 0.5 * v**2 == pytest.approx(2.0)
         assert d == pytest.approx(2.0)
         assert 4 * j == pytest.approx(4 * LOG2)
@@ -239,13 +246,13 @@ class TestTotalVariationAndDelta:
 
 class TestSymKL:
     def test_identity(self):
-        assert sym_kl([1, 2], [1, 2]).value == 0.0
+        assert sym_kl([1, 2], [1, 2]) == 0.0
 
     def test_sum_of_directions(self):
         u, v = [0.2, 0.8], [0.6, 0.4]
         expect = kl_oracle(u, v) + kl_oracle(v, u)
         assert expect == pytest.approx(0.7167037876912219)
-        assert sym_kl(u, v).value == pytest.approx(expect, rel=1e-12)
+        assert sym_kl(u, v) == pytest.approx(expect, rel=1e-12)
 
     def test_quarter_bound_on_jsd(self):
         rng = np.random.default_rng(7)
@@ -253,24 +260,24 @@ class TestSymKL:
             n = rng.integers(1, 25)
             u = rng.uniform(0.01, 10, n)
             v = rng.uniform(0.01, 10, n)
-            assert jsd(u, v).value <= 0.25 * sym_kl(u, v).value + 1e-10
+            assert jsd(u, v) <= 0.25 * sym_kl(u, v) + 1e-10
 
 
 class TestNllApprox:
     def test_unit(self):
-        assert nll_approx([1], [1]).value == pytest.approx(0.5 * math.log(2 * math.pi))
+        assert nll_approx([1], [1]) == pytest.approx(0.5 * math.log(2 * math.pi))
 
     def test_scalar(self):
         expect = 0.5 * math.log(5) + 0.5 * math.log(2 * math.pi)
-        assert nll_approx([5], [5]).value == pytest.approx(expect, rel=1e-12)
+        assert nll_approx([5], [5]) == pytest.approx(expect, rel=1e-12)
 
     def test_difference_from_gen_kl_independent_of_u(self):
         rng = np.random.default_rng(8)
         y = rng.integers(1, 50, 10).astype(float)
         u1 = rng.uniform(0.5, 40, 10)
         u2 = rng.uniform(0.5, 40, 10)
-        d1 = nll_approx(y, u1).value - gen_kl(y, u1).value
-        d2 = nll_approx(y, u2).value - gen_kl(y, u2).value
+        d1 = nll_approx(y, u1) - gen_kl(y, u1)
+        d2 = nll_approx(y, u2) - gen_kl(y, u2)
         assert d1 == pytest.approx(d2, rel=1e-12)
 
     def test_zero_count_rejected(self):
@@ -280,13 +287,13 @@ class TestNllApprox:
 
 class TestSnll:
     def test_unit(self):
-        assert snll([1], [1]).value == pytest.approx(math.log(2 * math.pi), rel=1e-12)
+        assert snll([1], [1]) == pytest.approx(math.log(2 * math.pi), rel=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(9)
         y = rng.uniform(0.5, 30, 15)
         u = rng.uniform(0.5, 30, 15)
-        assert snll(y, u).value == pytest.approx(snll(u, y).value, rel=1e-12)
+        assert snll(y, u) == pytest.approx(snll(u, y), rel=1e-12)
 
     def test_dominates_sym_kl_under_condition(self):
         # y_i >= 1/(4 pi^2 u_i) makes the parenthesized log terms nonnegative.
@@ -296,7 +303,7 @@ class TestSnll:
             u = rng.uniform(0.2, 20, n)
             lo = 1.0 / (4 * math.pi**2 * u)
             y = lo + rng.uniform(0.1, 20, n)
-            assert snll(y, u).value >= sym_kl(y, u).value - 1e-10
+            assert snll(y, u) >= sym_kl(y, u) - 1e-10
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -305,18 +312,28 @@ class TestSnll:
 
 class TestDivergenceValue:
     def test_nonneg_kinds_clamp_rounding(self):
-        v = DivergenceValue(-1e-15, DivergenceKind.JSD)
-        assert v.value == 0.0
+        assert _nonneg("jsd", -1e-15) == 0.0
+        assert _nonneg("jsd", 0.25) == 0.25
 
     def test_nonneg_kinds_reject_negative(self):
-        with pytest.raises(DomainError):
-            DivergenceValue(-1.0, DivergenceKind.JSD)
+        with pytest.raises(DomainError, match="jsd produced negative value"):
+            _nonneg("jsd", -1.0)
 
     def test_signed_kinds_allow_negative(self):
-        assert DivergenceValue(-3.0, DivergenceKind.SNLL).value == -3.0
+        # Plain KL of unnormalized vectors and the Stirling NLLs at rates
+        # below 1/(2 pi) are negative, and come back as summed.
+        assert kl([0.2], [0.8]) == pytest.approx(0.2 * math.log(0.25), rel=1e-12)
+        assert nll_approx([0.01], [0.01]) == pytest.approx(
+            0.5 * math.log(0.01) + 0.5 * math.log(2 * math.pi), rel=1e-12)
+        assert snll([0.01], [0.01]) == pytest.approx(
+            math.log(0.01) + math.log(2 * math.pi), rel=1e-12)
 
     def test_float_protocol(self):
-        assert float(jsd([1, 0], [0, 1])) == pytest.approx(LOG2)
+        p, q = [1.0, 2.0], [2.0, 1.0]
+        for divergence in (kl, jsd, sqjsd, gen_kl, total_variation, delta, sym_kl,
+                           nll_approx, snll):
+            assert type(divergence(p, q)) is float
+        assert jsd([1, 0], [0, 1]) == pytest.approx(LOG2)
 
 
 class TestRowwise:
@@ -326,7 +343,7 @@ class TestRowwise:
         qv = rng.uniform(0, 10, 13)
         got = jsd_rowwise(P, qv)
         for i in range(40):
-            assert got[i] == jsd(P[i], qv).value
+            assert got[i] == jsd(P[i], qv)
 
     def test_zero_rows(self):
         assert jsd_rowwise(np.zeros((3, 4)), np.zeros(4)).tolist() == [0, 0, 0]
@@ -373,17 +390,17 @@ class TestRowwise:
         P[1, 2] = 5
         q = np.array([0.0, 1.5, 0.0, 2.0])
         assert np.array_equal(jsd_rowwise(P, q), jsd_rowwise(P.astype(float), q))
-        assert jsd_rowwise(P, q)[1] == jsd(P[1], q).value
+        assert jsd_rowwise(P, q)[1] == jsd(P[1], q)
 
 
 def test_compensated_summation_large_n():
-    # n > 10^4 switches to compensated accumulation; verify against an
-    # extended-precision reference on a nearly-cancelling instance.
+    # Plain np.sum of many nearly-cancelling terms, against an
+    # extended-precision reference.
     rng = np.random.default_rng(12)
     n = 20001
     y = rng.uniform(1e6, 2e6, n)
     u = y * (1 + rng.normal(0, 1e-7, n))
-    got = gen_kl(y, u).value
+    got = gen_kl(y, u)
     yl, ul = y.astype(np.longdouble), u.astype(np.longdouble)
     ref = float(np.sum(yl * np.log(yl / ul) - yl + ul))
     assert got == pytest.approx(ref, rel=1e-6, abs=1e-9)

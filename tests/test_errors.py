@@ -20,7 +20,7 @@ from poisson_cs.solvers import (
     solve_penalized,
     solve_penalized_batch,
 )
-from poisson_cs.sqjsd_stats import monte_carlo_sqjsd
+from poisson_cs.sqjsd_stats import choose_epsilon, monte_carlo_sqjsd
 from poisson_cs.transforms import PatchGrid, dct2_basis, identity_basis
 
 BASIS = identity_basis(20)
@@ -52,6 +52,7 @@ COUNTS = [
     ("sample_rip_matrix", "N", lambda v: sample_rip_matrix(v, 4)),
     ("sample_rip_matrix", "m", lambda v: sample_rip_matrix(4, v)),
     ("monte_carlo_sqjsd", "trials", lambda v: monte_carlo_sqjsd(PHI, X, v, seed=0)),
+    ("choose_epsilon", "N", lambda v: choose_epsilon("theory", v)),
     ("identity_basis", "dim", lambda v: identity_basis(v)),
     ("dct2_basis", "patch_h", lambda v: dct2_basis(v)),
     ("dct2_basis", "patch_w", lambda v: dct2_basis(3, v)),

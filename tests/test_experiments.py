@@ -213,19 +213,23 @@ class TestSpec:
         assert spec.grid == {"n_measurements": [30],
                              "intensity": default_grid("verify-stats")["intensity"]}
 
-    @pytest.mark.parametrize("config", [[1], "intensity", 3])
+    @pytest.mark.parametrize("config", [[1], "intensity", 3, "{bad"])
     def test_non_mapping_config_rejected(self, config, tmp_path):
-        # The CLI used to die in a bare TypeError from dict.update.
+        # The CLI used to die in a bare TypeError from dict.update, and on
+        # invalid JSON ("{bad", written to the file as raw text) in a bare
+        # JSONDecodeError naming neither the flag nor the file.
         with pytest.raises(InvalidParamError, match="mapping"):
             ExperimentSpec.from_dict(config)
         with pytest.raises(InvalidParamError, match="mapping"):
             ExperimentSpec(grid=config)
         path = tmp_path / "list.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if config == "{bad" else json.dumps(config))
         out = tmp_path / "out"
         with pytest.raises(InvalidParamError, match=r"--config .*list\.json"):
             main(["sweep", "--config", str(path), "--out", str(out)])
         assert not out.exists()
+        with pytest.raises(InvalidParamError, match=r"list\.json"):
+            ExperimentSpec.from_json(path)
 
     def test_integer_fields_accept_numpy_integers(self):
         spec = ExperimentSpec(kind="image", trials=np.int64(2), dim=np.int32(40),

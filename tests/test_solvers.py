@@ -14,6 +14,7 @@ from poisson_cs.errors import (
     DomainError,
     InfeasibleEpsilonError,
     InvalidParamError,
+    LengthMismatchError,
 )
 from poisson_cs.sensing import build_phi, sample_rip_matrix
 from poisson_cs.simulate import measure
@@ -104,7 +105,7 @@ class TestFitValueAndGradient:
                     if kind is not FitKind.JSD and beta == 0.0:
                         y = np.maximum(y, 1.0)
                     value, _ = fit_value_and_gradient(FitTerm(kind, beta), y, u)
-                    assert value == divergence(y + beta, u + beta).value
+                    assert value == divergence(y + beta, u + beta)
 
     FD_BETAS = [0.0, 0.3]
 
@@ -165,7 +166,7 @@ class TestSolvePenalized:
             assert res.iterations == k
             theta = res.theta_star
             u = phi.entries @ theta
-            objective.append(lam * float(np.sum(np.abs(theta))) + jsd(mv.counts, u).value)
+            objective.append(lam * float(np.sum(np.abs(theta))) + jsd(mv.counts, u))
         assert np.all(np.diff(objective) <= 1e-9)
         assert np.array_equal(theta, full.theta_star)
 
@@ -261,7 +262,7 @@ class TestSolveP2:
         from poisson_cs.divergences import sqjsd
 
         u = phi.entries @ basis.synthesize(res.theta_star)
-        s_val = sqjsd(mv.counts.astype(float), np.maximum(u, 0.0)).value
+        s_val = sqjsd(mv.counts.astype(float), np.maximum(u, 0.0))
         assert s_val == pytest.approx(eps + res.constraint_residual, abs=1e-8)
 
     def test_p2_p4_lambda_consistency(self):
@@ -276,7 +277,7 @@ class TestSolveP2:
         from poisson_cs.divergences import jsd
 
         u = phi.entries @ basis.synthesize(rerun.theta_star)
-        s_rerun = math.sqrt(jsd(mv.counts.astype(float), np.maximum(u, 0.0)).value)
+        s_rerun = math.sqrt(jsd(mv.counts.astype(float), np.maximum(u, 0.0)))
         # The penalized solution at lambda_used sits on the feasible side of
         # the constraint; before the final scaling step it is the search's
         # own iterate, so it cannot exceed epsilon by more than the tolerance.
@@ -428,3 +429,9 @@ class TestRrmse:
     def test_zero_reference_rejected(self):
         with pytest.raises(InvalidParamError):
             rrmse([0.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("estimate", [[1.0], np.ones((2, 3))])
+    def test_shape_mismatch_rejected(self, estimate):
+        # Both used to broadcast: 0.598 and 0.0.
+        with pytest.raises(LengthMismatchError, match="shape"):
+            rrmse([1.0, 2.0, 3.0], estimate)

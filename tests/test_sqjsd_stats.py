@@ -8,7 +8,7 @@ import pytest
 
 from poisson_cs import sqjsd_stats
 from poisson_cs.divergences import jsd_rowwise
-from poisson_cs.errors import InvalidParamError, MissingSamplesError
+from poisson_cs.errors import InvalidParamError, LengthMismatchError, MissingSamplesError
 from poisson_cs.sensing import build_phi, sample_rip_matrix
 from poisson_cs.sqjsd_stats import (
     TAIL_COEFFICIENT,
@@ -119,6 +119,28 @@ class TestConcentrationBounds:
         b = concentration_bounds(phi, x)
         assert math.isinf(b.var_bound)
         assert b.s_min == 0.0
+
+
+BAD_SIGNALS = {
+    "negative": (-np.ones(20), InvalidParamError),
+    "NaN": (np.full(20, np.nan), InvalidParamError),
+    "short": (np.ones(19), LengthMismatchError),
+    "2-D": (np.ones((1, 20)), LengthMismatchError),
+}
+
+
+@pytest.mark.parametrize("entry", ["monte_carlo_sqjsd", "concentration_bounds"])
+@pytest.mark.parametrize("bad", list(BAD_SIGNALS))
+def test_bad_signal_refused(entry, bad):
+    # concentration_bounds of a negative signal used to return bounds with a
+    # negative s_min, and monte_carlo_sqjsd to die in a bare numpy
+    # ValueError; measure's signal rule now applies to both.
+    phi = build_phi(sample_rip_matrix(10, 20, 0.5, seed=40))
+    x, error = BAD_SIGNALS[bad]
+    call = {"monte_carlo_sqjsd": lambda: monte_carlo_sqjsd(phi, x, trials=50, seed=41),
+            "concentration_bounds": lambda: concentration_bounds(phi, x)}[entry]
+    with pytest.raises(error, match="signal"):
+        call()
 
 
 class TestKsGaussian:
