@@ -134,22 +134,38 @@ def kl(p, q) -> float:
     return float(np.sum(terms))
 
 
-def _jsd_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _where_positive(term: np.ndarray, side: np.ndarray, zero) -> np.ndarray:
+    """``term`` where ``side`` > 0, and 0 elsewhere.  ``zero`` marks where
+    ``side`` is not positive when the caller knows it: an array of those
+    places, zeroed in ``term`` itself, or False for nowhere, which leaves
+    ``term`` as it is, since np.where(True, t, 0.0) is t.  With None the
+    select is made here."""
+    if zero is None:
+        return np.where(side > 0.0, term, 0.0)
+    if zero is not False:
+        np.copyto(term, 0.0, where=zero)
+    return term
+
+
+def _jsd_terms(p: np.ndarray, q: np.ndarray, p_zero=None, q_zero=None) -> np.ndarray:
     # 2 J(p,q) = sum_i [ p log(2p/(p+q)) + q log(2q/(p+q)) ], termwise on
     # arrays of any shape; callers halve the sum (exact in floating point).
     # log(2p/(p+q)) = log1p(d) with d = (p-q)/(p+q) keeps full precision when
     # p ~ q, which is the regime of every high-intensity Poisson experiment;
     # the q-term's argument is -d, since q-p = -(p-q) exactly.  Each product
     # is kept only where its front factor is positive (then the log1p argument
-    # is strictly above -1); the discarded branch may be -inf or nan, so
+    # is strictly above -1), by ``_where_positive`` with the caller's
+    # ``p_zero`` and ``q_zero``; the discarded branch may be -inf or nan, so
     # callers hold np.errstate(**_QUIET).
     d = p - q
     d /= p + q
-    out = np.where(p > 0.0, p * np.log1p(d), 0.0)
+    out = np.log1p(d)
+    out *= p
+    out = _where_positive(out, p, p_zero)
     np.negative(d, out=d)
     np.log1p(d, out=d)
     d *= q
-    out += np.where(q > 0.0, d, 0.0)
+    out += _where_positive(d, q, q_zero)
     return out
 
 

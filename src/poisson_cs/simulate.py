@@ -1,11 +1,13 @@
 """Poisson measurement generation y ~ Poisson(Phi x).
 
-Sampling uses numpy's ``Generator.poisson``, which switches between direct
-inversion at small rates and the PTRS transformed-rejection sampler at large
-ones, so rates spanning 1e0 to 1e8+ are exact and fast.  Every consumer of
-randomness owns its own PCG64 stream; parallel trials derive child streams
-from a master seed through ``derive_seed``, ``SeedSequence([master, *path])``
-(the documented splitting rule used throughout the experiment harness).
+Sampling uses numpy's ``Generator.poisson``, which draws by the
+multiplication method (counting uniforms until their product falls below
+exp(-rate)) at rates below 10 and by the PTRS transformed-rejection sampler
+at 10 and above, so rates spanning 1e0 to 1e8+ are exact and fast.  Every
+consumer of randomness owns its own PCG64 stream; parallel trials derive
+child streams from a master seed through ``derive_seed``,
+``SeedSequence([master, *path])`` (the documented splitting rule used
+throughout the experiment harness).
 """
 
 from __future__ import annotations

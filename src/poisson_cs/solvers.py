@@ -41,8 +41,9 @@ FISTA-style acceleration under a monotone restart, so the objective never
 increases from one iteration to the next; the loop is written once, in
 ``_lockstep``.
 Its proximal map follows from the basis, with no option to set: on the
-identity basis the soft threshold is followed by a clamp at 0, the exact
-projection onto theta >= 0; on the DCT basis it stands alone.
+identity basis it is max(v - t, 0), the soft threshold followed by the
+clamp at 0, the exact projection onto theta >= 0; on the DCT basis it is
+the soft threshold alone, v - clip(v, -t, t).
 Zero-count measurements are retained for the JSD fit (finite by the
 0*log(0) = 0 convention) and masked out of the SNLL/GenKL fits when
 beta = 0.
@@ -143,7 +144,14 @@ class SolveResult:
 
 
 def _shrink(v: np.ndarray, t) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    """sign(v) * max(|v| - t, 0) as v - clip(v, -t, t).
+
+    Both forms round v - t where v > t and v + t where v < -t, since
+    fl(-v - t) = -fl(v + t); they differ only in the sign of a zero.  The
+    clip is spelled min(max(v, -t), t): np.clip's Python wrapper costs more
+    than the sweeps on a line search's block of tries.
+    """
+    return v - np.minimum(np.maximum(v, -t), t)
 
 
 def soft_threshold(v, t: float) -> np.ndarray:
@@ -165,10 +173,12 @@ class _FitLaw:
     one, so a monotone line search on the exact objective can still probe
     and leave the boundary.  ``curvature`` is the per-coordinate
     second-derivative scale.  A ``closed`` fit is finite on ub >= 0, zero
-    counts included (JSD); an open one needs ub > 0 and, at beta = 0,
-    counts > 0 (SNLL, GenKL).  The formulas compute branches that are then
-    discarded, which may divide by zero: evaluate them under
-    ``np.errstate(**_QUIET)``.
+    counts included (JSD): its terms select away the products of a zero
+    count or rate, and take ``sides``, where the counts and the rates are
+    not positive (``_jsd_terms``'s ``p_zero`` and ``q_zero``).  An open one
+    needs ub > 0 and, at beta = 0, counts > 0 (SNLL, GenKL).  The formulas
+    compute branches that are then discarded, which may divide by zero:
+    evaluate them under ``np.errstate(**_QUIET)``.
     """
 
     terms: Callable
@@ -177,9 +187,9 @@ class _FitLaw:
     curvature: Callable
     closed: bool
 
-    def value(self, yb, ub, keep=None):
+    def value(self, yb, ub, keep=None, sides=()):
         """The fit value; rows where ``keep`` is False add nothing."""
-        terms = self.terms(yb, ub)
+        terms = self.terms(yb, ub, *sides)
         if keep is not None:
             terms = np.where(keep, terms, 0.0)
         return self.weight * terms.sum(axis=-1)
@@ -268,7 +278,8 @@ class _FitModel:
     ``np.errstate(**_QUIET)``, held by the caller.
     """
 
-    def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor, keep):
+    def __init__(self, fit: FitTerm, A: np.ndarray, yb: np.ndarray, grad_floor, keep,
+                 marks=None):
         self.fit = fit
         self.law = _FITS[fit.kind]
         self.A = A
@@ -276,10 +287,18 @@ class _FitModel:
         self.yb = yb
         self.grad_floor = grad_floor
         self.keep = keep
-        # The evaluations skip the mask of a model that keeps every row, as
-        # np.where(True, t, 0.0) is t; and the offset at beta = 0, as U + 0.0
-        # only turns -0.0 into 0.0, which no fit formula tells apart.
-        self.mask = None if keep.all() else keep
+        # ``marks`` are the mask and a closed fit's zero counts, found here
+        # unless a stack's rows inherit them.  The evaluations skip the mask
+        # of a model that keeps every row, as np.where(True, t, 0.0) is t (an
+        # inherited all-True mask keeps every bit too), and the count select
+        # of a closed fit without zero counts (False; see _jsd_terms).  They
+        # skip the offset at beta = 0, as U + 0.0 only turns -0.0 into 0.0,
+        # which no fit formula tells apart.
+        if marks is None:
+            zero = ~(yb > 0.0)
+            marks = (None if keep.all() else keep,
+                     zero if self.law.closed and zero.any() else False)
+        self.mask, self.zero_counts = marks
         self.beta = fit.beta or None
         self._wide = None
 
@@ -306,9 +325,22 @@ class _FitModel:
                    np.array([[m.grad_floor] for m in models]),
                    np.stack([m.keep for m in models]))
 
+    def _rows(self, rows, A) -> "_FitModel":
+        """The model of some rows, on their operator ``A``, with the marks
+        the rows hold in this model."""
+        keep = self.keep[rows]
+        zero = self.zero_counts
+        return _FitModel(self.fit, A, self.yb[rows], self.grad_floor[rows], keep,
+                         (None if self.mask is None else keep,
+                          zero if zero is False else zero[rows]))
+
     def take(self, rows) -> "_FitModel":
-        return _FitModel(self.fit, self.A[rows], self.yb[rows], self.grad_floor[rows],
-                         self.keep[rows])
+        """The model of some rows of a stack, with the rows of its widened
+        model when it has one."""
+        sub = self._rows(rows, self.A[rows])
+        if self._wide is not None:
+            sub._wide = self._wide._rows(rows, sub.A[:, None])
+        return sub
 
     def widen(self) -> "_FitModel":
         """A stack's model for (K, _BLOCK, m) coefficients, a block of tries
@@ -329,13 +361,23 @@ class _FitModel:
         """Exact fit value, +inf outside the domain (see ``_FitLaw.closed``):
         a float for one problem, an array with one value per row of a stack."""
         ub = U if self.beta is None else U + self.beta
-        bad = ub < 0.0 if self.law.closed else ub <= 0.0
-        if self.mask is not None:
-            bad &= self.mask
-        outside = np.count_nonzero(bad)
+        # The least rate: above 0, every rate is inside the domain and a
+        # closed fit skips the select of its rates.
+        low = ub.min(initial=math.inf)
+        if self.law.closed:
+            bad = None if low >= 0.0 else ub < 0.0
+            sides = (self.zero_counts, False if low > 0.0 else None)
+        else:
+            bad, sides = (None if low > 0.0 else ub <= 0.0), ()
+        outside = 0
+        if bad is not None:
+            if self.mask is not None:
+                bad &= self.mask
+            outside = np.count_nonzero(bad)
         if U.ndim == 1:
-            return math.inf if outside else float(self.law.value(self.yb, ub, self.mask))
-        value = self.law.value(self.yb, ub, self.mask)
+            return (math.inf if outside
+                    else float(self.law.value(self.yb, ub, self.mask, sides)))
+        value = self.law.value(self.yb, ub, self.mask, sides)
         if outside:
             value[np.logical_or.reduce(bad, axis=-1)] = math.inf
         return value
@@ -420,8 +462,9 @@ def _problems(A, basis: OrthonormalBasis, ys, starts=()):
 
 
 def _shrink_nonneg(v: np.ndarray, t) -> np.ndarray:
-    """The prox of t*||.||_1 plus the indicator of theta >= 0."""
-    return np.maximum(_shrink(v, t), 0.0)
+    """The prox of t*||.||_1 plus the indicator of theta >= 0, max(v - t, 0):
+    the clamp of ``_shrink`` at 0, up to the sign of a zero."""
+    return np.maximum(v - t, 0.0)
 
 
 def _prox_of(basis: OrthonormalBasis):

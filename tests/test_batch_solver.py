@@ -174,15 +174,30 @@ def scalar_reference(A, basis, y, fit, lam, cfg, warm):
     return reference_descend(A, basis, y, fit, lam, cfg), warm is not None
 
 
-@pytest.mark.parametrize("kind", list(FitKind))
-@pytest.mark.parametrize("beta", [0.0, 0.4])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("canonical", [False, True])
-def test_batch_matches_scalar_bit_for_bit(kind, beta, seed, canonical, monkeypatch):
-    basis = identity_basis(30) if canonical else dct2_basis(5)
+# (kind, beta, seed, canonical, shape): every fit on the desk shapes, K 7 of
+# (N 15, dim 30) or (N 15, 5x5 DCT), and the JSD fit on the benchmark's,
+# K 15 of (N 50, dim 100) and K 9 of (N 25, 7x7 DCT), since the tails of the
+# BLAS kernels depend on the shape.
+_BATCH_CASES = [
+    pytest.param(kind, beta, seed, canonical, "desk",
+                 id=f"{canonical}-{seed}-{beta}-{kind}")
+    for canonical in (False, True) for seed in (1, 2, 3) for beta in (0.0, 0.4)
+    for kind in FitKind
+] + [
+    pytest.param(FitKind.JSD, 0.0, 1, canonical, "benchmark", id=f"benchmark-{canonical}")
+    for canonical in (False, True)
+]
+
+
+@pytest.mark.parametrize("kind, beta, seed, canonical, shape", _BATCH_CASES)
+def test_batch_matches_scalar_bit_for_bit(kind, beta, seed, canonical, shape, monkeypatch):
+    K, N, size = 7, 15, (30 if canonical else 5)
+    if shape == "benchmark":
+        K, N, size = (15, 50, 100) if canonical else (9, 25, 7)
+    basis = identity_basis(size) if canonical else dct2_basis(size)
     cfg = SolverConfig(max_iters=300)
     fit = FitTerm(kind, beta)
-    A, ys, rng = make_problems(basis, seed)
+    A, ys, rng = make_problems(basis, seed, K=K, N=N)
     K = len(ys)
     lams = [float(10 ** rng.uniform(-3.5, -1.0) * gradient_scale(A[k], basis, ys[k], fit))
             for k in range(K)]
@@ -381,6 +396,50 @@ def test_masked_model_is_the_fit_on_the_kept_rows(seed, log_intensity, zero_rate
     for k, model in enumerate(models):
         assert values[k] == model.value(U[k])
         assert np.array_equal(grads[k], model.grad_theta(U[k]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_intensity=st.floats(0.0, 8.0),
+       zero_counts=st.booleans(), rates=st.sampled_from(["positive", "zeros", "negative"]),
+       dead_row=st.booleans(), beta=st.sampled_from([0.0, 0.3]))
+@np.errstate(divide="ignore", invalid="ignore")
+def test_jsd_model_marks_keep_the_law_bits(seed, log_intensity, zero_counts, rates, dead_row,
+                                           beta):
+    # A JSD model hands _jsd_terms its zero counts, or False for none, and
+    # its rates' zeros, or False when every rate is positive; the law's own
+    # value marks both sides itself.  With and without zero counts, on one
+    # problem, a stack and a widened stack, the model's values must be the
+    # law's, bit for bit, and +inf on a row with a negative kept rate.
+    rng = np.random.default_rng(seed)
+    N, m, K = 16, 10, 3
+    law = solvers._FITS[FitKind.JSD]
+    models = []
+    for _ in range(K):
+        A = rng.uniform(0.0, 1.0, (N, m))
+        if dead_row:
+            A[rng.integers(N)] = 0.0
+        counts = rng.poisson(A @ rng.uniform(0.5, 1.5, m) * 10.0 ** log_intensity / m)
+        counts = counts.astype(float)
+        if zero_counts:
+            counts[(rng.uniform(size=N) < 0.3) | (np.arange(N) == 0)] = 0.0
+        else:
+            counts = np.maximum(counts, 1.0)
+        models.append(solvers._FitModel.of(A, counts, FitTerm(FitKind.JSD, beta)))
+    assert (models[0].zero_counts is False) == (not zero_counts or beta > 0.0)
+    stack = solvers._FitModel.stack(models)
+    for model in (*models, stack, stack.widen()):
+        U = rng.uniform(0.0, 2.0, model.yb.shape) * 10.0 ** log_intensity
+        if rates != "positive":
+            U[rng.uniform(size=U.shape) < 0.3] = 0.0
+        if rates == "negative":
+            U.reshape(-1, N)[0, np.flatnonzero(model.keep.reshape(-1, N)[0])[0]] = -1.0
+        ub = U + beta if beta else U
+        want = np.asarray(law.value(model.yb, ub, model.mask), dtype=float)
+        outside = np.any((ub < 0.0) & model.keep, axis=-1)
+        want[outside] = math.inf
+        got = np.asarray(model.value(U), dtype=float)
+        assert got.tobytes() == want.tobytes()
+        assert np.any(outside) == (rates == "negative")
 
 
 def logged_chain(log, steps):

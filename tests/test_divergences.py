@@ -150,31 +150,43 @@ def two_quotient_jsd_terms(p, q):
     return out
 
 
-# Zeros, subnormal and tiny values, and everything up to 1e12.
+# Zeros, subnormal and tiny values, and everything up to 1e12; and the same
+# without the zeros.
 _entries = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e12))
+_positive = st.one_of(st.floats(0.0, 1e-300, exclude_min=True),
+                      st.floats(0.0, 1e12, exclude_min=True))
 
 
 @st.composite
 def _term_operands(draw):
-    """(p, q) of shape (n,), (K, n) or (K, W, n); q may be broadcast along
-    its next-to-last axis, as a count vector is against a block of rates."""
+    """(p, q, p_zero, q_zero) with p and q of shape (n,), (K, n) or (K, W, n);
+    q may be broadcast along its next-to-last axis, as a count vector is
+    against a block of rates.  Either side, or both, may be strictly
+    positive; its mark is then False (the select is skipped), and otherwise
+    None or the mark ~(side > 0) as a caller holds it."""
     shape = draw(st.sampled_from([(7,), (3, 7), (3, 4, 7), (1, 1), (2, 5, 1)]))
-    p = draw(hnp.arrays(float, shape, elements=_entries))
     q_shape = shape
     if len(shape) >= 2 and draw(st.booleans()):
         q_shape = shape[:-2] + (1, shape[-1])
-    q = draw(hnp.arrays(float, q_shape, elements=_entries))
-    return (p, q) if draw(st.booleans()) else (q, p)
+    sides = []
+    for side_shape in (shape, q_shape):
+        positive = draw(st.booleans())
+        side = draw(hnp.arrays(float, side_shape, elements=_positive if positive else _entries))
+        zero = False if positive else draw(st.sampled_from([None, ~(side > 0.0)]))
+        sides.append((side, zero))
+    (p, p_zero), (q, q_zero) = sides if draw(st.booleans()) else sides[::-1]
+    return p, q, p_zero, q_zero
 
 
 @settings(max_examples=300, deadline=None)
 @given(_term_operands())
 def test_jsd_terms_match_the_two_quotient_formula_bit_for_bit(operands):
     # The q-term's log1p argument is -d: q-p = -(p-q) and (-a)/s = -(a/s)
-    # exactly, so every term keeps its bits, signed zeros included.
-    p, q = operands
+    # exactly, so every term keeps its bits, signed zeros included.  A side
+    # marked as holding no zero skips its select, which keeps every bit too.
+    p, q, p_zero, q_zero = operands
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = _jsd_terms(p, q)
+        got = _jsd_terms(p, q, p_zero, q_zero)
     want = two_quotient_jsd_terms(p, q)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()

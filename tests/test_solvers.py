@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poisson_cs import solvers
 from poisson_cs.divergences import gen_kl, jsd, snll
@@ -67,6 +68,33 @@ class TestSoftThreshold:
                 best = grid[np.argmin(objective)]
                 got = soft_threshold([v], t)[0]
                 assert got == pytest.approx(best, abs=1e-4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=hnp.arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 9)),
+                        elements=st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+                                           st.floats(-1e-300, 1e-300),
+                                           st.floats(-1e300, 1e300))),
+           t=st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e300)),
+           per_row=st.data())
+    def test_two_op_maps_are_the_definition(self, v, t, per_row):
+        # The solvers' proximal maps take two elementwise operations each:
+        # v - clip(v, -t, t) on the DCT basis (and in soft_threshold) and
+        # max(v - t, 0) on the identity basis.  They must equal the
+        # definition sign(v) * max(|v| - t, 0), and its clamp at 0, in every
+        # bit but the sign of a zero; np.array_equal does not tell -0.0 from
+        # 0.0, and the bits that differ must be those of zeros.  The
+        # threshold is a scalar or, as in the line search, one per row.
+        if per_row.draw(st.booleans()):
+            t = per_row.draw(hnp.arrays(float, (v.shape[0], 1),
+                                        elements=st.floats(0.0, 1e300)))
+        want = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        for got, ref in ((solvers._shrink(v, t), want),
+                         (solvers._shrink_nonneg(v, t), np.maximum(want, 0.0))):
+            assert np.array_equal(got, ref)
+            differ = got.view(np.int64) != ref.view(np.int64)
+            assert not np.any(got[differ])
+        if np.ndim(t) == 0:
+            assert np.array_equal(soft_threshold(v, t), want)
 
 
 class TestFitValueAndGradient:
