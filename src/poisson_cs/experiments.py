@@ -193,6 +193,20 @@ class ExperimentSpec:
                                         f"grid {axis.key}, got {values!r}")
             for value in values:
                 axis.value(value)
+        if self.kind in SWEEP_KINDS:
+            # The sweep's own sparsity: its grid on a sparsity sweep.
+            name = "grid sparsity" if self.kind == "sparsity" else "sparsity"
+            for cell in _cells(self):
+                if cell["s"] > cell["m"]:
+                    raise InvalidParamError(f"{name} {cell['s']} exceeds dim {cell['m']}")
+        if self.kind == "image":
+            written: dict[str, float] = {}
+            for value in self.grid["intensity"]:
+                name = _pgm_name(value)
+                if name in written:
+                    raise InvalidParamError(f"grid intensity {written[name]!r} and {value!r} "
+                                            f"would both be written to {name}")
+                written[name] = value
 
     @classmethod
     def from_dict(cls, config) -> "ExperimentSpec":
@@ -243,6 +257,12 @@ def make_sparse_signal(m: int, s: int, intensity: float, rng) -> np.ndarray:
     x = np.zeros(m)
     x[support] = rng.uniform(0.5, 1.5, size=s)
     return x * (intensity / x.sum())
+
+
+def _pgm_name(intensity) -> str:
+    """The file of an image run's reconstruction at ``intensity``: named by
+    its power of ten, rounded."""
+    return f"recon_I1e{int(round(math.log10(intensity)))}.pgm"
 
 
 def _cells(spec: ExperimentSpec) -> list[dict]:
@@ -513,13 +533,7 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
                 "p99": samples.percentile(99.0),
                 "ks_statistic": ks.statistic,
                 "ks_pass": ks.passed,
-                "bounds": {
-                    "mean_bound": bounds.mean_bound,
-                    "var_bound": bounds.var_bound,
-                    "tail_epsilon": bounds.tail_epsilon,
-                    "tail_prob": bounds.tail_prob,
-                    "s_min": bounds.s_min,
-                },
+                "bounds": asdict(bounds),
             })
     return {
         "kind": "verify-stats",
@@ -614,8 +628,7 @@ def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
         recon = reassemble(estimates, grid)
         err = rrmse(scaled, recon)
         display = recon * (img.sum() / intensity)
-        exp10 = int(round(math.log10(intensity)))
-        out_path = out_dir / f"recon_I1e{exp10}.pgm"
+        out_path = out_dir / _pgm_name(intensity)
         write_pgm(out_path, display)
         cells.append({
             "intensity": intensity,

@@ -107,15 +107,13 @@ class FitTerm:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration cap and flat-objective tolerance of every penalized solve.
-    The basis decides the signal constraint (``_prox_of``); it is no option."""
+    """Iteration cap of every penalized solve.  The stopping tolerances are
+    fixed, and the basis decides the signal constraint (``_prox_of``)."""
 
     max_iters: int = 2000
-    objective_tol: float = 1e-8
 
     def __post_init__(self):
         check_integer("max_iters", self.max_iters, 1)
-        check_positive("objective_tol", self.objective_tol)
 
 
 @dataclass
@@ -125,8 +123,8 @@ class SolveResult:
     ``theta_star`` is the returned point and ``iterations`` the iterations of
     its solve.  ``converged`` is True when a stopping test, not
     ``max_iters``, ended the solve: a gradient map below ``_GRAD_TOL``, but
-    also five flat iterations (``SolverConfig.objective_tol``) or no descent
-    step at any step size, and these two certify no optimality.
+    also five flat iterations (``_OBJECTIVE_TOL``) or no descent step at any
+    step size, and these two certify no optimality.
     ``lambda_used`` is the solve's weight.  For P2 these describe the chosen
     solve, or the origin, with ``lambda_used`` None, when it meets the
     radius; ``constraint_residual`` is sqjsd(y, A theta_star) - epsilon, and
@@ -412,26 +410,17 @@ def _default_start(basis: OrthonormalBasis, counts: np.ndarray):
     return basis.analyze(x0)
 
 
-def _point(model: _FitModel, theta):
-    """A copy of ``theta`` with its rates and fit value, which is finite
-    exactly when ``theta`` is a feasible start."""
-    x = np.array(theta, dtype=float)
-    u = model.rates(x)
-    return x, u, model.value(u)
-
-
 def _start(model: _FitModel, basis: OrthonormalBasis, counts: np.ndarray, warm):
-    """The start of a solve from ``warm``: ``warm`` where the fit is finite
-    there, else the default start, as ``_point`` gives it; the solve starts
-    from these rates and value without evaluating them again."""
-    if warm is not None:
-        start = _point(model, warm)
-        if math.isfinite(start[2]):
-            return start
-    start = _point(model, _default_start(basis, counts))
-    if not math.isfinite(start[2]):
-        raise InfeasibleStartError("the default start violates the fit domain")
-    return start
+    """The start of a solve from ``warm``: a copy of ``warm`` where the fit is
+    finite there, else the default start, each with its rates and fit value;
+    the solve starts from these without evaluating them again."""
+    for theta in (warm, None) if warm is not None else (None,):
+        x = np.array(_default_start(basis, counts) if theta is None else theta, dtype=float)
+        u = model.rates(x)
+        f = model.value(u)
+        if math.isfinite(f):
+            return x, u, f
+    raise InfeasibleStartError("the default start violates the fit domain")
 
 
 def _problems(A, basis: OrthonormalBasis, ys, starts=()):
@@ -487,8 +476,10 @@ _BLOCK = 4
 # block's step sizes are eta times _STEPS, exactly.
 _BACKTRACK = 0.5
 _STEPS = _BACKTRACK ** np.arange(_BLOCK)
-# A solve stops once its gradient map is below _GRAD_TOL.
+# A solve stops once its gradient map is below _GRAD_TOL, or after five
+# iterations in a row that each change its objective by under _OBJECTIVE_TOL.
 _GRAD_TOL = 1e-12
+_OBJECTIVE_TOL = 1e-8
 # The radius search of ``solve_p2``: its tolerance, its cap on secant steps,
 # its first lam in units of the gradient scale (the floor of the omniscient
 # lambda grid, experiments._LAMBDA_GRID_LO), the lam at which it gives up,
@@ -597,18 +588,18 @@ def _backtrack(wide: _FitModel, base, f_base, G, eta, lam, prox):
     return out
 
 
-def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
+def _lockstep(models, basis, counts, chains, cfg, prox) -> list:
     """The solves of K chains, chain k on problem k, as the rows of one stack.
 
     ``models`` are the problems' fit models, whose operators have equal
-    shapes, ``requests`` the first (lam, warm start) of every chain, and
-    ``prox`` the proximal map of the basis (``_prox_of``).
+    shapes, and ``prox`` the proximal map of the basis (``_prox_of``).
     Every pass advances each row by one proximal-gradient iteration, with
     its own step size, momentum, restarts, stopping test and iteration
-    count.  When a row's solve stops, its chain is sent the result and the
-    chain's next solve starts on the row in the same pass, on the stacked
-    operator, counts and spectral norm the row already holds; the row leaves
-    the stack when its chain returns.  Returns each chain's return value.
+    count.  At the top of each pass, every chain whose solve ended is sent
+    its result (None before its first solve, as ``next`` would): the solve
+    it asks for next starts on its row, on the stacked operator, counts and
+    spectral norm the row already holds, and the row leaves the stack when
+    the chain returns.  Returns each chain's return value.
     """
     K = len(models)
     stack = _FitModel.stack(models)
@@ -627,15 +618,24 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
     momenta = np.array(momenta)
     pull = (momenta[:-1] - 1.0) / momenta[1:]
 
-    seed, leave = [(j, request, False) for j, request in enumerate(requests)], []
+    # Each ended solve as (row, result, whether its last step was accepted).
+    ended = [(j, None, False) for j in range(K)]
     while True:
-        # Start each requested solve on its row.  A solve warm-started from
-        # the row's last accepted iterate starts from the rates and value the
-        # row holds, the bits ``_start`` would compute again.
-        for j, (lam_j, warm), held in seed:
-            check_positive("lam", lam_j)
+        # Send each ended solve's result to its chain and start the solve the
+        # chain asks for next.  One warm-started from the row's last accepted
+        # iterate starts from the rates and value the row holds, the bits
+        # ``_start`` would compute again.
+        leave = []
+        for j, res, moved in ended:
             k = owner[j]
-            if held:
+            try:
+                lam_j, warm = chains[k].send(res)
+            except StopIteration as stop:
+                out[k] = stop.value
+                leave.append(j)
+                continue
+            check_positive("lam", lam_j)
+            if moved and warm is res.theta_star:
                 x, u, f = X[j], U[j], f_x[j]
             else:
                 x, u, f = _start(models[k], basis, counts[k], warm)
@@ -686,7 +686,7 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
         # step size; they keep their point.  The others move to the candidate.
         grad_map = np.sqrt(dd) / eta_try
         rel_change = np.abs(F_cur - F_cand) / np.maximum(1.0, np.abs(F_cand))
-        flat = np.where(rel_change < cfg.objective_tol, flat + 1, 0)
+        flat = np.where(rel_change < _OBJECTIVE_TOL, flat + 1, 0)
         Z = cand + pull[step][:, None] * (cand - X)
         step += 1
         it += 1
@@ -694,21 +694,14 @@ def _lockstep(models, basis, counts, chains, requests, cfg, prox) -> list:
         U, f_x, F_cur, eta = u_cand, f_cand, F_cand, eta_try
 
         done = ~accepted | (flat >= 5) | (grad_map < _GRAD_TOL)
-        seed, leave = [], []
+        ended = []
         for j in (done | (it >= cfg.max_iters)).nonzero()[0].tolist():
-            k = owner[j]
-            n = int(it[j])
             # A row without an accepted step holds its rejected try in X, U
             # and f_x; its solve returns the point before it.
             moved = bool(accepted[j])
-            res = SolveResult(theta_star=(X if moved else last)[j].copy(), iterations=n,
-                              converged=bool(done[j]), lambda_used=float(lam[j]))
-            try:
-                request = chains[k].send(res)
-                seed.append((j, request, moved and request[1] is res.theta_star))
-            except StopIteration as stop:
-                out[k] = stop.value
-                leave.append(j)
+            ended.append((j, SolveResult(theta_star=(X if moved else last)[j].copy(),
+                                         iterations=int(it[j]), converged=bool(done[j]),
+                                         lambda_used=float(lam[j])), moved))
 
 
 def solve_chains(
@@ -722,15 +715,16 @@ def solve_chains(
     """Run K chains of penalized solves, chain k on problem k (A[k], ys[k]).
 
     A chain is a generator: it yields each solve it needs as (lam, warm
-    start), is sent that solve's ``SolveResult``, and returns its own result.
-    A warm start that is None or violates the fit domain is replaced by the
-    default start.  Problems whose operators have equal shapes run as the
-    rows of one vectorized loop; a problem whose solve stops starts its
-    chain's next solve in the same pass, so no chain waits for another.
-    Groups run one after another, in the order of their first problem.
-    Every solve is bit-identical to solving its problem alone from the start
-    used.  The proximal map follows from ``basis`` (``_prox_of``).  Returns
-    each chain's result.
+    start), is sent that solve's ``SolveResult`` (None first, as ``next``),
+    and returns its own result.  A warm start that is None or violates the
+    fit domain is replaced by the default start.  Problems whose operators
+    have equal shapes run as the rows of one vectorized loop, even a chain
+    that returns at once; a problem whose solve stops starts its chain's
+    next solve in the same pass, so no chain waits for another.  Groups run
+    one after another, in the order of their first problem.  Every solve is
+    bit-identical to solving its problem alone from the start used.  The
+    proximal map follows from ``basis`` (``_prox_of``).  Returns each
+    chain's result.
     """
     cfg = cfg or SolverConfig()
     prox = _prox_of(basis)
@@ -738,27 +732,18 @@ def solve_chains(
     if len(chains) != K:
         raise LengthMismatchError(f"{K} operators need as many chains")
     A, counts = _problems(A, basis, ys)
-    results = [None] * K
-    requests = {}
+    groups: dict[tuple, list[int]] = {}
+    for k in range(K):
+        groups.setdefault(A[k].shape, []).append(k)
+    results = {}
     # The chains evaluate fits too, before their first request and between
     # solves.
     with np.errstate(**_QUIET):
-        for k, chain in enumerate(chains):
-            try:
-                requests[k] = next(chain)
-            except StopIteration as stop:
-                results[k] = stop.value
-        groups: dict[tuple, list[int]] = {}
-        for k in requests:
-            groups.setdefault(A[k].shape, []).append(k)
-
         for rows in groups.values():
-            solved = _lockstep([_FitModel.of(A[k], counts[k], fit) for k in rows], basis,
-                               [counts[k] for k in rows], [chains[k] for k in rows],
-                               [requests[k] for k in rows], cfg, prox)
-            for k, value in zip(rows, solved):
-                results[k] = value
-    return results
+            results.update(zip(rows, _lockstep(
+                [_FitModel.of(A[k], counts[k], fit) for k in rows], basis,
+                [counts[k] for k in rows], [chains[k] for k in rows], cfg, prox)))
+    return [results[k] for k in range(K)]
 
 
 def _one_solve(lam, warm):

@@ -127,7 +127,7 @@ def concentration_bounds(phi: SensingMatrix, x) -> ConcentrationBounds:
     return ConcentrationBounds(
         mean_bound=math.sqrt(N / 4.0),
         var_bound=var_bound,
-        tail_epsilon=math.sqrt(N) * TAIL_COEFFICIENT,
+        tail_epsilon=choose_epsilon(EpsilonMode.THEORY, N),
         tail_prob=1.0 - 2.0 * math.exp(-N / 2.0),
         s_min=s_min,
     )

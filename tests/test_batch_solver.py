@@ -149,7 +149,7 @@ def reference_descend(A, basis, y, fit, lam, cfg, theta0=None):
 
         grad_map = float(np.linalg.norm(d)) / eta
         rel_change = abs(F_cur - F_cand) / max(1.0, abs(F_cand))
-        flat_count = flat_count + 1 if rel_change < cfg.objective_tol else 0
+        flat_count = flat_count + 1 if rel_change < solvers._OBJECTIVE_TOL else 0
 
         t_next = solvers._next_momentum(t_momentum)
         z = cand + ((t_momentum - 1.0) / t_next) * (cand - x)
@@ -482,7 +482,10 @@ def test_refilled_rows_match_the_scalar_loop(monkeypatch):
     got = solve_chains(A, basis, ys, fit,
                        [logged_chain(log, chain) for log, chain in zip(logs, steps)], cfg)
     assert got == [len(chain) for chain in steps]
-    assert stacked == [4]  # one stack ran every solve of the four chains
+    # One stack ran every solve of the four chains, and held the chain that
+    # returns at once too: it is sent its first None in the stack, where its
+    # row leaves before the first pass.
+    assert stacked == [5]
 
     fell_back = []
     for k, log in enumerate(logs):
@@ -626,6 +629,8 @@ def same_result(got, ref, fields):
 def test_results_do_not_depend_on_the_batch(seed, shapes, canonical, kind, beta, data):
     # Each problem's result is the same alone, at any place of a shuffled
     # batch and in any sub-batch, for a penalized solve and a P2 search.
+    # Some radii are slack at the origin, so their searches return at once
+    # and their rows leave a stack that live rows share before its first pass.
     basis = identity_basis(9) if canonical else dct2_basis(3)
     K = len(shapes)
     intensities = data.draw(st.lists(st.floats(2.0, 5.0), min_size=K, max_size=K))
@@ -637,7 +642,10 @@ def test_results_do_not_depend_on_the_batch(seed, shapes, canonical, kind, beta,
     fit = FitTerm(kind, beta)
     lams = [float(10 ** rng.uniform(-3.0, -1.0) * gradient_scale(A[k], basis, ys[k], fit))
             for k in range(K)]
-    epsilons = [2.0 * choose_epsilon("theory", N) for N in shapes]
+    slack = data.draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    # sqjsd(y, 0) = sqrt(log(2) / 2 * sum(y)), below sqrt(sum(y)) + 1.
+    epsilons = [math.sqrt(ys[k].counts.sum()) + 1.0 if slack[k]
+                else 2.0 * choose_epsilon("theory", N) for k, N in enumerate(shapes)]
     order = data.draw(st.permutations(range(K)))
     subset = data.draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=K, unique=True))
 
@@ -653,6 +661,8 @@ def test_results_do_not_depend_on_the_batch(seed, shapes, canonical, kind, beta,
                           (p2, ("iterations", "converged", "lambda_used",
                                 "constraint_residual", "n_solves", "total_iterations"))]:
         alone = [solve([k])[0] for k in range(K)]
+        if solve is p2:
+            assert all(alone[k].n_solves == 0 for k in range(K) if slack[k])
         for ks in (order, subset):
             for k, got in zip(ks, solve(ks)):
                 assert same_result(got, alone[k], fields), (k, ks)

@@ -39,7 +39,6 @@ QUANTITIES = [
     ("solve_p2", "beta", lambda v: solve_p2(A, BASIS, Y, 5.0, beta=v)),
     ("solve_p2_batch", "epsilon", lambda v: solve_p2_batch([A, A], BASIS, [Y, Y], [5.0, v])),
     ("FitTerm", "beta", lambda v: FitTerm(FitKind.SNLL, v)),
-    ("SolverConfig", "objective_tol", lambda v: SolverConfig(objective_tol=v)),
     ("soft_threshold", "threshold", lambda v: soft_threshold([1.0], v)),
     ("ExperimentSpec", "beta", lambda v: ExperimentSpec(beta=v)),
     ("ExperimentSpec", "intensity", lambda v: ExperimentSpec(intensity=v)),
@@ -84,7 +83,7 @@ def test_bad_scalars_refused_by_name(entry, field, call, bad, monkeypatch):
 
 
 def test_numpy_scalars_accepted():
-    cfg = SolverConfig(max_iters=np.int64(30), objective_tol=np.float64(1e-6))
+    cfg = SolverConfig(max_iters=np.int64(30))
     res = solve_penalized(A, BASIS, Y, FitTerm(FitKind.JSD, np.float64(0.1)), np.float64(1.0),
                           cfg)
     assert res.lambda_used == 1.0

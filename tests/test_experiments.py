@@ -207,6 +207,48 @@ class TestSpec:
         with pytest.raises(InvalidParamError, match=field):
             ExperimentSpec.from_dict({"kind": kind, "grid": grid})
 
+    @pytest.mark.parametrize("kind, config, field", [
+        ("intensity", {"sparsity": 41}, "sparsity 41 exceeds dim 40"),
+        ("measurements", {"sparsity": 50}, "sparsity 50 exceeds dim 40"),
+        ("sparsity", {"grid": {"sparsity": [2, 41]}}, "grid sparsity 41 exceeds dim 40"),
+    ])
+    def test_sparsity_above_dim_rejected_before_any_work(self, kind, config, field, tmp_path,
+                                                         monkeypatch):
+        # It used to surface in make_sparse_signal, once the output directory
+        # existed and earlier cells (their percentile pilots, say) had run.
+        monkeypatch.setattr(experiments, "_run_trial", None)
+        with pytest.raises(InvalidParamError, match=f"^{field}$"):
+            ExperimentSpec.from_dict({"kind": kind, "dim": 40, **config})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"dim": 40, **config}))
+        out = tmp_path / "out"
+        with pytest.raises(InvalidParamError, match=field):
+            main(["sweep", "--kind", kind, "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+        # The field is not read by a sparsity sweep, which walks its grid, nor
+        # by a run that draws no sparse signal.
+        for unread in ("sparsity", "image", "verify-stats"):
+            ExperimentSpec(kind=unread, dim=40, sparsity=41)
+
+    def test_image_intensities_sharing_a_pgm_rejected(self, tmp_path):
+        # Both used to be written to recon_I1e4.pgm, the first one lost, with
+        # exit code 0.
+        with pytest.raises(InvalidParamError,
+                           match=r"^grid intensity 10000\.0 and 30000\.0 .*recon_I1e4\.pgm"):
+            ExperimentSpec(kind="image", grid={"intensity": [1e4, 3e4]})
+        src, out = tmp_path / "img.pgm", tmp_path / "out"
+        write_pgm(src, make_test_image(8, 8))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"grid": {"intensity": [1e4, 1e8, 3e4]}}))
+        with pytest.raises(InvalidParamError, match=r"grid intensity 10000\.0 and 30000\.0"):
+            main(["image", "--input", str(src), "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+        # Powers of ten keep their names, and the paper grid writes one file each.
+        names = [experiments._pgm_name(v) for v in default_grid("image", paper_scale=True)
+                 ["intensity"]]
+        assert names == [f"recon_I1e{k}.pgm" for k in range(4, 11)]
+        ExperimentSpec(kind="image", grid=default_grid("image", paper_scale=True))
+
     def test_missing_axis_takes_its_desk_values(self):
         # The verify-stats run used to fill the axis itself.
         spec = ExperimentSpec(kind="verify-stats", grid={"n_measurements": [30]}, trials=30)
