@@ -10,9 +10,10 @@ Each spec field comes from its flag, else from ``--config`` (a JSON
 object), else from the subcommand's default (image: solver P4;
 verify-stats: 1000 trials), else from ``ExperimentSpec``; the spec is built
 and checked once, before any output (a grid key its kind does not walk is
-refused).  Sweeps write ``sweep_<kind>.csv`` plus ``manifest_<kind>.json``;
-one writer writes the three JSON reports.  Exit code is 0 on success and 2
-if any cell failed to converge (results are still written).
+refused), and ``--out`` is made only once the run's own checks pass.
+Sweeps write ``sweep_<kind>.csv`` plus ``manifest_<kind>.json``; one writer
+writes the three JSON reports.  Exit code is 0 on success and 2 if any cell
+failed to converge (results are still written).
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--paper-scale", action="store_true",
                         help="use the full experiment grids instead of desk-scale ones")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for sweep trials or runs of image patches")
+                        help="worker processes for sweep trials or runs of image patches "
+                             "(sweeps and images only; verify-stats samples its cells "
+                             "on one thread per usable CPU)")
 
 
 def _build_spec(args, kind: str, **defaults) -> ExperimentSpec:
@@ -92,20 +95,25 @@ def main(argv=None) -> int:
     kind = args.kind if args.command == "sweep" else args.command
     spec = _build_spec(args, kind, **_DEFAULTS.get(args.command, {}))
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.command == "sweep":
         report = run_sweep(spec)
+    elif args.command == "verify-stats":
+        report = run_verify_stats(spec)
+    else:
+        report = run_image_recon(spec, args.input, out)
+    # Made once the run returns, so a run refused by its own checks leaves
+    # no --out behind (an image run makes it once its input is checked).
+    out.mkdir(parents=True, exist_ok=True)
+    if args.command == "sweep":
         csv_path = out / f"sweep_{spec.kind}.csv"
         write_sweep_csv(report, csv_path)
         path = out / f"manifest_{spec.kind}.json"
         lines = [f"wrote {csv_path} ({len(report['cells'])} cells, {spec.trials} trials each)"]
     elif args.command == "verify-stats":
-        report = run_verify_stats(spec)
         path = out / "verify_stats.json"
         lines = [f"wrote {path} ({len(report['cells'])} cells)"]
     else:
-        report = run_image_recon(spec, args.input, out)
         path = out / "image_recon.json"
         lines = [f"I={cell['intensity']:.3g}  rrmse={cell['rrmse']:.4f}  -> {cell['out_image']}"
                  for cell in report["cells"]]

@@ -23,9 +23,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
+from collections import deque
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -48,6 +50,7 @@ from .solvers import (
 )
 from .sqjsd_stats import (
     KS_MIN_SAMPLES,
+    _shared_blocks,
     EpsilonMode,
     choose_epsilon,
     ks_gaussian_test,
@@ -501,40 +504,90 @@ def _verify_stats_grid(spec: ExperimentSpec) -> tuple[list[int], list[tuple[floa
     return grid_N, [(float(value), level) for level, value in levels.items()]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the
+    platform reports one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _stats_cell(spec: ExperimentSpec, phi, intensity: float, level: int) -> dict:
+    """One (N, I) cell of a verify-stats run: its probe signal, samples,
+    bounds and KS test.  Owns all of its randomness, keyed by (N, level)."""
+    N, m = phi.n_measurements, phi.dim
+    idx = (N, level)
+    x = derive_rng(spec.master_seed, _STREAM_SIGNAL, *idx).uniform(0.5, 1.5, size=m)
+    x *= intensity / x.sum()
+    samples = monte_carlo_sqjsd(
+        phi, x, spec.trials, derive_seed(spec.master_seed, _STREAM_STATS, *idx))
+    bounds = concentration_bounds(phi, x)
+    ks = ks_gaussian_test(samples, alpha=0.01)
+    return {
+        "N": N,
+        "m": m,
+        "I": intensity,
+        "trials": spec.trials,
+        "mean": samples.mean,
+        "var": samples.var,
+        "p99": samples.percentile(99.0),
+        "ks_statistic": ks.statistic,
+        "ks_pass": ks.passed,
+        "bounds": asdict(bounds),
+    }
+
+
 def run_verify_stats(spec: ExperimentSpec) -> dict:
     """Monte-Carlo verification of the sqjsd concentration behavior.
 
     The probe signal is dense uniform-positive (scaled to the cell's
     intensity) so every rate, and hence every s_i, stays strictly positive
     and the variance-bound column is meaningful in all cells.
+
+    The grid is checked and each N's Phi is built once, in grid order,
+    before any cell runs.  The cells are then sampled by one thread per
+    usable CPU (at most one per cell): this thread and ``threads - 1``
+    helpers, which take cells off one queue, largest first, since the
+    Poisson draws and ``jsd_rowwise`` run in C without the GIL.  The
+    threads split one budget of counts in flight (see ``sqjsd_stats``).
+    Each cell draws from its own streams and the report lists the cells in
+    grid order, so the report does not depend on the number of threads.  A
+    cell that raises empties the queue, and its error propagates once the
+    cells already started are done.
     """
     t0 = time.perf_counter()
     grid_N, grid_I = _verify_stats_grid(spec)
-    trials = spec.trials
-    cells = []
-    for N in grid_N:
-        m = 2 * N
-        phi = _phi(spec.master_seed, N, m, N)
-        for intensity, level in grid_I:
-            idx = (N, level)
-            x = derive_rng(spec.master_seed, _STREAM_SIGNAL, *idx).uniform(0.5, 1.5, size=m)
-            x *= intensity / x.sum()
-            samples = monte_carlo_sqjsd(
-                phi, x, trials, derive_seed(spec.master_seed, _STREAM_STATS, *idx))
-            bounds = concentration_bounds(phi, x)
-            ks = ks_gaussian_test(samples, alpha=0.01)
-            cells.append({
-                "N": N,
-                "m": m,
-                "I": intensity,
-                "trials": trials,
-                "mean": samples.mean,
-                "var": samples.var,
-                "p99": samples.percentile(99.0),
-                "ks_statistic": ks.statistic,
-                "ks_pass": ks.passed,
-                "bounds": asdict(bounds),
-            })
+    phis = [_phi(spec.master_seed, N, 2 * N, N) for N in grid_N]
+    jobs = [(phi, intensity, level) for phi in phis for intensity, level in grid_I]
+    # Every cell runs spec.trials trials, so its work grows with N; the sort
+    # is stable, so cells of one N keep their grid order.
+    todo = deque(sorted(range(len(jobs)), key=lambda k: -jobs[k][0].n_measurements))
+    threads = min(_usable_cpus(), len(jobs))
+    cells = [None] * len(jobs)
+
+    def sample() -> None:
+        with _shared_blocks(threads):
+            while True:
+                try:
+                    k = todo.popleft()
+                except IndexError:
+                    return
+                try:
+                    cells[k] = _stats_cell(spec, *jobs[k])
+                except BaseException:
+                    todo.clear()  # no thread starts another cell
+                    raise
+
+    # This thread samples too.  glibc's malloc gives each thread an arena of
+    # its own, and this thread's already holds the memory freed while Phi
+    # was built; helpers alone would each grow another, which read about
+    # 3 MB more peak RSS on the desk grid.
+    with ThreadPoolExecutor(max(threads - 1, 1)) as pool:
+        helpers = [pool.submit(sample) for _ in range(threads - 1)]
+        sample()
+        for helper in helpers:
+            helper.result()
     return {
         "kind": "verify-stats",
         "master_seed": spec.master_seed,
@@ -602,13 +655,14 @@ def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
     are averaged.  Repeats over the intensity grid by rescaling the image.
     """
     t0 = time.perf_counter()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     img = read_pgm(image_path)
     if spec.image_size is not None:
         img = img[: spec.image_size, : spec.image_size]
     if float(img.sum()) <= 0.0:
         raise InvalidParamError("zero image: reconstruction error undefined")
+    # Made only once the input is checked, so a refused image leaves none.
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     h, w = img.shape
     grid = PatchGrid(h, w, patch=spec.patch, stride=spec.stride)

@@ -15,13 +15,18 @@ a block's integer counts go straight to ``jsd_rowwise``, which evaluates
 the JSD term of each distinct count of a column once (its table path), so
 memory stays a few MB whatever the number of trials.  The blocks draw from
 one generator in the order a single ``(trials, N)`` draw would, so every
-sample is bit-identical to drawing all counts at once.
+sample is bit-identical to drawing all counts at once, whatever the block
+size.  The count budget is per run: threads that sample at once split it
+(``_shared_blocks``), each drawing blocks of ``_BLOCK_ENTRIES // threads``
+counts, so the counts in flight stay at ``_BLOCK_ENTRIES``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +55,24 @@ TAIL_COEFFICIENT = 0.5 + math.sqrt(11.0) / 8.0
 KS_MIN_SAMPLES = 30
 
 # Counts drawn per block of Monte-Carlo trials: 2^19 entries, 4 MB of int64
-# counts, whatever the number of trials.
+# counts, whatever the number of trials.  It is the budget of a whole run,
+# which threads sampling at once split between them.
 _BLOCK_ENTRIES = 1 << 19
+
+# This thread's share of _BLOCK_ENTRIES, while _shared_blocks holds one.
+_block_share = threading.local()
+
+
+@contextlib.contextmanager
+def _shared_blocks(threads: int):
+    """Draw this thread's blocks at ``_BLOCK_ENTRIES // threads`` counts
+    inside the ``with`` block, so that ``threads`` threads sampling at once
+    hold no more counts in flight than one thread alone."""
+    _block_share.entries = _BLOCK_ENTRIES // threads
+    try:
+        yield
+    finally:
+        del _block_share.entries
 
 
 @dataclass(frozen=True)
@@ -99,7 +120,7 @@ def monte_carlo_sqjsd(
     check_integer("trials", trials, 2)
     rates = phi.rates(x)
     rng = np.random.default_rng(seed)
-    rows = max(1, _BLOCK_ENTRIES // rates.size)
+    rows = max(1, getattr(_block_share, "entries", _BLOCK_ENTRIES) // rates.size)
     samples = np.empty(trials)
     for start in range(0, trials, rows):
         block = samples[start:start + rows]

@@ -427,6 +427,58 @@ class TestVerifyStats:
         assert len(run_verify_stats(spec)["cells"]) == 6
         assert calls == [(20, 40), (40, 80)]
 
+    def test_report_does_not_depend_on_the_thread_count(self, monkeypatch):
+        grid = {"n_measurements": [20, 80, 40], "intensity": [1e2, 1e4]}
+        spec = ExperimentSpec(kind="verify-stats", grid=grid, trials=60, master_seed=5)
+        shares, sampled = [], []
+        share = experiments._shared_blocks
+        monkeypatch.setattr(experiments, "_shared_blocks",
+                            lambda threads: shares.append(threads) or share(threads))
+        sample = experiments.monte_carlo_sqjsd
+        monkeypatch.setattr(experiments, "monte_carlo_sqjsd",
+                            lambda phi, *a: sampled.append(phi.n_measurements) or sample(phi, *a))
+        reports = []
+        for cpus in (1, 3):
+            shares.clear()
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            reports.append(json.dumps(run_verify_stats(spec)["cells"]))
+            # Each thread took its share of the one count budget.
+            assert shares == [cpus] * cpus
+        assert reports[0] == reports[1]
+        cells = json.loads(reports[0])
+        assert [(c["N"], c["I"]) for c in cells] == \
+            [(N, I) for N in grid["n_measurements"] for I in grid["intensity"]]
+        # One thread samples the cells as submitted: the largest N first.
+        assert sampled[:6] == [80, 80, 40, 40, 20, 20]
+
+    def test_a_failing_cell_stops_the_run(self, tmp_path, monkeypatch):
+        class Failed(Exception):
+            pass
+
+        drawn = []  # the sample sets, in the order they were drawn
+        sample = experiments.monte_carlo_sqjsd
+        monkeypatch.setattr(experiments, "monte_carlo_sqjsd",
+                            lambda *args: drawn.append(sample(*args)) or drawn[-1])
+        test = experiments.ks_gaussian_test
+
+        def failing(samples, alpha):
+            if samples is drawn[0]:
+                raise Failed
+            return test(samples, alpha)
+
+        monkeypatch.setattr(experiments, "ks_gaussian_test", failing)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(
+            {"grid": {"n_measurements": [20, 80, 40], "intensity": [1e2, 1e4]}, "trials": 60}))
+        out = tmp_path / "out"
+        with pytest.raises(Failed):
+            main(["verify-stats", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+        # The failure emptied the queue: the other thread finished the cell it
+        # held and started no more of the six.
+        assert len(drawn) < 6
+
     @pytest.mark.parametrize("grid, trials, field", [
         ({"n_measurements": [20], "intensity": [1e3]}, 29, "trials"),
         ({"n_measurements": [20], "intensity": [1e3, 0.5]}, 100, "grid intensity"),
@@ -619,6 +671,30 @@ class TestCli:
         report = json.loads((out / "verify_stats.json").read_text())
         assert report["cells"][0]["N"] == 30
         assert "mean_bound" in report["cells"][0]["bounds"]
+
+    @pytest.mark.parametrize("command, config, field", [
+        ("verify-stats", {"grid": {"intensity": [2e3, 3e3]}}, "grid intensity"),
+        ("verify-stats", {"trials": 29}, "trials"),
+        ("image", {}, "truncated PGM data"),
+        ("image", {}, "zero image"),
+    ])
+    def test_refused_run_leaves_no_out_directory(self, command, config, field, tmp_path):
+        # The --out directory used to be made before the run's own checks,
+        # so each of these left an empty one behind.
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "image":
+            src = tmp_path / "img.pgm"
+            if field == "zero image":
+                write_pgm(src, np.zeros((8, 8)))
+            else:
+                src.write_bytes(b"P5\n3 2\n255\n\x00\x01\x02\x03")
+            argv += ["--input", str(src)]
+        with pytest.raises(InvalidParamError, match=field):
+            main(argv)
+        assert not out.exists()
 
     def test_image_subcommand(self, tmp_path):
         src = tmp_path / "img.pgm"

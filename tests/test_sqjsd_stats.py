@@ -2,11 +2,12 @@
 
 import math
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from poisson_cs import sqjsd_stats
+from poisson_cs import experiments, sqjsd_stats
 from poisson_cs.divergences import jsd_rowwise
 from poisson_cs.errors import InvalidParamError, LengthMismatchError, MissingSamplesError
 from poisson_cs.sensing import build_phi, sample_rip_matrix
@@ -65,13 +66,24 @@ class TestMonteCarlo:
         assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("N, intensity", [(10, 1e8), (50, 1e2), (500, 1e4)])
-    def test_row_blocks_match_one_shot_draws(self, N, intensity):
-        block = sqjsd_stats._BLOCK_ENTRIES // N
+    def test_row_blocks_match_one_shot_draws(self, N, intensity, monkeypatch):
+        rows = []
+        reduce = sqjsd_stats.jsd_rowwise
+        monkeypatch.setattr(sqjsd_stats, "jsd_rowwise",
+                            lambda P, q: rows.append(P.shape[0]) or reduce(P, q))
         phi = build_phi(sample_rip_matrix(N, 2 * N, 0.5, seed=60))
         x = dense_signal(2 * N, intensity, 61)
-        for trials in (2, block - 1, block, block + 1, 3 * block + 7):
-            got = monte_carlo_sqjsd(phi, x, trials=trials, seed=62 + trials).samples
-            assert np.array_equal(got, one_shot_sqjsd(phi, x, trials, 62 + trials))
+        # The whole budget, or one thread's share of it, as each thread of a
+        # verify-stats run takes.
+        for threads in (1, 2, 3):
+            block = sqjsd_stats._BLOCK_ENTRIES // threads // N
+            for trials in (2, block - 1, block, block + 1, 3 * block + 7):
+                rows.clear()
+                with sqjsd_stats._shared_blocks(threads) if threads > 1 else nullcontext():
+                    got = monte_carlo_sqjsd(phi, x, trials=trials, seed=62 + trials).samples
+                assert np.array_equal(got, one_shot_sqjsd(phi, x, trials, 62 + trials))
+                assert max(rows) == min(trials, block)
+        assert not hasattr(sqjsd_stats._block_share, "entries")
 
     def test_traced_peak_bounded_by_blocks(self):
         # Drawing all 10^7 counts at once peaked near 410 MB.
@@ -84,6 +96,27 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_traced_peak_bounded_across_threads(self, monkeypatch):
+        # The threads of a verify-stats run split one count budget, so two
+        # hold no more counts in flight than one; a full budget per thread
+        # peaked near 34 MB here.
+        from scipy.special import ndtr  # noqa: F401  (ks_gaussian_test imports it lazily)
+
+        spec = experiments.ExperimentSpec(
+            kind="verify-stats", grid={"n_measurements": [500], "intensity": [1e3, 1e4]},
+            trials=20_000, master_seed=66)
+        peaks = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                experiments.run_verify_stats(spec)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] < 32e6
+        assert peaks[2] < 1.1 * peaks[1]
 
 
 class TestConcentrationBounds:
