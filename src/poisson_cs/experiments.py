@@ -27,7 +27,6 @@ import os
 import time
 from collections import deque
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -92,12 +91,20 @@ _SOLVER_FITS = {"P4": FitKind.JSD, "P5": FitKind.SNLL, "P6": FitKind.GEN_KL}
 SOLVERS = ("P2", *_SOLVER_FITS)
 
 # Omniscient-lambda grid, relative to the gradient scale at the start point.
-# The best pick sits around 1e-3..1e-2 of the scale for intensities between
-# 1e3 and 1e10; a decade of margin on each side covers the sweep grids, and
-# the floor stays above the near-unregularized regime where first-order
-# iterations crawl without improving the reconstruction.
+# The floor stays above the near-unregularized regime where first-order
+# iterations crawl without improving the reconstruction.  The grid does not
+# bracket the pick: on the canonical basis most walks pick the floor itself
+# (65 of 90 walks of desk P4 intensity sweeps and 88 of 90 of measurements
+# sweeps, seeds 1-3, 10 trials), as do 33 of the 108 patch walks of the
+# image-p4 benchmark's seed-0 problems, all at I = 1e8.  Its patches at
+# I = 1e4 pick the 3rd-5th of the 10 points, counted from the top.
 _LAMBDA_GRID_LO = 1e-4
 _LAMBDA_GRID_HI = 0.3
+# A lambda walk stops once its error has not fallen for this many solves in
+# a row.  Past its best a walk's error climbs, and its last solves, at the
+# least lambda, are its longest.  A patience of two moved the picks of some
+# measured walks; three moved none (the table in CHANGES.md).
+_WALK_PATIENCE = 3
 
 
 # The ExperimentSpec fields that count something, each at least 1.
@@ -287,16 +294,26 @@ def _lambda_walk(basis, grid, reference):
     Oracle selection (the true signal is consulted), used only to benchmark
     against protocols that picked the regularizer omnisciently.  Walks the
     lambda grid from the sparsest end down, each solve warm-started from the
-    previous one (from the default start after an all-zero solution), and
-    returns the solve closest in l2 to the reference.
+    previous one (from the default start after an all-zero solution).  The
+    walk stops once ``_WALK_PATIENCE`` solves in a row each come no closer
+    in l2 to the reference than the solve before them (an equal distance is
+    no closer), or at the end of the grid, and returns the closest solve it
+    made, the first of equals.  That is the whole grid's pick unless the
+    error, after that many solves in a row without a fall, would have fallen
+    below its best further down the grid.
     """
     warm = best = None
+    last, rising = math.inf, 0
     for lam in sorted((float(lam) for lam in grid), reverse=True):
         res = yield lam, warm
         warm = res.theta_star if np.any(res.theta_star != 0.0) else None
         err = float(np.linalg.norm(basis.synthesize(res.theta_star) - reference))
         if best is None or err < best[0]:
             best = (err, res)
+        rising = rising + 1 if err >= last else 0
+        if rising == _WALK_PATIENCE:
+            break
+        last = err
     return best[1]
 
 
@@ -401,6 +418,9 @@ def _in_runs(work, n_items: int, workers: int, job) -> list:
     jobs = [job(r) for r in runs]
     if len(jobs) == 1:
         return [work(jobs[0])]
+    # Imported here: it loads multiprocessing, which one worker never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return list(pool.map(work, jobs))
 
@@ -556,6 +576,8 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
     cell that raises empties the queue, and its error propagates once the
     cells already started are done.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     t0 = time.perf_counter()
     grid_N, grid_I = _verify_stats_grid(spec)
     phis = [_phi(spec.master_seed, N, 2 * N, N) for N in grid_N]

@@ -23,8 +23,23 @@ from poisson_cs.experiments import (
     write_report,
     write_sweep_csv,
 )
-from poisson_cs.solvers import rrmse, solve_p2
-from poisson_cs.transforms import PatchGrid, dct2_basis, extract_patches, read_pgm, write_pgm
+from poisson_cs.solvers import (
+    FitTerm,
+    SolveResult,
+    SolverConfig,
+    gradient_scale,
+    rrmse,
+    solve_chains,
+    solve_p2,
+)
+from poisson_cs.transforms import (
+    PatchGrid,
+    dct2_basis,
+    extract_patches,
+    identity_basis,
+    read_pgm,
+    write_pgm,
+)
 
 
 def tiny_sweep_spec(**over):
@@ -607,6 +622,172 @@ class TestImageRecon:
         estimates, _ = experiments._reconstruct_patches(
             (spec.to_dict(), patches, 0, dct2_basis(7).matrix()))
         assert max(rrmse(p, e) for p, e in zip(patches, estimates)) <= 1.0
+
+
+def drive_walk(thetas, reference):
+    """Run ``experiments._lambda_walk`` on a grid of ``len(thetas)`` points,
+    answering its i-th solve with a ``SolveResult`` at ``thetas[i]``.
+
+    Returns the (lam, warm start) of every solve asked for, the results sent
+    and the walk's pick.
+    """
+    basis = identity_basis(len(reference))
+    walk = experiments._lambda_walk(basis, np.geomspace(1e-3, 1.0, len(thetas)), reference)
+    asked, sent = [], []
+    request = next(walk)
+    while True:
+        asked.append(request)
+        sent.append(SolveResult(np.asarray(thetas[len(sent)], dtype=float),
+                                iterations=len(sent), converged=True,
+                                lambda_used=request[0]))
+        try:
+            request = walk.send(sent[-1])
+        except StopIteration as stop:
+            return asked, sent, stop.value
+
+
+def walk_at(errors):
+    """``drive_walk`` with solve i at l2 distance ``errors[i]`` from the
+    reference; returns the number of solves asked for and the pick's index."""
+    asked, sent, pick = drive_walk([[e, 0.0] for e in errors], np.zeros(2))
+    return len(asked), next(i for i, res in enumerate(sent) if res is pick)
+
+
+class TestLambdaWalk:
+    """``_lambda_walk`` on scripted solves: it stops once its error has not
+    fallen for ``_WALK_PATIENCE`` solves in a row, and returns its best."""
+
+    patience = experiments._WALK_PATIENCE
+
+    def test_stops_patience_solves_past_its_best(self):
+        errors = [5.0, 3.0, 1.0, 2.0, 4.0, 6.0, 0.5, 7.0, 8.0, 9.0]
+        asked, sent, pick = drive_walk([[e, 0.0] for e in errors], np.zeros(2))
+        assert self.patience == 3
+        assert len(asked) == 2 + 1 + self.patience
+        assert pick is sent[2]
+        # From the sparsest end down, each solve warm-started from the last.
+        lams = [lam for lam, _ in asked]
+        assert lams == sorted(np.geomspace(1e-3, 1.0, 10), reverse=True)[:len(asked)]
+        assert asked[0][1] is None
+        assert all(warm is res.theta_star for (_, warm), res in zip(asked[1:], sent))
+
+    def test_an_equal_error_is_no_fall(self):
+        assert walk_at([5.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.1]) == (5, 1)
+        assert walk_at([2.0, 2.0, 2.0, 2.0, 1.0]) == (4, 0)
+        assert walk_at([1.0, 3.0, 2.0, 2.0, 2.0, 2.0, 0.5]) == (6, 0)
+
+    def test_an_improvement_resets_the_count(self):
+        # Closer after one worse solve, then after two, then three worse.
+        errors = [9.0, 5.0, 6.0, 4.0, 7.0, 8.0, 3.0, 10.0, 11.0, 12.0, 1.0]
+        assert walk_at(errors) == (10, 6)
+
+    def test_a_fall_short_of_the_best_resets_the_count(self):
+        # The error climbs, then falls for four solves while still above its
+        # best, then below it: the walk goes on until three rises in a row.
+        errors = [1.0, 3.0, 2.5, 2.0, 1.5, 1.2, 0.9, 1.0, 1.1, 1.2, 0.1]
+        assert walk_at(errors) == (10, 6)
+
+    def test_walks_the_whole_grid_unless_it_rises_patience_times(self):
+        assert walk_at([5.0, 4.0, 3.0, 2.0, 1.0]) == (5, 4)
+        assert walk_at([5.0, 6.0, 7.0, 4.0, 8.0, 9.0, 3.0]) == (7, 6)
+        for n in (1, 2, 3):
+            assert walk_at([1.0 + i for i in range(n)]) == (n, 0)
+
+    def test_an_all_zero_solution_warm_starts_nothing(self):
+        thetas = [[0.0, 0.0], [0.5, 1.0], [0.0, 0.0], [3.0, 1.0], [4.0, 4.0]]
+        asked, sent, pick = drive_walk(thetas, np.array([0.0, 1.0]))
+        assert len(asked) == 5 and pick is sent[1]
+        warm = [w for _, w in asked]
+        assert warm[0] is None and warm[1] is None and warm[3] is None
+        assert warm[2] is sent[1].theta_star and warm[4] is sent[3].theta_star
+
+
+def full_grid_walk(basis, grid, reference):
+    """The lambda walk over the whole grid, which never stops early: the
+    solve closest to the reference, the first of equals.  The reference for
+    ``experiments._lambda_walk``."""
+    warm = best = None
+    for lam in sorted((float(lam) for lam in grid), reverse=True):
+        res = yield lam, warm
+        warm = res.theta_star if np.any(res.theta_star != 0.0) else None
+        err = float(np.linalg.norm(basis.synthesize(res.theta_star) - reference))
+        if best is None or err < best[0]:
+            best = (err, res)
+    return best[1]
+
+
+def counted(walk, solves):
+    """``walk``, appending each solve it asks for to ``solves``."""
+    request = next(walk)
+    while True:
+        solves.append(request)
+        try:
+            request = walk.send((yield request))
+        except StopIteration as stop:
+            return stop.value
+
+
+def assert_walks_agree(spec, basis, A, mvs, references):
+    """The early-stopping walk and the full grid give every problem the same
+    solve, bit for bit.  Both walks of every problem run as one stack, which
+    changes no result.  Returns the solves each kind of walk asked for."""
+    fit = FitTerm(experiments._SOLVER_FITS[spec.solver], spec.beta)
+    grids = [experiments._lambda_grid(gradient_scale(a, basis, mv, fit), spec)
+             for a, mv in zip(A, mvs)]
+    early, full = [], []
+    walks = ([counted(experiments._lambda_walk(basis, g, ref), early)
+              for g, ref in zip(grids, references)]
+             + [counted(full_grid_walk(basis, g, ref), full)
+                for g, ref in zip(grids, references)])
+    got = solve_chains([*A, *A], basis, [*mvs, *mvs], fit, walks,
+                       SolverConfig(max_iters=spec.max_iters))
+    K = len(A)
+    for k, (a, b) in enumerate(zip(got[:K], got[K:])):
+        assert a.theta_star.tobytes() == b.theta_star.tobytes(), k
+        assert (a.iterations, a.converged, a.lambda_used) == (
+            b.iterations, b.converged, b.lambda_used), k
+    return len(early), len(full)
+
+
+class TestEarlyStopKeepsThePick:
+    """The omniscient walk's early stop against the full grid on fixed seeds.
+
+    A solver change that moves a pick (a tighter stopping test, say) shows
+    here first: the early stop then no longer reproduces the full grid.
+    """
+
+    intensities = [1e3, 1e4, 1e8]
+
+    @pytest.mark.parametrize("solver", ["P4", "P5", "P6"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_identity_basis_trials(self, solver, beta):
+        common = dict(solver=solver, beta=beta, master_seed=1)
+        sweep = ExperimentSpec(kind="intensity", grid={"intensity": self.intensities}, **common)
+        # Trial 8 of the paper-scale measurements sweep's N = 10 cell: at
+        # I = 1e8 its walk's error climbs, falls for several solves while
+        # still above its first best, then below it.
+        undersampled = ExperimentSpec(kind="measurements", grid={"n_measurements": [10]},
+                                      **common)
+        units = ([(sweep, cell, 0) for cell in experiments._cells(sweep)]
+                 + [(undersampled, experiments._cells(undersampled)[0], 8)])
+        xs, A, mvs, _ = zip(*(experiments._run_trial(*unit) for unit in units))
+        early, full = assert_walks_agree(sweep, identity_basis(sweep.dim), A, mvs, xs)
+        assert early < full
+
+    def test_dct_patches(self):
+        img = make_test_image(16, 16)
+        basis = dct2_basis(7)
+        psi = basis.matrix()
+        solves = np.zeros(2, dtype=int)
+        for intensity in self.intensities:
+            spec = ExperimentSpec(kind="image", grid={"intensity": [intensity]}, solver="P4",
+                                  n_measurements=25, max_iters=800, master_seed=1)
+            patches = extract_patches(img * (intensity / img.sum()),
+                                      PatchGrid(16, 16, patch=7, stride=3))
+            A, mvs = zip(*(experiments._patch_task(spec, patch, k, psi)
+                           for k, patch in enumerate(patches)))
+            solves += assert_walks_agree(spec, basis, A, mvs, patches)
+        assert solves[0] < solves[1]
 
 
 class TestMakeTestImage:
