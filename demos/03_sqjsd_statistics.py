@@ -54,7 +54,7 @@ print("== Gaussianity (KS at 1% significance) and the two epsilon rules ==")
 N, m = 100, 500
 phi = build_phi(sample_rip_matrix(N, m, 0.5, seed=30))
 ss = monte_carlo_sqjsd(phi, dense_signal(m, 1e4), trials=1000, seed=31)
-ks = ks_gaussian_test(ss, alpha=0.01)
+ks = ks_gaussian_test(ss.samples, alpha=0.01)
 print(f"KS statistic {ks.statistic:.4f} vs critical {ks.critical:.4f}"
       f" -> {'pass' if ks.passed else 'fail'}")
 print(f"epsilon (theory)     = {choose_epsilon('theory', N):.3f}")

@@ -41,8 +41,8 @@ for intensity in (1e4, 1e6, 1e8):
         x[rng.choice(m, s, replace=False)] = rng.uniform(0.5, 1.5, s)
         x *= intensity / x.sum()
         phi = build_phi(sample_rip_matrix(N, m, 0.5, seed=100 + trial))
-        mv = measure(phi, x, seed=200 + trial)
-        res = solve_p2(phi.entries, basis, mv, eps, cfg)
+        y = measure(phi, x, seed=200 + trial)
+        res = solve_p2(phi.entries, basis, y, eps, cfg)
         errs.append(rrmse(x, basis.synthesize(res.theta_star)))
     print(f"  I={intensity:8.0e}  median RRMSE over 5 trials: {np.median(errs):.4f}")
 
@@ -52,13 +52,13 @@ x = np.zeros(m)
 x[rng.choice(m, s, replace=False)] = rng.uniform(0.5, 1.5, s)
 x *= 1e8 / x.sum()
 phi = build_phi(sample_rip_matrix(N, m, 0.5, seed=7))
-mv = measure(phi, x, seed=8)
+y = measure(phi, x, seed=8)
 for kind in (FitKind.JSD, FitKind.SNLL, FitKind.GEN_KL):
     fit = FitTerm(kind)
-    scale = gradient_scale(phi.entries, basis, mv, fit)
+    scale = gradient_scale(phi.entries, basis, y, fit)
     best = np.inf
     for lam in scale * np.geomspace(1e-4, 0.3, 10):
-        res = solve_penalized(phi.entries, basis, mv, fit, float(lam), cfg)
+        res = solve_penalized(phi.entries, basis, y, fit, float(lam), cfg)
         best = min(best, rrmse(x, basis.synthesize(res.theta_star)))
     print(f"  {kind.value:8s} best RRMSE over the lambda grid: {best:.5f}")
 print("(the three data-fit terms give nearly identical reconstructions)")

@@ -48,7 +48,7 @@ from .sensing import (
     estimate_ric,
     sample_rip_matrix,
 )
-from .simulate import MeasurementVector, derive_rng, measure
+from .simulate import derive_rng, measure
 from .solvers import (
     FitKind,
     FitTerm,
@@ -62,7 +62,7 @@ from .solvers import (
     solve_penalized_batch,
 )
 from .sqjsd_stats import (
-    EpsilonMode,
+    EPSILON_MODES,
     KsResult,
     SqjsdSampleSet,
     ConcentrationBounds,

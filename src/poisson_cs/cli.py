@@ -8,9 +8,11 @@ Subcommands::
 
 Each spec field comes from its flag, else from ``--config`` (a JSON
 object), else from the subcommand's default (image: solver P4;
-verify-stats: 1000 trials), else from ``ExperimentSpec``; the spec is built
-and checked once, before any output (a grid key its kind does not walk is
-refused), and ``--out`` is made only once the run's own checks pass.
+verify-stats: 1000 trials), else from ``ExperimentSpec``; a grid axis left
+out takes its desk values, or its paper values under ``--paper-scale``.
+The spec is built and checked once, before any output (a grid key its kind
+does not walk is refused), and ``--out`` is made only once the run's own
+checks pass.
 Sweeps write ``sweep_<kind>.csv`` plus ``manifest_<kind>.json``; one writer
 writes the three JSON reports.  Exit code is 0 on success and 2 if any cell
 failed to converge (results are still written).
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 from .experiments import (
@@ -61,8 +64,12 @@ def _build_spec(args, kind: str, **defaults) -> ExperimentSpec:
     if args.config is not None:
         fields.update(read_config(args.config, "--config"))
     fields["kind"] = kind
-    if not fields.get("grid"):
-        fields["grid"] = default_grid(kind, paper_scale=args.paper_scale)
+    # Each axis the grid leaves out takes the scale's values, and an empty grid
+    # takes them all; any other grid that is not a mapping reaches the spec,
+    # which refuses it by name.
+    grid = fields.get("grid") or {}
+    if isinstance(grid, Mapping):
+        fields["grid"] = {**default_grid(kind, paper_scale=args.paper_scale), **grid}
     flags = {"master_seed": args.seed, "trials": args.trials, "workers": args.workers,
              "solver": getattr(args, "solver", None)}
     fields.update((name, value) for name, value in flags.items() if value is not None)

@@ -48,9 +48,9 @@ from .solvers import (
     solve_penalized_batch,
 )
 from .sqjsd_stats import (
+    EPSILON_MODES,
     KS_MIN_SAMPLES,
     _shared_blocks,
-    EpsilonMode,
     choose_epsilon,
     ks_gaussian_test,
     monte_carlo_sqjsd,
@@ -183,7 +183,7 @@ class ExperimentSpec:
             raise InvalidParamError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.lambda_mode == "fixed":
             check_positive("lambda_value (fixed lambda_mode)", self.lambda_value)
-        if self.epsilon_mode not in ("theory", "percentile"):
+        if self.epsilon_mode not in EPSILON_MODES:
             raise InvalidParamError(f"unknown epsilon_mode {self.epsilon_mode!r}")
         check_positive("intensity", self.intensity)
         check_nonneg("beta", self.beta)
@@ -317,23 +317,23 @@ def _lambda_walk(basis, grid, reference):
     return best[1]
 
 
-def _estimate(spec: ExperimentSpec, A, basis, mvs, epsilons, references) -> list:
+def _estimate(spec: ExperimentSpec, A, basis, ys, epsilons, references) -> list:
     """The estimator ``spec`` names, on every problem of a batch at once.
 
-    ``A`` holds one operator per problem; ``epsilons`` are the P2 radii and
-    ``references`` the true signals that omniscient lambda picks by.
-    Returns one SolveResult per problem; its ``lambda_used`` is the weight
-    the estimate was solved with.
+    ``A`` and ``ys`` hold one operator and count vector per problem;
+    ``epsilons`` are the P2 radii and ``references`` the true signals that
+    omniscient lambda picks by.  Returns one SolveResult per problem; its
+    ``lambda_used`` is the weight the estimate was solved with.
     """
     cfg = SolverConfig(max_iters=spec.max_iters)
     if spec.solver == "P2":
-        return solve_p2_batch(A, basis, mvs, epsilons, cfg, beta=spec.beta)
+        return solve_p2_batch(A, basis, ys, epsilons, cfg, beta=spec.beta)
     fit = FitTerm(_SOLVER_FITS[spec.solver], spec.beta)
     if spec.lambda_mode == "fixed":
-        return solve_penalized_batch(A, basis, mvs, fit, [spec.lambda_value] * len(mvs), cfg)
-    walks = [_lambda_walk(basis, _lambda_grid(gradient_scale(a, basis, mv, fit), spec), ref)
-             for a, mv, ref in zip(A, mvs, references)]
-    return solve_chains(A, basis, mvs, fit, walks, cfg)
+        return solve_penalized_batch(A, basis, ys, fit, [spec.lambda_value] * len(ys), cfg)
+    walks = [_lambda_walk(basis, _lambda_grid(gradient_scale(a, basis, y, fit), spec), ref)
+             for a, y, ref in zip(A, ys, references)]
+    return solve_chains(A, basis, ys, fit, walks, cfg)
 
 
 def _phi(master_seed: int, N: int, m: int, index: int):
@@ -346,7 +346,7 @@ def _run_trial(spec: ExperimentSpec, cell: dict, trial: int):
     """Set up one (cell, trial) unit of a sweep; owns all of its randomness.
 
     Returns the signal, the operator (canonical basis: A = Phi), the
-    measurement and, for P2, the constraint radius (None otherwise).
+    counts and, for P2, the constraint radius (None otherwise).
     """
     m, N, s, intensity = cell["m"], cell["N"], cell["s"], cell["intensity"]
     master = spec.master_seed
@@ -354,28 +354,26 @@ def _run_trial(spec: ExperimentSpec, cell: dict, trial: int):
     x = make_sparse_signal(m, s, intensity, derive_rng(master, _STREAM_SIGNAL, s))
 
     phi = _phi(master, N, m, trial)
-    mv = measure(phi, x, derive_seed(master, _STREAM_Y, trial))
+    y = measure(phi, x, derive_seed(master, _STREAM_Y, trial))
     eps = None
     if spec.solver == "P2":
+        pilot = None
         if spec.epsilon_mode == "percentile":
             pilot = monte_carlo_sqjsd(phi, x, 200, derive_seed(master, _STREAM_PILOT, trial))
-            eps = choose_epsilon(EpsilonMode.PERCENTILE, N, pilot)
-        else:
-            eps = choose_epsilon(EpsilonMode.THEORY, N)
-    return x, phi.entries, mv, eps
+        eps = choose_epsilon(spec.epsilon_mode, N, pilot)
+    return x, phi.entries, y, eps
 
 
 def _sweep_run(args) -> list[dict]:
     """Solve a run of sweep tasks as one batch; one worker's unit of work.
 
-    ``args`` is (spec dict, cells, tasks), each task a (cell index, trial)
-    pair.  Returns one trial record per task.
+    ``args`` is (spec, cells, tasks), each task a (cell index, trial) pair.
+    Returns one trial record per task.
     """
-    spec_dict, cells, tasks = args
-    spec = ExperimentSpec(**spec_dict)
-    xs, A, mvs, epsilons = zip(*(_run_trial(spec, cells[ci], t) for ci, t in tasks))
+    spec, cells, tasks = args
+    xs, A, ys, epsilons = zip(*(_run_trial(spec, cells[ci], t) for ci, t in tasks))
     basis = identity_basis(spec.dim)
-    results = _estimate(spec, A, basis, mvs, epsilons, xs)
+    results = _estimate(spec, A, basis, ys, epsilons, xs)
     records = []
     for (_, trial), x, eps, res in zip(tasks, xs, epsilons, results):
         record = {
@@ -431,11 +429,10 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     t0 = time.perf_counter()
     cells = _cells(spec)
     tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
-    spec_dict = spec.to_dict()
 
     # One contiguous run of tasks per worker, each solved as one batch.
     results = _in_runs(_sweep_run, len(tasks), spec.workers,
-                       lambda run: (spec_dict, cells, [tasks[i] for i in run]))
+                       lambda run: (spec, cells, [tasks[i] for i in run]))
     records = [rec for run in results for rec in run]
 
     by_cell: dict[int, list] = {ci: [] for ci in range(len(cells))}
@@ -443,7 +440,7 @@ def run_sweep(spec: ExperimentSpec) -> dict:
         by_cell[ci].append(rec)
     summaries = [_summarize(cells[ci], by_cell[ci]) for ci in range(len(cells))]
     return {
-        "spec": spec_dict,
+        "spec": spec.to_dict(),
         "cells": summaries,
         "master_seed": spec.master_seed,
         "library_version": LIBRARY_VERSION,
@@ -543,7 +540,7 @@ def _stats_cell(spec: ExperimentSpec, phi, intensity: float, level: int) -> dict
     samples = monte_carlo_sqjsd(
         phi, x, spec.trials, derive_seed(spec.master_seed, _STREAM_STATS, *idx))
     bounds = concentration_bounds(phi, x)
-    ks = ks_gaussian_test(samples, alpha=0.01)
+    ks = ks_gaussian_test(samples.samples, alpha=0.01)
     return {
         "N": N,
         "m": m,
@@ -638,31 +635,29 @@ def make_test_image(h: int = 64, w: int = 64) -> np.ndarray:
 def _patch_task(spec: ExperimentSpec, patch, k: int, psi: np.ndarray):
     """Measure patch ``k`` through its own sensing matrix; owns its randomness.
 
-    Returns the effective operator A = Phi @ Psi and the measurement.
+    Returns the effective operator A = Phi @ Psi and the counts.
     """
     phi = _phi(spec.master_seed, spec.n_measurements, psi.shape[0], k)
-    mv = measure(phi, patch, derive_seed(spec.master_seed, _STREAM_Y, k))
-    return phi.entries @ psi, mv
+    return phi.entries @ psi, measure(phi, patch, derive_seed(spec.master_seed, _STREAM_Y, k))
 
 
 def _reconstruct_patches(args):
     """Reconstruct a run of consecutive patches; one worker's unit of work.
 
-    ``args`` is (spec dict, patches, index of the first patch, Psi).  All
-    lit patches of the run are solved together as one batch.  Returns the
+    ``args`` is (spec, patches, index of the first patch, Psi).  All lit
+    patches of the run are solved together as one batch.  Returns the
     estimates and a per-patch converged flag.
     """
-    spec_dict, patches, first, psi = args
-    spec = ExperimentSpec(**spec_dict)
+    spec, patches, first, psi = args
     basis = dct2_basis(spec.patch)
     estimates = np.zeros_like(patches)
     converged = np.ones(len(patches), dtype=bool)
     lit = [j for j in range(len(patches)) if patches[j].sum() > 0.0]  # dark: nothing measurable
     if not lit:
         return estimates, converged
-    A, mvs = zip(*(_patch_task(spec, patches[j], first + j, psi) for j in lit))
-    epsilons = [choose_epsilon(EpsilonMode.THEORY, spec.n_measurements)] * len(lit)
-    results = _estimate(spec, A, basis, mvs, epsilons, patches[lit])
+    A, ys = zip(*(_patch_task(spec, patches[j], first + j, psi) for j in lit))
+    epsilons = [choose_epsilon("theory", spec.n_measurements)] * len(lit)
+    results = _estimate(spec, A, basis, ys, epsilons, patches[lit])
     for j, res in zip(lit, results):
         estimates[j] = basis.synthesize(res.theta_star)
         converged[j] = res.converged
@@ -682,13 +677,11 @@ def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
         img = img[: spec.image_size, : spec.image_size]
     if float(img.sum()) <= 0.0:
         raise InvalidParamError("zero image: reconstruction error undefined")
-    # Made only once the input is checked, so a refused image leaves none.
+    grid = PatchGrid(*img.shape, patch=spec.patch, stride=spec.stride)
+    # Made only once the input and its patch grid are checked, so a refused
+    # image leaves none.
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    h, w = img.shape
-    grid = PatchGrid(h, w, patch=spec.patch, stride=spec.stride)
-    spec_dict = spec.to_dict()
     psi = dct2_basis(spec.patch).matrix()
 
     cells = []
@@ -697,7 +690,7 @@ def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
         patches = extract_patches(scaled, grid)
         # One contiguous run of patches per worker, each solved as a batch.
         results = _in_runs(_reconstruct_patches, grid.n_patches, spec.workers,
-                           lambda run: (spec_dict, patches[run[0]: run[-1] + 1],
+                           lambda run: (spec, patches[run[0]: run[-1] + 1],
                                         int(run[0]), psi))
         estimates = np.concatenate([est for est, _ in results])
         n_unconverged = int(sum(np.sum(~ok) for _, ok in results))

@@ -1,6 +1,8 @@
 """Poisson measurement generation y ~ Poisson(Phi x).
 
-Sampling uses numpy's ``Generator.poisson``, which draws by the
+A measurement is its count vector alone: a read-only int64 array, which
+every solver takes as is; ``SensingMatrix.rates`` gives the rates it was
+drawn from.  Sampling uses numpy's ``Generator.poisson``, which draws by the
 multiplication method (counting uniforms until their product falls below
 exp(-rate)) at rates below 10 and by the PTRS transformed-rejection sampler
 at 10 and above, so rates spanning 1e0 to 1e8+ are exact and fast.  Every
@@ -12,30 +14,11 @@ throughout the experiment harness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import LengthMismatchError
 from .sensing import SensingMatrix
 
-__all__ = ["MeasurementVector", "measure", "derive_seed", "derive_rng"]
-
-
-@dataclass(frozen=True)
-class MeasurementVector:
-    """Photon counts, the rates they were drawn from, and the seed used."""
-
-    counts: np.ndarray
-    rates: np.ndarray
-    seed: object
-
-    def __post_init__(self):
-        if self.counts.shape != self.rates.shape:
-            raise LengthMismatchError("counts and rates differ in length")
-
-    def __len__(self) -> int:
-        return self.counts.size
+__all__ = ["measure", "derive_seed", "derive_rng"]
 
 
 def derive_seed(master_seed, *path) -> np.random.SeedSequence:
@@ -53,16 +36,14 @@ def derive_rng(master_seed, *path) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master_seed, *path))
 
 
-def measure(phi: SensingMatrix, x, seed) -> MeasurementVector:
-    """Draw y_i ~ Poisson((Phi x)_i) independently per coordinate.
+def measure(phi: SensingMatrix, x, seed) -> np.ndarray:
+    """Draw y_i ~ Poisson((Phi x)_i) independently per coordinate; return
+    the counts as a read-only int64 vector.
 
     ``seed`` is anything ``np.random.default_rng`` takes: an integer or a
     SeedSequence creates a fresh PCG64 stream, so repeated calls are
     reproducible, and a Generator is used as is.
     """
-    rates = phi.rates(x)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(rates).astype(np.int64)
+    counts = np.random.default_rng(seed).poisson(phi.rates(x)).astype(np.int64)
     counts.setflags(write=False)
-    rates.setflags(write=False)
-    return MeasurementVector(counts=counts, rates=rates, seed=seed)
+    return counts

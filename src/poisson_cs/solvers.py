@@ -44,6 +44,8 @@ Its proximal map follows from the basis, with no option to set: on the
 identity basis it is max(v - t, 0), the soft threshold followed by the
 clamp at 0, the exact projection onto theta >= 0; on the DCT basis it is
 the soft threshold alone, v - clip(v, -t, t).
+Every entry point takes each problem's measurement as its count vector,
+the array ``simulate.measure`` returns or any array of finite counts >= 0.
 Zero-count measurements are retained for the JSD fit (finite by the
 0*log(0) = 0 convention) and masked out of the SNLL/GenKL fits when
 beta = 0.
@@ -223,11 +225,11 @@ _FITS = {
 def fit_value_and_gradient(fit: FitTerm, y, u):
     """Fit value and its exact analytic gradient with respect to u.
 
-    ``y`` may be a MeasurementVector or a plain count array.  Requires
-    u_i + beta > 0 everywhere; the SNLL and GenKL fits with beta = 0
-    additionally require y_i > 0 (the solvers mask zero counts out).
+    ``y`` is a count vector.  Requires u_i + beta > 0 everywhere; the SNLL
+    and GenKL fits with beta = 0 additionally require y_i > 0 (the solvers
+    mask zero counts out).
     """
-    y = np.asarray(getattr(y, "counts", y), dtype=float)
+    y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
     if y.shape != u.shape:
         raise DomainError(f"length {y.size} vs {u.size}")
@@ -429,7 +431,7 @@ def _problems(A, basis: OrthonormalBasis, ys, starts=()):
     function, its counts finite, >= 0 and one per row, and each given start
     (None is none) of one coefficient per basis function."""
     A = [np.asarray(a, dtype=float) for a in A]
-    counts = [np.asarray(getattr(y, "counts", y), dtype=float) for y in ys]
+    counts = [np.asarray(y, dtype=float) for y in ys]
     if len(counts) != len(A):
         raise LengthMismatchError(f"{len(A)} operators need as many counts")
     for a, c in zip(A, counts):
@@ -498,7 +500,7 @@ def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
     at (nearly) zero, lam far below is effectively unregularized.
     """
     A = np.asarray(A, dtype=float)
-    counts = np.asarray(getattr(y, "counts", y), dtype=float)
+    counts = np.asarray(y, dtype=float)
     model = _FitModel.of(A, counts, fit)
     with np.errstate(**_QUIET):
         g = model.grad_theta(model.rates(_default_start(basis, counts)))

@@ -6,9 +6,11 @@ sqrt(N/4), its variance is bounded by (11 + 5*sum(1/s_i)) / max(0, 4*(2 -
 sum(1/s_i))) with s_i = N*(Phi x)_i (about 11/8 when every s_i is large),
 and sqrt(N)*(1/2 + sqrt(11)/8) is exceeded with probability at most
 2*exp(-N/2).  This module samples the statistic, evaluates those bounds,
-KS-tests the empirical distribution against a moment-matched Gaussian, and
-turns the quantiles into the constraint radius used by the constrained
-reconstruction problem.
+KS-tests an array of samples against a moment-matched Gaussian, and turns
+the quantiles into the constraint radius used by the constrained
+reconstruction problem.  ``EPSILON_MODES`` names the two radius rules,
+``"theory"`` (the tail bound) and ``"percentile"`` (the 99th percentile of
+a sample set); the experiment spec checks its ``epsilon_mode`` against it.
 
 Sampling runs in blocks of trials of about ``_BLOCK_ENTRIES`` counts each:
 a block's integer counts go straight to ``jsd_rowwise``, which evaluates
@@ -24,7 +26,6 @@ counts, so the counts in flight stay at ``_BLOCK_ENTRIES``.
 from __future__ import annotations
 
 import contextlib
-import enum
 import math
 import threading
 from dataclasses import dataclass
@@ -39,13 +40,13 @@ __all__ = [
     "SqjsdSampleSet",
     "ConcentrationBounds",
     "KsResult",
-    "EpsilonMode",
     "monte_carlo_sqjsd",
     "concentration_bounds",
     "ks_gaussian_test",
     "choose_epsilon",
     "TAIL_COEFFICIENT",
     "KS_MIN_SAMPLES",
+    "EPSILON_MODES",
 ]
 
 # 1/2 + sqrt(11)/8 = 0.914578...; the sqrt(N)-scaled tail radius.
@@ -53,6 +54,9 @@ TAIL_COEFFICIENT = 0.5 + math.sqrt(11.0) / 8.0
 
 # Fewest samples the KS test accepts.
 KS_MIN_SAMPLES = 30
+
+# The radius rules of ``choose_epsilon``.
+EPSILON_MODES = ("theory", "percentile")
 
 # Counts drawn per block of Monte-Carlo trials: 2^19 entries, 4 MB of int64
 # counts, whatever the number of trials.  It is the budget of a whole run,
@@ -148,7 +152,7 @@ def concentration_bounds(phi: SensingMatrix, x) -> ConcentrationBounds:
     return ConcentrationBounds(
         mean_bound=math.sqrt(N / 4.0),
         var_bound=var_bound,
-        tail_epsilon=choose_epsilon(EpsilonMode.THEORY, N),
+        tail_epsilon=choose_epsilon("theory", N),
         tail_prob=1.0 - 2.0 * math.exp(-N / 2.0),
         s_min=s_min,
     )
@@ -168,7 +172,8 @@ def _ks_critical(alpha: float, n: int) -> float:
 
 
 def ks_gaussian_test(samples, alpha: float = 0.01) -> KsResult:
-    """One-sample KS test against a Gaussian with the sample's own moments.
+    """One-sample KS test of the sample array ``samples`` against a
+    Gaussian with the sample's own moments.
 
     Follows the plain moment-matched procedure (no small-sample correction
     for the estimated parameters): statistic D_n against the fitted normal
@@ -177,7 +182,7 @@ def ks_gaussian_test(samples, alpha: float = 0.01) -> KsResult:
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidParamError(f"alpha must lie in (0,1), got {alpha}")
-    vals = np.sort(np.asarray(getattr(samples, "samples", samples), dtype=float))
+    vals = np.sort(np.asarray(samples, dtype=float))
     n = vals.size
     if n < KS_MIN_SAMPLES:
         raise InvalidParamError(f"need at least {KS_MIN_SAMPLES} samples, got {n}")
@@ -197,27 +202,18 @@ def ks_gaussian_test(samples, alpha: float = 0.01) -> KsResult:
     return KsResult(statistic=statistic, critical=critical, passed=statistic < critical)
 
 
-class EpsilonMode(enum.Enum):
-    THEORY = "theory"
-    PERCENTILE = "percentile"
-
-
-def choose_epsilon(
-    mode: EpsilonMode | str,
-    N: int,
-    samples: SqjsdSampleSet | None = None,
-) -> float:
+def choose_epsilon(mode: str, N: int, samples: SqjsdSampleSet | None = None) -> float:
     """Constraint radius for the constrained reconstruction problem.
 
-    THEORY uses the tail bound sqrt(N)*(1/2 + sqrt(11)/8); PERCENTILE uses
-    the empirical 99th percentile of a sample set (>= 100 trials).
+    ``mode`` is one of ``EPSILON_MODES``: "theory" uses the tail bound
+    sqrt(N)*(1/2 + sqrt(11)/8); "percentile" uses the empirical 99th
+    percentile of a sample set (>= 100 trials).
     """
-    try:
-        mode = EpsilonMode(mode)
-    except ValueError:
-        raise InvalidParamError(f"mode must be 'theory' or 'percentile', got {mode!r}") from None
+    if mode not in EPSILON_MODES:
+        raise InvalidParamError(
+            f"mode must be {' or '.join(map(repr, EPSILON_MODES))}, got {mode!r}")
     check_integer("N", N, 1)
-    if mode is EpsilonMode.THEORY:
+    if mode == "theory":
         return math.sqrt(N) * TAIL_COEFFICIENT
     if samples is None or samples.trials < 100:
         raise MissingSamplesError("percentile mode needs a sample set with >= 100 trials")

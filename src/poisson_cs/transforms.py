@@ -112,7 +112,8 @@ class PatchGrid:
         check_integer("patch", self.patch, 1)
         check_integer("stride", self.stride, 1)
         if self.patch > min(self.image_h, self.image_w):
-            raise InvalidParamError("patch larger than image")
+            raise InvalidParamError(f"patch {self.patch} larger than image "
+                                    f"{self.image_h}x{self.image_w}")
 
     @property
     def rows(self) -> range:

@@ -172,7 +172,7 @@ class TestCriterion4Gaussianity:
             phi = pcs.build_phi(pcs.sample_rip_matrix(100, 500, 0.5, seed=3 * seed))
             ss = monte_carlo_sqjsd(phi, _dense_signal(500, 1e4, 3 * seed + 1),
                                    1000, seed=3 * seed + 2)
-            res = ks_gaussian_test(ss, alpha=0.01)
+            res = ks_gaussian_test(ss.samples, alpha=0.01)
             results.append(res)
             if res.passed:
                 break
@@ -244,7 +244,7 @@ class TestCriterion7SmallInstanceOracle:
         # A tighter flat stop than the library's, for a solve near the optimum.
         monkeypatch.setattr(solvers, "_OBJECTIVE_TOL", 1e-12)
         res = solve_penalized(phi.entries, basis, mv, fit, lam, SolverConfig(max_iters=4000))
-        y = mv.counts.astype(float)
+        y = mv.astype(float)
         A = phi.entries
 
         def objective(thetas):

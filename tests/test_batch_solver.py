@@ -81,7 +81,7 @@ def reference_descend(A, basis, y, fit, lam, cfg, theta0=None):
     of its basis.  Raises InfeasibleStartError when the start violates the
     fit domain."""
     prox = solvers._prox_of(basis)
-    counts = np.asarray(getattr(y, "counts", y), dtype=float)
+    counts = np.asarray(y, dtype=float)
     model = solvers._FitModel.of(np.asarray(A, dtype=float), counts, fit)
     if theta0 is None:
         theta0 = solvers._default_start(basis, counts)
@@ -282,12 +282,12 @@ def test_block_backtracking_matches_one_try_per_pass(kind, factor):
     for seed in (8, 9, 10):
         A, ys, rng = make_problems(basis, seed, K=12)
         K = len(ys)
-        stack = solvers._FitModel.stack([solvers._FitModel.of(A[k], ys[k].counts, fit)
+        stack = solvers._FitModel.stack([solvers._FitModel.of(A[k], ys[k], fit)
                                          for k in range(K)])
         # Bases near each problem's default start, and first step sizes
         # 2 factor^-u times the curvature estimate, u in [0, 8], so that rows
         # stop before, at and after the end of a block of step sizes.
-        base = np.stack([basis.analyze(rng.uniform(0.7, 1.3, basis.dim) * ys[k].counts.sum()
+        base = np.stack([basis.analyze(rng.uniform(0.7, 1.3, basis.dim) * ys[k].sum()
                                        / basis.dim) for k in range(K)])
         U = stack.rates(base)
         f_base, G = stack.value(U), stack.grad_theta(U)
@@ -334,7 +334,7 @@ def test_rows_masked_for_zero_counts_share_one_stack(kind, canonical, monkeypatc
     A, ys, rng = make_problems(basis, 12, intensities=[15.0, 25.0, 40.0, 60.0, 1e3, 1e5])
     A[4, 3] = 0.0
     K = len(ys)
-    masked = [int(np.sum((y.counts == 0) | ~np.any(a != 0.0, axis=1))) for a, y in zip(A, ys)]
+    masked = [int(np.sum((y == 0) | ~np.any(a != 0.0, axis=1))) for a, y in zip(A, ys)]
     assert len(set(masked)) >= 4 and 0 in masked
     lams = [float(10 ** rng.uniform(-3.0, -1.0) * gradient_scale(A[k], basis, ys[k], fit))
             for k in range(K)]
@@ -584,7 +584,7 @@ def test_bad_inputs_fail_before_any_stack(case, monkeypatch):
     # for a slack radius or an infeasible start.
     basis = identity_basis(20)
     A, ys, _ = make_problems(basis, 13, K=2, N=10)
-    counts = [y.counts.astype(float) for y in ys]
+    counts = [y.astype(float) for y in ys]
     starts = [np.ones(20), np.ones(20)]
     error, match = InvalidParamError, "counts"
     if case == "all counts NaN":
@@ -644,7 +644,7 @@ def test_results_do_not_depend_on_the_batch(seed, shapes, canonical, kind, beta,
             for k in range(K)]
     slack = data.draw(st.lists(st.booleans(), min_size=K, max_size=K))
     # sqjsd(y, 0) = sqrt(log(2) / 2 * sum(y)), below sqrt(sum(y)) + 1.
-    epsilons = [math.sqrt(ys[k].counts.sum()) + 1.0 if slack[k]
+    epsilons = [math.sqrt(ys[k].sum()) + 1.0 if slack[k]
                 else 2.0 * choose_epsilon("theory", N) for k, N in enumerate(shapes)]
     order = data.draw(st.permutations(range(K)))
     subset = data.draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=K, unique=True))

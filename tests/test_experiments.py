@@ -477,7 +477,7 @@ class TestVerifyStats:
         test = experiments.ks_gaussian_test
 
         def failing(samples, alpha):
-            if samples is drawn[0]:
+            if samples is drawn[0].samples:
                 raise Failed
             return test(samples, alpha)
 
@@ -620,7 +620,7 @@ class TestImageRecon:
                               image_size=16, master_seed=3)
         patches = extract_patches(img * (1e4 / img.sum()), PatchGrid(16, 16, patch=7, stride=3))
         estimates, _ = experiments._reconstruct_patches(
-            (spec.to_dict(), patches, 0, dct2_basis(7).matrix()))
+            (spec, patches, 0, dct2_basis(7).matrix()))
         assert max(rrmse(p, e) for p, e in zip(patches, estimates)) <= 1.0
 
 
@@ -858,6 +858,7 @@ class TestCli:
         ("verify-stats", {"trials": 29}, "trials"),
         ("image", {}, "truncated PGM data"),
         ("image", {}, "zero image"),
+        ("image", {}, "patch 7 larger than image 5x5"),
     ])
     def test_refused_run_leaves_no_out_directory(self, command, config, field, tmp_path):
         # The --out directory used to be made before the run's own checks,
@@ -870,6 +871,8 @@ class TestCli:
             src = tmp_path / "img.pgm"
             if field == "zero image":
                 write_pgm(src, np.zeros((8, 8)))
+            elif field.startswith("patch"):
+                write_pgm(src, make_test_image(5, 5))
             else:
                 src.write_bytes(b"P5\n3 2\n255\n\x00\x01\x02\x03")
             argv += ["--input", str(src)]
@@ -926,6 +929,37 @@ class TestCli:
         with pytest.raises(Ran) as ran:
             main(argv)
         assert getattr(ran.value.args[0], field) == used
+
+    @pytest.mark.parametrize("paper_scale", [False, True])
+    @pytest.mark.parametrize("given, value", [("intensity", [1e4]), ("n_measurements", [30])])
+    def test_an_axis_left_out_takes_the_scale_values(self, paper_scale, given, value,
+                                                     tmp_path, monkeypatch):
+        # --paper-scale used to reach only a config without a grid: the axis
+        # a one-axis grid left out took its desk values.
+        class Ran(Exception):
+            pass
+
+        def run(spec):
+            raise Ran(spec)
+
+        monkeypatch.setattr(cli, "run_verify_stats", run)
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"grid": {given: value}}))
+        argv = ["verify-stats", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        with pytest.raises(Ran) as ran:
+            main(argv + ["--paper-scale"] * paper_scale)
+        assert ran.value.args[0].grid == {**default_grid("verify-stats", paper_scale),
+                                          given: value}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", [[1e4], "intensity", 3])
+    def test_a_grid_that_is_not_a_mapping_is_refused_by_name(self, grid, tmp_path):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        out = tmp_path / "out"
+        with pytest.raises(InvalidParamError, match="grid must be a mapping"):
+            main(["verify-stats", "--paper-scale", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
 
     def test_unconverged_exit_code_two(self, tmp_path):
         # One iteration cannot converge; results must still be written.

@@ -1,6 +1,7 @@
 """Unit tests for the sqjsd concentration statistics."""
 
 import math
+import re
 import tracemalloc
 from contextlib import nullcontext
 
@@ -13,7 +14,6 @@ from poisson_cs.errors import InvalidParamError, LengthMismatchError, MissingSam
 from poisson_cs.sensing import build_phi, sample_rip_matrix
 from poisson_cs.sqjsd_stats import (
     TAIL_COEFFICIENT,
-    EpsilonMode,
     choose_epsilon,
     ks_gaussian_test,
     monte_carlo_sqjsd,
@@ -214,12 +214,12 @@ class TestKsGaussian:
         phi = build_phi(sample_rip_matrix(100, 500, 0.5, seed=23))
         x = dense_signal(500, 1e4, 24)
         ss = monte_carlo_sqjsd(phi, x, trials=1000, seed=25)
-        assert ks_gaussian_test(ss, alpha=0.01).passed
+        assert ks_gaussian_test(ss.samples, alpha=0.01).passed
 
 
 class TestChooseEpsilon:
     def test_theory_value(self):
-        assert choose_epsilon(EpsilonMode.THEORY, 50) == pytest.approx(
+        assert choose_epsilon("theory", 50) == pytest.approx(
             math.sqrt(50) * (0.5 + math.sqrt(11) / 8), rel=1e-12
         )
         assert choose_epsilon("theory", 50) == pytest.approx(6.467, abs=2e-3)
@@ -228,22 +228,38 @@ class TestChooseEpsilon:
         phi = build_phi(sample_rip_matrix(10, 20, 0.5, seed=26))
         ss = monte_carlo_sqjsd(phi, dense_signal(20, 1e4, 27), trials=100, seed=28)
         object.__setattr__(ss, "samples", np.arange(1.0, 101.0))
-        assert choose_epsilon(EpsilonMode.PERCENTILE, 10, ss) == pytest.approx(99.01)
+        assert choose_epsilon("percentile", 10, ss) == pytest.approx(99.01)
 
     def test_unknown_mode_refused_by_name(self):
-        # It used to raise a bare ValueError from EpsilonMode.
+        # It used to raise a bare ValueError from the mode's enum.
         with pytest.raises(InvalidParamError, match="mode must be 'theory' or 'percentile'"):
             choose_epsilon("bogus", 50)
 
+    @pytest.mark.parametrize("mode, accepted", [
+        ("theory", True), ("percentile", True), ("Theory", False), ("PERCENTILE", False),
+        (" theory", False), ("", False), ("tail", False), (None, False), (0, False),
+    ])
+    def test_spec_and_choose_epsilon_take_the_same_modes(self, mode, accepted):
+        ss = monte_carlo_sqjsd(build_phi(sample_rip_matrix(10, 20, 0.5, seed=26)),
+                               dense_signal(20, 1e4, 27), trials=100, seed=28)
+        if accepted:
+            assert experiments.ExperimentSpec(epsilon_mode=mode).epsilon_mode == mode
+            assert choose_epsilon(mode, 10, ss) > 0.0
+            return
+        with pytest.raises(InvalidParamError, match="epsilon_mode"):
+            experiments.ExperimentSpec(epsilon_mode=mode)
+        with pytest.raises(InvalidParamError, match=re.escape(f"got {mode!r}")):
+            choose_epsilon(mode, 10, ss)
+
     def test_percentile_requires_samples(self):
         with pytest.raises(MissingSamplesError):
-            choose_epsilon(EpsilonMode.PERCENTILE, 50, None)
+            choose_epsilon("percentile", 50, None)
 
     def test_percentile_requires_enough_trials(self):
         phi = build_phi(sample_rip_matrix(10, 20, 0.5, seed=29))
         ss = monte_carlo_sqjsd(phi, dense_signal(20, 1e3, 30), trials=50, seed=31)
         with pytest.raises(MissingSamplesError):
-            choose_epsilon(EpsilonMode.PERCENTILE, 10, ss)
+            choose_epsilon("percentile", 10, ss)
 
     def test_percentile_independent_of_intensity_above_threshold(self):
         phi = build_phi(sample_rip_matrix(50, 100, 0.5, seed=32))
@@ -252,7 +268,7 @@ class TestChooseEpsilon:
             ss = monte_carlo_sqjsd(
                 phi, dense_signal(100, intensity, 33), trials=500, seed=34
             )
-            eps[intensity] = choose_epsilon(EpsilonMode.PERCENTILE, 50, ss)
+            eps[intensity] = choose_epsilon("percentile", 50, ss)
         assert 0.9 <= eps[1e6] / eps[1e8] <= 1.1
 
     def test_percentile_grows_like_sqrt_n(self):
@@ -262,7 +278,7 @@ class TestChooseEpsilon:
             ss = monte_carlo_sqjsd(
                 phi, dense_signal(2 * N, 1e6, 42 + i), trials=500, seed=44 + i
             )
-            eps[N] = choose_epsilon(EpsilonMode.PERCENTILE, N, ss)
+            eps[N] = choose_epsilon("percentile", N, ss)
         # Quadrupling N should roughly double the radius.
         assert 1.8 <= eps[400] / eps[100] <= 2.2
 
