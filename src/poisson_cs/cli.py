@@ -64,10 +64,10 @@ def _build_spec(args, kind: str, **defaults) -> ExperimentSpec:
     if args.config is not None:
         fields.update(read_config(args.config, "--config"))
     fields["kind"] = kind
-    # Each axis the grid leaves out takes the scale's values, and an empty grid
-    # takes them all; any other grid that is not a mapping reaches the spec,
-    # which refuses it by name.
-    grid = fields.get("grid") or {}
+    # Each axis the grid leaves out takes the scale's values, and an empty or
+    # absent grid takes them all; a grid that is not a mapping, falsy ones
+    # ([], null, 0) too, reaches the spec, which refuses it by name.
+    grid = fields.get("grid", {})
     if isinstance(grid, Mapping):
         fields["grid"] = {**default_grid(kind, paper_scale=args.paper_scale), **grid}
     flags = {"master_seed": args.seed, "trials": args.trials, "workers": args.workers,

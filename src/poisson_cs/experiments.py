@@ -50,11 +50,12 @@ from .solvers import (
 from .sqjsd_stats import (
     EPSILON_MODES,
     KS_MIN_SAMPLES,
+    _bounds_at_rates,
+    _sample_at_rates,
     _shared_blocks,
     choose_epsilon,
     ks_gaussian_test,
     monte_carlo_sqjsd,
-    concentration_bounds,
 )
 from .transforms import (
     PatchGrid,
@@ -530,16 +531,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _stats_cell(spec: ExperimentSpec, phi, intensity: float, level: int) -> dict:
-    """One (N, I) cell of a verify-stats run: its probe signal, samples,
-    bounds and KS test.  Owns all of its randomness, keyed by (N, level)."""
-    N, m = phi.n_measurements, phi.dim
-    idx = (N, level)
-    x = derive_rng(spec.master_seed, _STREAM_SIGNAL, *idx).uniform(0.5, 1.5, size=m)
-    x *= intensity / x.sum()
-    samples = monte_carlo_sqjsd(
-        phi, x, spec.trials, derive_seed(spec.master_seed, _STREAM_STATS, *idx))
-    bounds = concentration_bounds(phi, x)
+def _stats_cell(spec: ExperimentSpec, m: int, intensity: float, level: int,
+                rates: np.ndarray) -> dict:
+    """One (N, I) cell of a verify-stats run at its rates ``Phi x``: its
+    samples, bounds and KS test.  Calls no BLAS routine; its Poisson stream
+    is keyed by (N, level), as its probe signal's is."""
+    N = rates.size
+    samples = _sample_at_rates(
+        rates, spec.trials, derive_seed(spec.master_seed, _STREAM_STATS, N, level))
+    bounds = _bounds_at_rates(rates)
     ks = ks_gaussian_test(samples.samples, alpha=0.01)
     return {
         "N": N,
@@ -563,10 +563,15 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
     and the variance-bound column is meaningful in all cells.
 
     The grid is checked and each N's Phi is built once, in grid order,
-    before any cell runs.  The cells are then sampled by one thread per
-    usable CPU (at most one per cell): this thread and ``threads - 1``
-    helpers, which take cells off one queue, largest first, since the
-    Poisson draws and ``jsd_rowwise`` run in C without the GIL.  The
+    before any cell runs.  Right after it is built, this thread draws the
+    probe signal of each cell of that N and makes the cell's rates
+    ``Phi x``, once.  The cells sample from those rates and evaluate their
+    bounds at them, so the sampling threads make no BLAS call: OpenBLAS runs
+    a 500 x 1000 gemv on two threads, and its worker then busy-waits on a
+    core that a sampling thread needs.  The cells are then sampled by one
+    thread per usable CPU (at most one per cell): this thread and
+    ``threads - 1`` helpers, which take cells off one queue, largest first,
+    since the Poisson draws and ``jsd_rowwise`` run in C without the GIL.  The
     threads split one budget of counts in flight (see ``sqjsd_stats``).
     Each cell draws from its own streams and the report lists the cells in
     grid order, so the report does not depend on the number of threads.  A
@@ -577,11 +582,17 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
 
     t0 = time.perf_counter()
     grid_N, grid_I = _verify_stats_grid(spec)
-    phis = [_phi(spec.master_seed, N, 2 * N, N) for N in grid_N]
-    jobs = [(phi, intensity, level) for phi in phis for intensity, level in grid_I]
+    jobs = []
+    for N in grid_N:
+        phi = _phi(spec.master_seed, N, 2 * N, N)
+        for intensity, level in grid_I:
+            x = derive_rng(spec.master_seed, _STREAM_SIGNAL, N, level).uniform(
+                0.5, 1.5, size=phi.dim)
+            x *= intensity / x.sum()
+            jobs.append((phi.dim, intensity, level, phi.rates(x)))
     # Every cell runs spec.trials trials, so its work grows with N; the sort
     # is stable, so cells of one N keep their grid order.
-    todo = deque(sorted(range(len(jobs)), key=lambda k: -jobs[k][0].n_measurements))
+    todo = deque(sorted(range(len(jobs)), key=lambda k: -jobs[k][3].size))
     threads = min(_usable_cpus(), len(jobs))
     cells = [None] * len(jobs)
 

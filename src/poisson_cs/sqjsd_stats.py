@@ -21,6 +21,14 @@ sample is bit-identical to drawing all counts at once, whatever the block
 size.  The count budget is per run: threads that sample at once split it
 (``_shared_blocks``), each drawing blocks of ``_BLOCK_ENTRIES // threads``
 counts, so the counts in flight stay at ``_BLOCK_ENTRIES``.
+
+``monte_carlo_sqjsd`` and ``concentration_bounds`` take (Phi, x); each makes
+the rates ``Phi x`` and hands them to its rate-taking implementation
+(``_sample_at_rates``, ``_bounds_at_rates``).  ``verify-stats`` makes each
+cell's rates once, on the thread that calls it, and its sampling threads
+call those implementations only, so they make no BLAS call: OpenBLAS runs a
+500 x 1000 gemv on two threads, and its worker then busy-waits on a core
+that a sampling thread needs.
 """
 
 from __future__ import annotations
@@ -121,8 +129,13 @@ def monte_carlo_sqjsd(
     Trials are drawn and reduced in row blocks (see the module docstring);
     the samples equal those of one ``(trials, N)`` draw from ``seed``.
     """
+    return _sample_at_rates(phi.rates(x), trials, seed)
+
+
+def _sample_at_rates(rates: np.ndarray, trials: int, seed) -> SqjsdSampleSet:
+    """``monte_carlo_sqjsd`` at the rates ``Phi x`` already made; it calls
+    no BLAS routine."""
     check_integer("trials", trials, 2)
-    rates = phi.rates(x)
     rng = np.random.default_rng(seed)
     rows = max(1, getattr(_block_share, "entries", _BLOCK_ENTRIES) // rates.size)
     samples = np.empty(trials)
@@ -137,8 +150,14 @@ def monte_carlo_sqjsd(
 
 def concentration_bounds(phi: SensingMatrix, x) -> ConcentrationBounds:
     """Evaluate the concentration bounds at s_i = N * (Phi x)_i."""
-    N = phi.n_measurements
-    s = N * phi.rates(x)
+    return _bounds_at_rates(phi.rates(x))
+
+
+def _bounds_at_rates(rates: np.ndarray) -> ConcentrationBounds:
+    """``concentration_bounds`` at the rates ``Phi x`` already made, one per
+    measurement."""
+    N = rates.size
+    s = N * rates
     s_min = float(np.min(s)) if s.size else 0.0
     if np.any(s == 0.0):
         inv_sum = math.inf

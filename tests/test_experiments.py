@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,9 @@ import poisson_cs
 from poisson_cs import cli, experiments
 from poisson_cs.cli import main
 from poisson_cs.errors import InvalidParamError
+from poisson_cs.sensing import SensingMatrix, build_phi, sample_rip_matrix
+from poisson_cs.simulate import derive_rng, derive_seed
+from poisson_cs.sqjsd_stats import concentration_bounds, ks_gaussian_test, monte_carlo_sqjsd
 from poisson_cs.experiments import (
     ExperimentSpec,
     default_grid,
@@ -449,9 +453,9 @@ class TestVerifyStats:
         share = experiments._shared_blocks
         monkeypatch.setattr(experiments, "_shared_blocks",
                             lambda threads: shares.append(threads) or share(threads))
-        sample = experiments.monte_carlo_sqjsd
-        monkeypatch.setattr(experiments, "monte_carlo_sqjsd",
-                            lambda phi, *a: sampled.append(phi.n_measurements) or sample(phi, *a))
+        sample = experiments._sample_at_rates
+        monkeypatch.setattr(experiments, "_sample_at_rates",
+                            lambda rates, *a: sampled.append(rates.size) or sample(rates, *a))
         reports = []
         for cpus in (1, 3):
             shares.clear()
@@ -471,8 +475,8 @@ class TestVerifyStats:
             pass
 
         drawn = []  # the sample sets, in the order they were drawn
-        sample = experiments.monte_carlo_sqjsd
-        monkeypatch.setattr(experiments, "monte_carlo_sqjsd",
+        sample = experiments._sample_at_rates
+        monkeypatch.setattr(experiments, "_sample_at_rates",
                             lambda *args: drawn.append(sample(*args)) or drawn[-1])
         test = experiments.ks_gaussian_test
 
@@ -493,6 +497,51 @@ class TestVerifyStats:
         # The failure emptied the queue: the other thread finished the cell it
         # held and started no more of the six.
         assert len(drawn) < 6
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_cells_equal_the_public_functions_on_the_same_streams(self, cpus, monkeypatch):
+        # N = 500 gives a 500 x 1000 Phi, a gemv that OpenBLAS runs on two
+        # threads; the cells sample from rates made before any sampler starts.
+        seed, trials = 7, 60
+        grid = {"n_measurements": [20, 500], "intensity": [1e3, 1e6]}
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        cells = run_verify_stats(
+            ExperimentSpec(kind="verify-stats", grid=grid, trials=trials, master_seed=seed))["cells"]
+        expected = []
+        for N in grid["n_measurements"]:
+            phi = build_phi(sample_rip_matrix(
+                N, 2 * N, 0.5, seed=derive_seed(seed, experiments._STREAM_PHI, N)))
+            for intensity, level in zip(grid["intensity"], (12, 24)):  # int(4 log10 I)
+                x = derive_rng(seed, experiments._STREAM_SIGNAL, N, level).uniform(
+                    0.5, 1.5, size=2 * N)
+                x *= intensity / x.sum()
+                ss = monte_carlo_sqjsd(
+                    phi, x, trials, derive_seed(seed, experiments._STREAM_STATS, N, level))
+                ks = ks_gaussian_test(ss.samples, alpha=0.01)
+                expected.append({
+                    "N": N, "m": 2 * N, "I": intensity, "trials": trials,
+                    "mean": ss.mean, "var": ss.var, "p99": ss.percentile(99.0),
+                    "ks_statistic": ks.statistic, "ks_pass": ks.passed,
+                    "bounds": dataclasses.asdict(concentration_bounds(phi, x)),
+                })
+        assert cells == expected
+
+    def test_rates_are_made_once_per_cell_on_the_calling_thread(self, monkeypatch):
+        calls = []
+        rates = SensingMatrix.rates
+
+        def recorded(phi, x):
+            calls.append((threading.current_thread(), phi.n_measurements, round(float(x.sum()))))
+            return rates(phi, x)
+
+        monkeypatch.setattr(SensingMatrix, "rates", recorded)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        grid = {"n_measurements": [20, 500], "intensity": [1e3, 1e6]}
+        cells = run_verify_stats(
+            ExperimentSpec(kind="verify-stats", grid=grid, trials=60))["cells"]
+        assert {thread for thread, _, _ in calls} == {threading.current_thread()}
+        assert sorted((N, total) for _, N, total in calls) == \
+            sorted((cell["N"], cell["I"]) for cell in cells)
 
     @pytest.mark.parametrize("grid, trials, field", [
         ({"n_measurements": [20], "intensity": [1e3]}, 29, "trials"),
@@ -952,7 +1001,24 @@ class TestCli:
                                           given: value}
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("grid", [[1e4], "intensity", 3])
+    @pytest.mark.parametrize("paper_scale", [False, True])
+    def test_an_empty_grid_takes_every_scale_axis(self, paper_scale, tmp_path, monkeypatch):
+        class Ran(Exception):
+            pass
+
+        def run(spec):
+            raise Ran(spec)
+
+        monkeypatch.setattr(cli, "run_verify_stats", run)
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"grid": {}}))
+        argv = ["verify-stats", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        with pytest.raises(Ran) as ran:
+            main(argv + ["--paper-scale"] * paper_scale)
+        assert ran.value.args[0].grid == default_grid("verify-stats", paper_scale)
+
+    # A falsy grid ([], null, 0) used to run the scale's default grid.
+    @pytest.mark.parametrize("grid", [[1e4], "intensity", 3, [], None, 0])
     def test_a_grid_that_is_not_a_mapping_is_refused_by_name(self, grid, tmp_path):
         cfg = tmp_path / "spec.json"
         cfg.write_text(json.dumps({"grid": grid}))
