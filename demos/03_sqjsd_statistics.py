@@ -31,9 +31,9 @@ print("== mean and variance vs intensity (N = 100 fixed) ==")
 N, m = 100, 200
 phi = build_phi(sample_rip_matrix(N, m, 0.5, seed=1))
 for intensity in (1e3, 1e4, 1e6, 1e8):
-    x = dense_signal(m, intensity)
-    ss = monte_carlo_sqjsd(phi, x, trials=1000, seed=2)
-    b = concentration_bounds(phi, x)
+    rates = phi.rates(dense_signal(m, intensity))
+    ss = monte_carlo_sqjsd(rates, trials=1000, seed=2)
+    b = concentration_bounds(rates)
     print(f"  I={intensity:8.0e}  mean={ss.mean:6.3f} (bound {b.mean_bound:.3f})"
           f"  var={ss.var:6.3f} (bound {min(b.var_bound, 99.0):.3f})"
           f"  p99={ss.percentile(99):6.3f}")
@@ -43,7 +43,7 @@ print("== sqrt(N) scaling of the 99th percentile (I = 1e6 fixed) ==")
 p99 = {}
 for i, N in enumerate((25, 50, 100, 200, 400)):
     phi = build_phi(sample_rip_matrix(N, 2 * N, 0.5, seed=10 + i))
-    ss = monte_carlo_sqjsd(phi, dense_signal(2 * N, 1e6), trials=1000, seed=20 + i)
+    ss = monte_carlo_sqjsd(phi.rates(dense_signal(2 * N, 1e6)), trials=1000, seed=20 + i)
     p99[N] = ss.percentile(99)
     print(f"  N={N:4d}  p99={p99[N]:7.3f}   p99/sqrt(N)={p99[N] / np.sqrt(N):.3f}")
 slope = np.polyfit(np.log(list(p99)), np.log(list(p99.values())), 1)[0]
@@ -53,7 +53,7 @@ print()
 print("== Gaussianity (KS at 1% significance) and the two epsilon rules ==")
 N, m = 100, 500
 phi = build_phi(sample_rip_matrix(N, m, 0.5, seed=30))
-ss = monte_carlo_sqjsd(phi, dense_signal(m, 1e4), trials=1000, seed=31)
+ss = monte_carlo_sqjsd(phi.rates(dense_signal(m, 1e4)), trials=1000, seed=31)
 ks = ks_gaussian_test(ss.samples, alpha=0.01)
 print(f"KS statistic {ks.statistic:.4f} vs critical {ks.critical:.4f}"
       f" -> {'pass' if ks.passed else 'fail'}")

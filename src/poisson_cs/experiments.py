@@ -50,10 +50,9 @@ from .solvers import (
 from .sqjsd_stats import (
     EPSILON_MODES,
     KS_MIN_SAMPLES,
-    _bounds_at_rates,
-    _sample_at_rates,
     _shared_blocks,
     choose_epsilon,
+    concentration_bounds,
     ks_gaussian_test,
     monte_carlo_sqjsd,
 )
@@ -186,6 +185,11 @@ class ExperimentSpec:
             check_positive("lambda_value (fixed lambda_mode)", self.lambda_value)
         if self.epsilon_mode not in EPSILON_MODES:
             raise InvalidParamError(f"unknown epsilon_mode {self.epsilon_mode!r}")
+        # A percentile radius is drawn around the true signal, which an
+        # image patch has no pilot for.
+        if self.kind == "image" and self.epsilon_mode != "theory":
+            raise InvalidParamError(f"epsilon_mode {self.epsilon_mode!r}: an image run "
+                                    f"takes the 'theory' radius only")
         check_positive("intensity", self.intensity)
         check_nonneg("beta", self.beta)
         if not isinstance(self.grid, Mapping):
@@ -229,10 +233,6 @@ class ExperimentSpec:
         if unknown:
             raise InvalidParamError(f"unknown ExperimentSpec field(s): {', '.join(unknown)}")
         return cls(**config)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentSpec":
-        return cls.from_dict(read_config(path))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -360,7 +360,8 @@ def _run_trial(spec: ExperimentSpec, cell: dict, trial: int):
     if spec.solver == "P2":
         pilot = None
         if spec.epsilon_mode == "percentile":
-            pilot = monte_carlo_sqjsd(phi, x, 200, derive_seed(master, _STREAM_PILOT, trial))
+            pilot = monte_carlo_sqjsd(phi.rates(x), 200,
+                                      derive_seed(master, _STREAM_PILOT, trial))
         eps = choose_epsilon(spec.epsilon_mode, N, pilot)
     return x, phi.entries, y, eps
 
@@ -537,9 +538,9 @@ def _stats_cell(spec: ExperimentSpec, m: int, intensity: float, level: int,
     samples, bounds and KS test.  Calls no BLAS routine; its Poisson stream
     is keyed by (N, level), as its probe signal's is."""
     N = rates.size
-    samples = _sample_at_rates(
+    samples = monte_carlo_sqjsd(
         rates, spec.trials, derive_seed(spec.master_seed, _STREAM_STATS, N, level))
-    bounds = _bounds_at_rates(rates)
+    bounds = concentration_bounds(rates)
     ks = ks_gaussian_test(samples.samples, alpha=0.01)
     return {
         "N": N,
@@ -565,18 +566,18 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
     The grid is checked and each N's Phi is built once, in grid order,
     before any cell runs.  Right after it is built, this thread draws the
     probe signal of each cell of that N and makes the cell's rates
-    ``Phi x``, once.  The cells sample from those rates and evaluate their
-    bounds at them, so the sampling threads make no BLAS call: OpenBLAS runs
-    a 500 x 1000 gemv on two threads, and its worker then busy-waits on a
-    core that a sampling thread needs.  The cells are then sampled by one
-    thread per usable CPU (at most one per cell): this thread and
-    ``threads - 1`` helpers, which take cells off one queue, largest first,
-    since the Poisson draws and ``jsd_rowwise`` run in C without the GIL.  The
-    threads split one budget of counts in flight (see ``sqjsd_stats``).
-    Each cell draws from its own streams and the report lists the cells in
-    grid order, so the report does not depend on the number of threads.  A
-    cell that raises empties the queue, and its error propagates once the
-    cells already started are done.
+    ``Phi x``, once.  The cells hand those rates to ``monte_carlo_sqjsd``
+    and ``concentration_bounds``, so the sampling threads make no BLAS
+    call: OpenBLAS runs a 500 x 1000 gemv on two threads, and its worker
+    then busy-waits on a core that a sampling thread needs.  The cells are
+    then sampled by one thread per usable CPU (at most one per cell): this
+    thread and ``threads - 1`` helpers, which take cells off one queue,
+    largest first, since the Poisson draws and ``jsd_rowwise`` run in C
+    without the GIL.  The threads split one budget of counts in flight (see
+    ``sqjsd_stats``).  Each cell draws from its own streams and the report
+    lists the cells in grid order, so the report does not depend on the
+    number of threads.  A cell that raises empties the queue, and its error
+    propagates once the cells already started are done.
     """
     from concurrent.futures import ThreadPoolExecutor
 

@@ -22,13 +22,9 @@ size.  The count budget is per run: threads that sample at once split it
 (``_shared_blocks``), each drawing blocks of ``_BLOCK_ENTRIES // threads``
 counts, so the counts in flight stay at ``_BLOCK_ENTRIES``.
 
-``monte_carlo_sqjsd`` and ``concentration_bounds`` take (Phi, x); each makes
-the rates ``Phi x`` and hands them to its rate-taking implementation
-(``_sample_at_rates``, ``_bounds_at_rates``).  ``verify-stats`` makes each
-cell's rates once, on the thread that calls it, and its sampling threads
-call those implementations only, so they make no BLAS call: OpenBLAS runs a
-500 x 1000 gemv on two threads, and its worker then busy-waits on a core
-that a sampling thread needs.
+Both statistics take the rates ``Phi x`` (``SensingMatrix.rates``) and make
+no BLAS call, so ``verify-stats`` samples on threads from rates it made once
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -40,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import jsd_rowwise
+from .divergences import as_nonneg_vector, jsd_rowwise
 from .errors import InvalidParamError, MissingSamplesError, check_integer
-from .sensing import SensingMatrix
 
 __all__ = [
     "SqjsdSampleSet",
@@ -89,7 +84,7 @@ def _shared_blocks(threads: int):
 
 @dataclass(frozen=True)
 class SqjsdSampleSet:
-    """Monte-Carlo draws of sqrt(J(y, Phi x)) for one fixed (Phi, x)."""
+    """Monte-Carlo draws of sqrt(J(y, Phi x)) for one fixed rate vector."""
 
     samples: np.ndarray
 
@@ -112,7 +107,7 @@ class SqjsdSampleSet:
 
 @dataclass(frozen=True)
 class ConcentrationBounds:
-    """Mean/variance/tail bounds evaluated for a concrete (Phi, x) pair."""
+    """Mean/variance/tail bounds evaluated at one concrete rate vector."""
 
     mean_bound: float
     var_bound: float
@@ -121,20 +116,14 @@ class ConcentrationBounds:
     s_min: float
 
 
-def monte_carlo_sqjsd(
-    phi: SensingMatrix, x, trials: int, seed
-) -> SqjsdSampleSet:
-    """Sample sqrt(J(y, Phi x)) over independent Poisson realizations of y.
+def monte_carlo_sqjsd(rates, trials: int, seed) -> SqjsdSampleSet:
+    """Sample sqrt(J(y, rates)) over independent Poisson realizations y of
+    the rate vector ``rates``.
 
     Trials are drawn and reduced in row blocks (see the module docstring);
     the samples equal those of one ``(trials, N)`` draw from ``seed``.
     """
-    return _sample_at_rates(phi.rates(x), trials, seed)
-
-
-def _sample_at_rates(rates: np.ndarray, trials: int, seed) -> SqjsdSampleSet:
-    """``monte_carlo_sqjsd`` at the rates ``Phi x`` already made; it calls
-    no BLAS routine."""
+    rates = as_nonneg_vector(rates, "rates")
     check_integer("trials", trials, 2)
     rng = np.random.default_rng(seed)
     rows = max(1, getattr(_block_share, "entries", _BLOCK_ENTRIES) // rates.size)
@@ -148,32 +137,26 @@ def _sample_at_rates(rates: np.ndarray, trials: int, seed) -> SqjsdSampleSet:
     return SqjsdSampleSet(samples=samples)
 
 
-def concentration_bounds(phi: SensingMatrix, x) -> ConcentrationBounds:
-    """Evaluate the concentration bounds at s_i = N * (Phi x)_i."""
-    return _bounds_at_rates(phi.rates(x))
-
-
-def _bounds_at_rates(rates: np.ndarray) -> ConcentrationBounds:
-    """``concentration_bounds`` at the rates ``Phi x`` already made, one per
+def concentration_bounds(rates) -> ConcentrationBounds:
+    """Evaluate the concentration bounds at s_i = N * rates_i, one rate per
     measurement."""
+    rates = as_nonneg_vector(rates, "rates")
     N = rates.size
     s = N * rates
-    s_min = float(np.min(s)) if s.size else 0.0
     if np.any(s == 0.0):
         inv_sum = math.inf
     else:
         inv_sum = float(np.sum(1.0 / s))
-    denom = 4.0 * (2.0 - inv_sum)
-    if inv_sum >= 2.0 or denom <= 0.0:
+    if inv_sum >= 2.0:
         var_bound = math.inf
     else:
-        var_bound = (11.0 + 5.0 * inv_sum) / denom
+        var_bound = (11.0 + 5.0 * inv_sum) / (4.0 * (2.0 - inv_sum))
     return ConcentrationBounds(
         mean_bound=math.sqrt(N / 4.0),
         var_bound=var_bound,
         tail_epsilon=choose_epsilon("theory", N),
         tail_prob=1.0 - 2.0 * math.exp(-N / 2.0),
-        s_min=s_min,
+        s_min=float(np.min(s)),
     )
 
 

@@ -170,7 +170,7 @@ class TestCriterion4Gaussianity:
         results = []
         for seed in (0, 1):  # one retry allowed: the KS test is stochastic
             phi = pcs.build_phi(pcs.sample_rip_matrix(100, 500, 0.5, seed=3 * seed))
-            ss = monte_carlo_sqjsd(phi, _dense_signal(500, 1e4, 3 * seed + 1),
+            ss = monte_carlo_sqjsd(phi.rates(_dense_signal(500, 1e4, 3 * seed + 1)),
                                    1000, seed=3 * seed + 2)
             res = ks_gaussian_test(ss.samples, alpha=0.01)
             results.append(res)
@@ -190,7 +190,7 @@ class TestCriterion5SqrtNScaling:
         p99 = []
         for i, N in enumerate(Ns):
             phi = pcs.build_phi(pcs.sample_rip_matrix(N, 2 * N, 0.5, seed=10 + i))
-            ss = monte_carlo_sqjsd(phi, _dense_signal(2 * N, 1e6, 20 + i),
+            ss = monte_carlo_sqjsd(phi.rates(_dense_signal(2 * N, 1e6, 20 + i)),
                                    1000, seed=30 + i)
             p99.append(ss.percentile(99.0))
         slope = float(np.polyfit(np.log(Ns), np.log(p99), 1)[0])

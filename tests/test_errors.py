@@ -50,7 +50,7 @@ COUNTS = [
     ("ExperimentSpec", "trials", lambda v: ExperimentSpec(trials=v)),
     ("sample_rip_matrix", "N", lambda v: sample_rip_matrix(v, 4)),
     ("sample_rip_matrix", "m", lambda v: sample_rip_matrix(4, v)),
-    ("monte_carlo_sqjsd", "trials", lambda v: monte_carlo_sqjsd(PHI, X, v, seed=0)),
+    ("monte_carlo_sqjsd", "trials", lambda v: monte_carlo_sqjsd(PHI.rates(X), v, seed=0)),
     ("choose_epsilon", "N", lambda v: choose_epsilon("theory", v)),
     ("identity_basis", "dim", lambda v: identity_basis(v)),
     ("dct2_basis", "patch_h", lambda v: dct2_basis(v)),
@@ -91,7 +91,7 @@ def test_numpy_scalars_accepted():
     spec = ExperimentSpec(beta=np.float64(0.2), trials=np.int64(3), intensity=np.float32(1e4))
     assert spec.trials == 3
     assert sample_rip_matrix(np.int64(4), np.int32(6)).entries.shape == (4, 6)
-    assert monte_carlo_sqjsd(PHI, X, np.int64(5), seed=0).trials == 5
+    assert monte_carlo_sqjsd(PHI.rates(X), np.int64(5), seed=0).trials == 5
     assert identity_basis(np.int64(4)).dim == 4
     assert dct2_basis(np.int64(3)).dim == 9
     assert PatchGrid(8, 8, patch=np.int64(3), stride=np.int64(2)).n_patches == 9

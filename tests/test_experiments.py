@@ -20,6 +20,7 @@ from poisson_cs.experiments import (
     default_grid,
     make_sparse_signal,
     make_test_image,
+    read_config,
     run_image_recon,
     run_sweep,
     run_verify_stats,
@@ -268,6 +269,20 @@ class TestSpec:
         assert names == [f"recon_I1e{k}.pgm" for k in range(4, 11)]
         ExperimentSpec(kind="image", grid=default_grid("image", paper_scale=True))
 
+    def test_image_refuses_a_percentile_radius(self, tmp_path):
+        # Its patches took the theory radius, and a percentile config wrote
+        # the same PGM with exit code 0.
+        with pytest.raises(InvalidParamError, match="^epsilon_mode 'percentile'"):
+            ExperimentSpec(kind="image", epsilon_mode="percentile")
+        src, out = tmp_path / "img.pgm", tmp_path / "out"
+        write_pgm(src, make_test_image(8, 8))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"epsilon_mode": "percentile"}))
+        with pytest.raises(InvalidParamError, match="epsilon_mode"):
+            main(["image", "--input", str(src), "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+        assert ExperimentSpec(kind="image", epsilon_mode="theory").epsilon_mode == "theory"
+
     def test_missing_axis_takes_its_desk_values(self):
         # The verify-stats run used to fill the axis itself.
         spec = ExperimentSpec(kind="verify-stats", grid={"n_measurements": [30]}, trials=30)
@@ -290,7 +305,7 @@ class TestSpec:
             main(["sweep", "--config", str(path), "--out", str(out)])
         assert not out.exists()
         with pytest.raises(InvalidParamError, match=r"list\.json"):
-            ExperimentSpec.from_json(path)
+            ExperimentSpec.from_dict(read_config(path))
 
     def test_integer_fields_accept_numpy_integers(self):
         spec = ExperimentSpec(kind="image", trials=np.int64(2), dim=np.int32(40),
@@ -311,7 +326,7 @@ class TestSpec:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"trials": 2, "n_measurement": 30}))
         with pytest.raises(InvalidParamError, match="n_measurement"):
-            ExperimentSpec.from_json(path)
+            ExperimentSpec.from_dict(read_config(path))
         with pytest.raises(InvalidParamError, match="n_measurement"):
             main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
 
@@ -453,8 +468,8 @@ class TestVerifyStats:
         share = experiments._shared_blocks
         monkeypatch.setattr(experiments, "_shared_blocks",
                             lambda threads: shares.append(threads) or share(threads))
-        sample = experiments._sample_at_rates
-        monkeypatch.setattr(experiments, "_sample_at_rates",
+        sample = experiments.monte_carlo_sqjsd
+        monkeypatch.setattr(experiments, "monte_carlo_sqjsd",
                             lambda rates, *a: sampled.append(rates.size) or sample(rates, *a))
         reports = []
         for cpus in (1, 3):
@@ -475,8 +490,8 @@ class TestVerifyStats:
             pass
 
         drawn = []  # the sample sets, in the order they were drawn
-        sample = experiments._sample_at_rates
-        monkeypatch.setattr(experiments, "_sample_at_rates",
+        sample = experiments.monte_carlo_sqjsd
+        monkeypatch.setattr(experiments, "monte_carlo_sqjsd",
                             lambda *args: drawn.append(sample(*args)) or drawn[-1])
         test = experiments.ks_gaussian_test
 
@@ -515,14 +530,15 @@ class TestVerifyStats:
                 x = derive_rng(seed, experiments._STREAM_SIGNAL, N, level).uniform(
                     0.5, 1.5, size=2 * N)
                 x *= intensity / x.sum()
+                rates = phi.rates(x)
                 ss = monte_carlo_sqjsd(
-                    phi, x, trials, derive_seed(seed, experiments._STREAM_STATS, N, level))
+                    rates, trials, derive_seed(seed, experiments._STREAM_STATS, N, level))
                 ks = ks_gaussian_test(ss.samples, alpha=0.01)
                 expected.append({
                     "N": N, "m": 2 * N, "I": intensity, "trials": trials,
                     "mean": ss.mean, "var": ss.var, "p99": ss.percentile(99.0),
                     "ks_statistic": ks.statistic, "ks_pass": ks.passed,
-                    "bounds": dataclasses.asdict(concentration_bounds(phi, x)),
+                    "bounds": dataclasses.asdict(concentration_bounds(rates)),
                 })
         assert cells == expected
 

@@ -10,7 +10,12 @@ import pytest
 
 from poisson_cs import experiments, sqjsd_stats
 from poisson_cs.divergences import jsd_rowwise
-from poisson_cs.errors import InvalidParamError, LengthMismatchError, MissingSamplesError
+from poisson_cs.errors import (
+    DomainError,
+    InvalidParamError,
+    LengthMismatchError,
+    MissingSamplesError,
+)
 from poisson_cs.sensing import build_phi, sample_rip_matrix
 from poisson_cs.sqjsd_stats import (
     TAIL_COEFFICIENT,
@@ -38,31 +43,31 @@ def one_shot_sqjsd(phi, x, trials, seed):
 class TestMonteCarlo:
     def test_zero_signal_all_zero_samples(self):
         phi = build_phi(sample_rip_matrix(20, 40, 0.5, seed=0))
-        ss = monte_carlo_sqjsd(phi, np.zeros(40), trials=50, seed=1)
+        ss = monte_carlo_sqjsd(phi.rates(np.zeros(40)), trials=50, seed=1)
         assert np.all(ss.samples == 0.0)
 
     def test_mean_bound_large_cell(self):
         phi = build_phi(sample_rip_matrix(500, 1000, 0.5, seed=2))
         x = dense_signal(1000, 1e4, 3)
-        ss = monte_carlo_sqjsd(phi, x, trials=300, seed=4)
+        ss = monte_carlo_sqjsd(phi.rates(x), trials=300, seed=4)
         assert ss.mean <= math.sqrt(500 / 4.0)
 
     def test_variance_small_at_high_intensity(self):
         phi = build_phi(sample_rip_matrix(500, 1000, 0.5, seed=5))
         x = dense_signal(1000, 1e6, 6)
-        ss = monte_carlo_sqjsd(phi, x, trials=300, seed=7)
+        ss = monte_carlo_sqjsd(phi.rates(x), trials=300, seed=7)
         assert ss.var <= 11.0 / 8.0 * 1.2
 
     def test_trials_validated(self):
         phi = build_phi(sample_rip_matrix(5, 10, 0.5, seed=8))
         with pytest.raises(InvalidParamError):
-            monte_carlo_sqjsd(phi, np.ones(10), trials=1, seed=9)
+            monte_carlo_sqjsd(phi.rates(np.ones(10)), trials=1, seed=9)
 
     def test_deterministic(self):
         phi = build_phi(sample_rip_matrix(30, 60, 0.5, seed=10))
-        x = dense_signal(60, 1e4, 11)
-        a = monte_carlo_sqjsd(phi, x, trials=64, seed=12)
-        b = monte_carlo_sqjsd(phi, x, trials=64, seed=12)
+        rates = phi.rates(dense_signal(60, 1e4, 11))
+        a = monte_carlo_sqjsd(rates, trials=64, seed=12)
+        b = monte_carlo_sqjsd(rates, trials=64, seed=12)
         assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("N, intensity", [(10, 1e8), (50, 1e2), (500, 1e4)])
@@ -80,7 +85,7 @@ class TestMonteCarlo:
             for trials in (2, block - 1, block, block + 1, 3 * block + 7):
                 rows.clear()
                 with sqjsd_stats._shared_blocks(threads) if threads > 1 else nullcontext():
-                    got = monte_carlo_sqjsd(phi, x, trials=trials, seed=62 + trials).samples
+                    got = monte_carlo_sqjsd(phi.rates(x), trials=trials, seed=62 + trials).samples
                 assert np.array_equal(got, one_shot_sqjsd(phi, x, trials, 62 + trials))
                 assert max(rows) == min(trials, block)
         assert not hasattr(sqjsd_stats._block_share, "entries")
@@ -91,7 +96,7 @@ class TestMonteCarlo:
         x = dense_signal(1000, 1e4, 64)
         tracemalloc.start()
         try:
-            monte_carlo_sqjsd(phi, x, trials=20_000, seed=65)
+            monte_carlo_sqjsd(phi.rates(x), trials=20_000, seed=65)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -123,7 +128,7 @@ class TestConcentrationBounds:
     def test_reference_values_n100(self):
         phi = build_phi(sample_rip_matrix(100, 200, 0.5, seed=13))
         x = dense_signal(200, 1e6, 14)
-        b = concentration_bounds(phi, x)
+        b = concentration_bounds(phi.rates(x))
         assert b.mean_bound == pytest.approx(5.0)
         assert b.tail_epsilon == pytest.approx(10 * TAIL_COEFFICIENT)
         assert 0.914 < b.tail_epsilon / 10.0 < 0.915
@@ -133,14 +138,14 @@ class TestConcentrationBounds:
         # Every s_i enormous: the bound collapses to 11/8.
         phi = build_phi(sample_rip_matrix(50, 100, 0.5, seed=15))
         x = dense_signal(100, 1e10, 16)
-        b = concentration_bounds(phi, x)
+        b = concentration_bounds(phi.rates(x))
         assert b.var_bound == pytest.approx(11.0 / 8.0, rel=1e-4)
 
     def test_var_bound_degenerate_branch(self):
         # sum(1/s_i) >= 2 flips the max(0, .) denominator to zero.
         phi = build_phi(sample_rip_matrix(50, 100, 0.5, seed=17))
         x = dense_signal(100, 20.0, 18)  # s_i ~ 10, sum(1/s_i) ~ 5
-        b = concentration_bounds(phi, x)
+        b = concentration_bounds(phi.rates(x))
         assert math.isinf(b.var_bound)
 
     def test_zero_rate_row_gives_inf(self):
@@ -149,7 +154,7 @@ class TestConcentrationBounds:
         x[0] = 100.0
         if np.all(phi.entries[:, 0] > 0):
             pytest.skip("no zero-rate row in this draw")
-        b = concentration_bounds(phi, x)
+        b = concentration_bounds(phi.rates(x))
         assert math.isinf(b.var_bound)
         assert b.s_min == 0.0
 
@@ -160,20 +165,38 @@ BAD_SIGNALS = {
     "short": (np.ones(19), LengthMismatchError),
     "2-D": (np.ones((1, 20)), LengthMismatchError),
 }
+BAD_RATES = {
+    "negative": np.array([1.0, -1.0, 2.0]),
+    "NaN": np.array([1.0, np.nan, 2.0]),
+    "inf": np.array([1.0, np.inf, 2.0]),
+    "2-D": np.ones((2, 3)),
+    "empty": np.array([]),
+}
+ENTRIES = {
+    "monte_carlo_sqjsd": lambda rates: monte_carlo_sqjsd(rates, trials=50, seed=41),
+    "concentration_bounds": concentration_bounds,
+}
 
 
-@pytest.mark.parametrize("entry", ["monte_carlo_sqjsd", "concentration_bounds"])
+@pytest.mark.parametrize("entry", list(ENTRIES))
 @pytest.mark.parametrize("bad", list(BAD_SIGNALS))
 def test_bad_signal_refused(entry, bad):
-    # concentration_bounds of a negative signal used to return bounds with a
-    # negative s_min, and monte_carlo_sqjsd to die in a bare numpy
-    # ValueError; measure's signal rule now applies to both.
+    # On the way to either statistic, a bad signal is named as the signal by
+    # SensingMatrix.rates, the one signal rule, and not as the rates it would
+    # make: a negative signal used to reach concentration_bounds as a
+    # negative s_min.
     phi = build_phi(sample_rip_matrix(10, 20, 0.5, seed=40))
     x, error = BAD_SIGNALS[bad]
-    call = {"monte_carlo_sqjsd": lambda: monte_carlo_sqjsd(phi, x, trials=50, seed=41),
-            "concentration_bounds": lambda: concentration_bounds(phi, x)}[entry]
     with pytest.raises(error, match="signal"):
-        call()
+        ENTRIES[entry](phi.rates(x))
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+@pytest.mark.parametrize("bad", list(BAD_RATES))
+def test_bad_rates_refused_before_any_draw(entry, bad, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)  # no draw may start
+    with pytest.raises(DomainError, match="^rates "):
+        ENTRIES[entry](BAD_RATES[bad])
 
 
 class TestKsGaussian:
@@ -213,7 +236,7 @@ class TestKsGaussian:
     def test_sqjsd_samples_look_gaussian(self):
         phi = build_phi(sample_rip_matrix(100, 500, 0.5, seed=23))
         x = dense_signal(500, 1e4, 24)
-        ss = monte_carlo_sqjsd(phi, x, trials=1000, seed=25)
+        ss = monte_carlo_sqjsd(phi.rates(x), trials=1000, seed=25)
         assert ks_gaussian_test(ss.samples, alpha=0.01).passed
 
 
@@ -226,7 +249,7 @@ class TestChooseEpsilon:
 
     def test_percentile_interpolation(self):
         phi = build_phi(sample_rip_matrix(10, 20, 0.5, seed=26))
-        ss = monte_carlo_sqjsd(phi, dense_signal(20, 1e4, 27), trials=100, seed=28)
+        ss = monte_carlo_sqjsd(phi.rates(dense_signal(20, 1e4, 27)), trials=100, seed=28)
         object.__setattr__(ss, "samples", np.arange(1.0, 101.0))
         assert choose_epsilon("percentile", 10, ss) == pytest.approx(99.01)
 
@@ -240,8 +263,8 @@ class TestChooseEpsilon:
         (" theory", False), ("", False), ("tail", False), (None, False), (0, False),
     ])
     def test_spec_and_choose_epsilon_take_the_same_modes(self, mode, accepted):
-        ss = monte_carlo_sqjsd(build_phi(sample_rip_matrix(10, 20, 0.5, seed=26)),
-                               dense_signal(20, 1e4, 27), trials=100, seed=28)
+        phi = build_phi(sample_rip_matrix(10, 20, 0.5, seed=26))
+        ss = monte_carlo_sqjsd(phi.rates(dense_signal(20, 1e4, 27)), trials=100, seed=28)
         if accepted:
             assert experiments.ExperimentSpec(epsilon_mode=mode).epsilon_mode == mode
             assert choose_epsilon(mode, 10, ss) > 0.0
@@ -257,7 +280,7 @@ class TestChooseEpsilon:
 
     def test_percentile_requires_enough_trials(self):
         phi = build_phi(sample_rip_matrix(10, 20, 0.5, seed=29))
-        ss = monte_carlo_sqjsd(phi, dense_signal(20, 1e3, 30), trials=50, seed=31)
+        ss = monte_carlo_sqjsd(phi.rates(dense_signal(20, 1e3, 30)), trials=50, seed=31)
         with pytest.raises(MissingSamplesError):
             choose_epsilon("percentile", 10, ss)
 
@@ -266,7 +289,7 @@ class TestChooseEpsilon:
         eps = {}
         for intensity in (1e6, 1e8):
             ss = monte_carlo_sqjsd(
-                phi, dense_signal(100, intensity, 33), trials=500, seed=34
+                phi.rates(dense_signal(100, intensity, 33)), trials=500, seed=34
             )
             eps[intensity] = choose_epsilon("percentile", 50, ss)
         assert 0.9 <= eps[1e6] / eps[1e8] <= 1.1
@@ -276,7 +299,7 @@ class TestChooseEpsilon:
         for i, N in enumerate((100, 400)):
             phi = build_phi(sample_rip_matrix(N, 2 * N, 0.5, seed=40 + i))
             ss = monte_carlo_sqjsd(
-                phi, dense_signal(2 * N, 1e6, 42 + i), trials=500, seed=44 + i
+                phi.rates(dense_signal(2 * N, 1e6, 42 + i)), trials=500, seed=44 + i
             )
             eps[N] = choose_epsilon("percentile", N, ss)
         # Quadrupling N should roughly double the radius.
@@ -291,7 +314,7 @@ class TestConcentrationProperties:
         variances = []
         for i, intensity in enumerate((1e4, 1e6, 1e8)):
             ss = monte_carlo_sqjsd(
-                phi, dense_signal(200, intensity, 51), trials=500, seed=52 + i
+                phi.rates(dense_signal(200, intensity, 51)), trials=500, seed=52 + i
             )
             variances.append(ss.var)
         assert max(variances) / min(variances) < 3.0
@@ -301,6 +324,7 @@ class TestConcentrationProperties:
         # expected in 10^4 draws.
         phi = build_phi(sample_rip_matrix(50, 100, 0.5, seed=53))
         x = dense_signal(100, 1e6, 54)
-        ss = monte_carlo_sqjsd(phi, x, trials=10_000, seed=55)
-        radius = concentration_bounds(phi, x).tail_epsilon
+        rates = phi.rates(x)
+        ss = monte_carlo_sqjsd(rates, trials=10_000, seed=55)
+        radius = concentration_bounds(rates).tail_epsilon
         assert np.count_nonzero(ss.samples > radius) == 0
