@@ -11,11 +11,12 @@ object), else from the subcommand's default (image: solver P4;
 verify-stats: 1000 trials), else from ``ExperimentSpec``; a grid axis left
 out takes its desk values, or its paper values under ``--paper-scale``.
 The spec is built and checked once, before any output (a grid key its kind
-does not walk is refused), and ``--out`` is made only once the run's own
-checks pass.
+does not walk is refused, and so is a field it does not read set away from
+its default), and ``--out`` is made only once the run's own checks pass.
 Sweeps write ``sweep_<kind>.csv`` plus ``manifest_<kind>.json``; one writer
-writes the three JSON reports.  Exit code is 0 on success and 2 if any cell
-failed to converge (results are still written).
+writes the three JSON reports, each of which echoes its spec.  Exit code is
+0 on success and 2 if any cell failed to converge (results are still
+written).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="use the full experiment grids instead of desk-scale ones")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for sweep trials or runs of image patches "
-                             "(sweeps and images only; verify-stats samples its cells "
+                             "(verify-stats refuses any value but 1: it samples its cells "
                              "on one thread per usable CPU)")
 
 

@@ -1,8 +1,10 @@
 """Seeded experiment harness: sweeps, statistics verification, image runs.
 
-One table, ``_KINDS``, gives each kind of run the grid axes it walks; the
-spec's grid defaults and checks read it.  Each run returns a plain dict,
-which ``write_report`` writes as JSON.
+One table, ``_KINDS``, gives each kind of run the grid axes it walks and
+the spec fields it reads; the spec's grid defaults and checks read it, and
+the spec refuses a field its kind does not read.  Each run returns a plain
+dict, its report, which opens with one header that echoes the whole spec
+and which ``write_report`` writes as JSON.
 
 Every run is driven by an :class:`ExperimentSpec` and a master seed.  All
 randomness flows through ``simulate.derive_seed``, that is
@@ -74,7 +76,6 @@ __all__ = [
     "run_verify_stats",
     "run_image_recon",
     "make_test_image",
-    "sweep_csv_rows",
     "write_sweep_csv",
     "write_report",
     "LIBRARY_VERSION",
@@ -129,25 +130,45 @@ class _Axis(NamedTuple):
         return int(v)
 
 
-# Every kind of run and the grid axes it walks.  A sweep kind walks one axis,
-# which sets a cell parameter; ``--paper-scale`` swaps in the paper values.
+# The spec fields a sweep reads, besides the one its axis walks, which
+# ``_cells`` sets per cell.
+_SWEEP_READS = ("master_seed", "trials", "solver", "lambda_mode", "lambda_value",
+                "lambda_points", "epsilon_mode", "beta", "dim", "n_measurements", "sparsity",
+                "intensity", "max_iters", "workers")
+
+
+def _sweep(axis: _Axis) -> tuple:
+    """A sweep kind's entry in ``_KINDS``: its one axis and its reads."""
+    return (axis,), tuple(name for name in _SWEEP_READS if name != axis.key)
+
+
+# Every kind of run: the grid axes it walks and the spec fields it reads, kind
+# and grid aside.  A spec refuses any other field set away from its default.
+# A sweep kind walks one axis, which sets a cell parameter; ``--paper-scale``
+# swaps in the paper values.  An image reads no epsilon_mode: its patches take
+# the theory radius, as a percentile one is drawn around the true signal.
 _KINDS = {
-    "intensity": (_Axis("intensity", (1e4, 1e6, 1e8),
-                        (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10), "intensity"),),
-    "measurements": (_Axis("n_measurements", (20, 50, 100), (10, 20, 50, 100, 200), "N"),),
-    "sparsity": (_Axis("sparsity", (2, 5, 10), (2, 5, 10, 15, 20), "s"),),
-    "verify-stats": (_Axis("n_measurements", (50, 100, 500), (10, 25, 50, 100, 200, 400, 500)),
-                     _Axis("intensity", (1e3, 1e4, 1e6), (1e2, 1e3, 1e4, 1e6, 1e8))),
-    "image": (_Axis("intensity", (1e4, 1e8), (1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10)),),
+    "intensity": _sweep(_Axis("intensity", (1e4, 1e6, 1e8),
+                              (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10), "intensity")),
+    "measurements": _sweep(_Axis("n_measurements", (20, 50, 100), (10, 20, 50, 100, 200),
+                                 "N")),
+    "sparsity": _sweep(_Axis("sparsity", (2, 5, 10), (2, 5, 10, 15, 20), "s")),
+    "verify-stats": ((_Axis("n_measurements", (50, 100, 500), (10, 25, 50, 100, 200, 400, 500)),
+                      _Axis("intensity", (1e3, 1e4, 1e6), (1e2, 1e3, 1e4, 1e6, 1e8))),
+                     ("master_seed", "trials")),
+    "image": ((_Axis("intensity", (1e4, 1e8), (1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10)),),
+              ("master_seed", "solver", "lambda_mode", "lambda_value", "lambda_points", "beta",
+               "n_measurements", "patch", "stride", "image_size", "max_iters", "workers")),
 }
 # The kinds of sweep that ``run_sweep`` walks.
-SWEEP_KINDS = tuple(kind for kind, axes in _KINDS.items() if axes[0].cell)
+SWEEP_KINDS = tuple(kind for kind, (axes, _) in _KINDS.items() if axes[0].cell)
 
 
 @dataclass
 class ExperimentSpec:
     """Declarative description of one experiment run.  A grid axis left out
-    takes its desk values; a grid key the kind does not walk is refused."""
+    takes its desk values; a grid key the kind does not walk is refused, and
+    so is a field the kind does not read that is set away from its default."""
 
     kind: str = "intensity"
     grid: dict = field(default_factory=dict)
@@ -185,11 +206,6 @@ class ExperimentSpec:
             check_positive("lambda_value (fixed lambda_mode)", self.lambda_value)
         if self.epsilon_mode not in EPSILON_MODES:
             raise InvalidParamError(f"unknown epsilon_mode {self.epsilon_mode!r}")
-        # A percentile radius is drawn around the true signal, which an
-        # image patch has no pilot for.
-        if self.kind == "image" and self.epsilon_mode != "theory":
-            raise InvalidParamError(f"epsilon_mode {self.epsilon_mode!r}: an image run "
-                                    f"takes the 'theory' radius only")
         check_positive("intensity", self.intensity)
         check_nonneg("beta", self.beta)
         if not isinstance(self.grid, Mapping):
@@ -201,7 +217,8 @@ class ExperimentSpec:
             raise InvalidParamError(f"kind {self.kind!r} walks {walked} only, "
                                     f"not grid {', '.join(unwalked)}")
         self.grid = {key: self.grid.get(key, values) for key, values in desk.items()}
-        for axis in _KINDS[self.kind]:
+        axes, reads = _KINDS[self.kind]
+        for axis in axes:
             values = self.grid[axis.key]
             if not isinstance(values, (list, tuple)) or not values:
                 raise InvalidParamError(f"kind {self.kind!r} needs a non-empty list "
@@ -222,6 +239,10 @@ class ExperimentSpec:
                     raise InvalidParamError(f"grid intensity {written[name]!r} and {value!r} "
                                             f"would both be written to {name}")
                 written[name] = value
+        unread = [f"{f.name} {getattr(self, f.name)!r}" for f in fields(self)
+                  if f.name not in ("kind", "grid", *reads) and getattr(self, f.name) != f.default]
+        if unread:
+            raise InvalidParamError(f"kind {self.kind!r} does not read {', '.join(unread)}")
 
     @classmethod
     def from_dict(cls, config) -> "ExperimentSpec":
@@ -257,7 +278,7 @@ def default_grid(kind: str, paper_scale: bool = False) -> dict:
     """Desk-scale grids by default; --paper-scale restores full settings."""
     if not isinstance(kind, str) or kind not in _KINDS:
         raise InvalidParamError(f"unknown experiment kind {kind!r}")
-    return {axis.key: list(axis.paper if paper_scale else axis.desk) for axis in _KINDS[kind]}
+    return {axis.key: list(axis.paper if paper_scale else axis.desk) for axis in _KINDS[kind][0]}
 
 
 def make_sparse_signal(m: int, s: int, intensity: float, rng) -> np.ndarray:
@@ -279,7 +300,7 @@ def _pgm_name(intensity) -> str:
 def _cells(spec: ExperimentSpec) -> list[dict]:
     if spec.kind not in SWEEP_KINDS:
         raise InvalidParamError(f"run_sweep cannot handle kind {spec.kind!r}")
-    (axis,) = _KINDS[spec.kind]
+    (axis,), _ = _KINDS[spec.kind]
     base = {"m": spec.dim, "N": spec.n_measurements, "s": spec.sparsity,
             "intensity": spec.intensity}
     return [{**base, axis.cell: axis.value(v)} for v in spec.grid[axis.key]]
@@ -426,8 +447,8 @@ def _in_runs(work, n_items: int, workers: int, job) -> list:
 
 
 def run_sweep(spec: ExperimentSpec) -> dict:
-    """Run every (cell, trial) of a sweep; return its manifest: the spec
-    echo and each cell's RRMSE quantiles and trial records."""
+    """Run every (cell, trial) of a sweep; return its manifest: the report
+    header and each cell's RRMSE quantiles and trial records."""
     t0 = time.perf_counter()
     cells = _cells(spec)
     tasks = [(ci, t) for ci in range(len(cells)) for t in range(spec.trials)]
@@ -440,15 +461,23 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     by_cell: dict[int, list] = {ci: [] for ci in range(len(cells))}
     for (ci, _), rec in zip(tasks, records):
         by_cell[ci].append(rec)
-    summaries = [_summarize(cells[ci], by_cell[ci]) for ci in range(len(cells))]
+    return _report(spec, t0, [_summarize(cells[ci], by_cell[ci]) for ci in range(len(cells))])
+
+
+def _report(spec: ExperimentSpec, t0: float, cells: list, **extra) -> dict:
+    """A run's report: one header, which echoes the spec whole, then
+    ``extra`` and the cells.  ``t0`` is the run's start on the
+    ``time.perf_counter`` clock."""
     return {
+        "kind": spec.kind,
         "spec": spec.to_dict(),
-        "cells": summaries,
         "master_seed": spec.master_seed,
         "library_version": LIBRARY_VERSION,
-        "wall_clock_s": time.perf_counter() - t0,
-        "seed_rule": "SeedSequence([master_seed, stream, index]); "
+        "seed_rule": "SeedSequence([master_seed, stream, *indices]); "
                      "streams: 0 signal, 1 phi, 2 measurements, 3 pilot, 4 stats",
+        "wall_clock_s": time.perf_counter() - t0,
+        **extra,
+        "cells": cells,
     }
 
 
@@ -466,33 +495,18 @@ _SWEEP_CSV_COLUMNS = [
 ]
 
 
-def sweep_csv_rows(manifest: dict) -> list[dict]:
-    rows = []
-    for cell in manifest["cells"]:
-        p, q = cell["params"], cell["rrmse"]
-        rows.append({
-            "kind": manifest["spec"]["kind"],
-            "solver": manifest["spec"]["solver"],
-            "m": p["m"],
-            "N": p["N"],
-            "s": p["s"],
-            "intensity": p["intensity"],
-            "trials": cell["trials"],
-            "rrmse_min": repr(q["min"]),
-            "rrmse_q25": repr(q["q25"]),
-            "rrmse_median": repr(q["median"]),
-            "rrmse_q75": repr(q["q75"]),
-            "rrmse_max": repr(q["max"]),
-            "n_unconverged": cell["n_unconverged"],
-        })
-    return rows
-
-
 def write_sweep_csv(manifest: dict, path) -> None:
+    """Write a sweep manifest's cells as CSV, one row per cell, each RRMSE
+    quantile at full ``repr`` precision."""
+    kind, solver = manifest["spec"]["kind"], manifest["spec"]["solver"]
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=_SWEEP_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(sweep_csv_rows(manifest))
+        writer = csv.writer(f)
+        writer.writerow(_SWEEP_CSV_COLUMNS)
+        for cell in manifest["cells"]:
+            p, q = cell["params"], cell["rrmse"]
+            writer.writerow([kind, solver, p["m"], p["N"], p["s"], p["intensity"], cell["trials"],
+                             *(repr(q[k]) for k in ("min", "q25", "median", "q75", "max")),
+                             cell["n_unconverged"]])
 
 
 def _verify_stats_grid(spec: ExperimentSpec) -> tuple[list[int], list[tuple[float, int]]]:
@@ -619,13 +633,7 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
         sample()
         for helper in helpers:
             helper.result()
-    return {
-        "kind": "verify-stats",
-        "master_seed": spec.master_seed,
-        "library_version": LIBRARY_VERSION,
-        "wall_clock_s": time.perf_counter() - t0,
-        "cells": cells,
-    }
+    return _report(spec, t0, cells)
 
 
 def make_test_image(h: int = 64, w: int = 64) -> np.ndarray:
@@ -718,15 +726,4 @@ def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
             "n_unconverged": n_unconverged,
             "out_image": str(out_path),
         })
-    return {
-        "kind": "image",
-        "master_seed": spec.master_seed,
-        "library_version": LIBRARY_VERSION,
-        "image": str(image_path),
-        "patch": spec.patch,
-        "stride": spec.stride,
-        "n_measurements": spec.n_measurements,
-        "solver": spec.solver,
-        "wall_clock_s": time.perf_counter() - t0,
-        "cells": cells,
-    }
+    return _report(spec, t0, cells, image=str(image_path))

@@ -88,7 +88,8 @@ def test_numpy_scalars_accepted():
                           cfg)
     assert res.lambda_used == 1.0
     assert solve_p2(A, BASIS, Y, np.float32(5.0), cfg).constraint_residual <= 0.0
-    spec = ExperimentSpec(beta=np.float64(0.2), trials=np.int64(3), intensity=np.float32(1e4))
+    spec = ExperimentSpec(kind="measurements", beta=np.float64(0.2), trials=np.int64(3),
+                          intensity=np.float32(1e4))
     assert spec.trials == 3
     assert sample_rip_matrix(np.int64(4), np.int32(6)).entries.shape == (4, 6)
     assert monte_carlo_sqjsd(PHI.rates(X), np.int64(5), seed=0).trials == 5

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from poisson_cs.experiments import (
     run_image_recon,
     run_sweep,
     run_verify_stats,
-    sweep_csv_rows,
     write_report,
     write_sweep_csv,
 )
@@ -61,6 +61,8 @@ def tiny_sweep_spec(**over):
         max_iters=400,
     )
     fields.update(over)
+    if fields["kind"] == "measurements":
+        del fields["n_measurements"]  # the field its axis walks, which it refuses
     return ExperimentSpec(**fields)
 
 
@@ -95,6 +97,48 @@ def one_at_a_time(monkeypatch):
     monkeypatch.setattr(experiments, "solve_penalized_batch", penalized)
     monkeypatch.setattr(experiments, "solve_p2_batch", p2)
     return used
+
+
+# The spec fields each kind of run reads, kind and grid aside, written out
+# here rather than taken from the table the library keeps.
+SWEEP_READS = {"master_seed", "trials", "solver", "lambda_mode", "lambda_value",
+               "lambda_points", "epsilon_mode", "beta", "dim", "n_measurements", "sparsity",
+               "intensity", "max_iters", "workers"}
+READS = {
+    "intensity": SWEEP_READS - {"intensity"},
+    "measurements": SWEEP_READS - {"n_measurements"},
+    "sparsity": SWEEP_READS - {"sparsity"},
+    "verify-stats": {"master_seed", "trials"},
+    "image": {"master_seed", "solver", "lambda_mode", "lambda_value", "lambda_points", "beta",
+              "n_measurements", "patch", "stride", "image_size", "max_iters", "workers"},
+}
+# A valid value away from its default for each of those fields.
+NON_DEFAULT = {
+    "trials": 40, "master_seed": 3, "solver": "P5", "lambda_mode": "fixed",
+    "lambda_value": 0.01, "lambda_points": 5, "epsilon_mode": "percentile", "beta": 0.5,
+    "dim": 60, "n_measurements": 30, "sparsity": 4, "intensity": 1e6, "patch": 5, "stride": 2,
+    "image_size": 32, "max_iters": 300, "workers": 2,
+}
+
+
+def non_default(field):
+    """The config that sets ``field`` away from its default: a fixed
+    lambda_mode takes its lambda_value too."""
+    config = {field: NON_DEFAULT[field]}
+    if field == "lambda_mode":
+        config["lambda_value"] = NON_DEFAULT["lambda_value"]
+    return config
+
+
+def cli_argv(kind, tmp_path):
+    """The command that runs ``kind``, with a small input image for an image run."""
+    if kind == "verify-stats":
+        return ["verify-stats"]
+    if kind == "image":
+        src = tmp_path / "img.pgm"
+        write_pgm(src, make_test_image(8, 8))
+        return ["image", "--input", str(src)]
+    return ["sweep", "--kind", kind]
 
 
 def trial_records(manifest):
@@ -246,9 +290,12 @@ class TestSpec:
             main(["sweep", "--kind", kind, "--config", str(path), "--out", str(out)])
         assert not out.exists()
         # The field is not read by a sparsity sweep, which walks its grid, nor
-        # by a run that draws no sparse signal.
-        for unread in ("sparsity", "image", "verify-stats"):
-            ExperimentSpec(kind=unread, dim=40, sparsity=41)
+        # by a run that draws no sparse signal, so each refuses it.
+        for unread, fields in [("sparsity", "sparsity 41"), ("image", "dim 40, sparsity 41"),
+                               ("verify-stats", "dim 40, sparsity 41")]:
+            with pytest.raises(InvalidParamError,
+                               match=f"^kind '{unread}' does not read {fields}$"):
+                ExperimentSpec(kind=unread, dim=40, sparsity=41)
 
     def test_image_intensities_sharing_a_pgm_rejected(self, tmp_path):
         # Both used to be written to recon_I1e4.pgm, the first one lost, with
@@ -272,7 +319,8 @@ class TestSpec:
     def test_image_refuses_a_percentile_radius(self, tmp_path):
         # Its patches took the theory radius, and a percentile config wrote
         # the same PGM with exit code 0.
-        with pytest.raises(InvalidParamError, match="^epsilon_mode 'percentile'"):
+        with pytest.raises(InvalidParamError,
+                           match="^kind 'image' does not read epsilon_mode 'percentile'$"):
             ExperimentSpec(kind="image", epsilon_mode="percentile")
         src, out = tmp_path / "img.pgm", tmp_path / "out"
         write_pgm(src, make_test_image(8, 8))
@@ -308,9 +356,10 @@ class TestSpec:
             ExperimentSpec.from_dict(read_config(path))
 
     def test_integer_fields_accept_numpy_integers(self):
-        spec = ExperimentSpec(kind="image", trials=np.int64(2), dim=np.int32(40),
-                              master_seed=np.int64(0), image_size=None)
-        assert (spec.trials, spec.dim, spec.image_size) == (2, 40, None)
+        spec = ExperimentSpec(kind="intensity", trials=np.int64(2), dim=np.int32(40),
+                              master_seed=np.int64(0))
+        image = ExperimentSpec(kind="image", master_seed=np.int64(0), image_size=None)
+        assert (spec.trials, spec.dim, image.image_size) == (2, 40, None)
         spec = ExperimentSpec(kind="measurements", grid={"n_measurements": [np.int64(20)]})
         assert experiments._cells(spec)[0]["N"] == 20
 
@@ -330,12 +379,39 @@ class TestSpec:
         with pytest.raises(InvalidParamError, match="n_measurement"):
             main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
 
+    def test_every_field_is_tried(self):
+        assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(ExperimentSpec)} - {
+            "kind", "grid"}
+        for field, value in NON_DEFAULT.items():
+            assert getattr(ExperimentSpec(), field) != value, field
+
+    @pytest.mark.parametrize("kind", list(READS))
+    @pytest.mark.parametrize("field", list(NON_DEFAULT))
+    def test_a_field_the_kind_does_not_read_is_refused(self, kind, field, tmp_path,
+                                                       monkeypatch):
+        # Each kind used to take every field and drop the ones it ignores.
+        config = non_default(field)
+        if field in READS[kind]:
+            spec = ExperimentSpec.from_dict({"kind": kind, **config})
+            assert getattr(spec, field) == config[field]
+            return
+        monkeypatch.setattr(experiments, "_run_trial", None)
+        monkeypatch.setattr(experiments, "sample_rip_matrix", None)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        named = re.escape(f"{field} {config[field]!r}")
+        with pytest.raises(InvalidParamError, match=f"^kind '{kind}' does not read .*{named}"):
+            main([*cli_argv(kind, tmp_path), "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
 
 class TestRunSweep:
     def test_manifest_structure(self):
         man = run_sweep(tiny_sweep_spec())
-        assert list(man) == ["spec", "cells", "master_seed", "library_version",
-                             "wall_clock_s", "seed_rule"]
+        assert list(man) == ["kind", "spec", "master_seed", "library_version", "seed_rule",
+                             "wall_clock_s", "cells"]
+        assert man["spec"] == tiny_sweep_spec().to_dict()
         assert len(man["cells"]) == 2
         for cell in man["cells"]:
             assert cell["trials"] == 3
@@ -355,10 +431,11 @@ class TestRunSweep:
         b.pop("wall_clock_s")
         assert a == b
 
-    def test_seed_changes_results(self):
-        a = run_sweep(tiny_sweep_spec())
-        b = run_sweep(tiny_sweep_spec(master_seed=8))
-        assert sweep_csv_rows(a) != sweep_csv_rows(b)
+    def test_seed_changes_results(self, tmp_path):
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_sweep_csv(run_sweep(tiny_sweep_spec()), pa)
+        write_sweep_csv(run_sweep(tiny_sweep_spec(master_seed=8)), pb)
+        assert pa.read_bytes() != pb.read_bytes()
 
     def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
         # Batches of the whole sweep (workers=1) and of runs of tasks
@@ -944,6 +1021,62 @@ class TestCli:
         with pytest.raises(InvalidParamError, match=field):
             main(argv)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, flags, refused", [
+        ("verify-stats", {"epsilon_mode": "percentile", "beta": 3, "solver": "P6"}, [],
+         "kind 'verify-stats' does not read solver 'P6', epsilon_mode 'percentile', beta 3"),
+        ("image", {"trials": 7, "dim": 3, "sparsity": 2}, [],
+         "kind 'image' does not read trials 7, dim 3, sparsity 2"),
+        ("verify-stats", {}, ["--workers", "2"], "kind 'verify-stats' does not read workers 2"),
+        ("image", {}, ["--trials", "7"], "kind 'image' does not read trials 7"),
+    ])
+    def test_unread_fields_refused_by_name(self, command, config, flags, refused, tmp_path):
+        # Each of these used to run, exit 0 and write the report of the run
+        # without the unread fields.
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with pytest.raises(InvalidParamError, match=f"^{re.escape(refused)}$"):
+            main([*cli_argv(command, tmp_path), "--config", str(cfg), "--out", str(out),
+                  *flags])
+        assert not out.exists()
+        # A field at its default is accepted, given or not.
+        spec = ExperimentSpec(kind=command, workers=1, trials=10)
+        assert (spec.workers, spec.trials) == (1, 10)
+
+    @pytest.mark.parametrize("command, config, report", [
+        ("sweep", {"grid": {"intensity": [1e4]}, "trials": 2, "solver": "P2",
+                   "epsilon_mode": "percentile", "dim": 30, "n_measurements": 15,
+                   "max_iters": 200}, "manifest_intensity.json"),
+        ("verify-stats", {"grid": {"n_measurements": [20], "intensity": [1e4]}, "trials": 40},
+         "verify_stats.json"),
+        ("image", {"grid": {"intensity": [1e6]}, "n_measurements": 20, "image_size": 8,
+                   "lambda_points": 3, "max_iters": 200}, "image_recon.json"),
+    ])
+    def test_a_report_reruns_from_its_spec(self, command, config, report, tmp_path,
+                                           monkeypatch):
+        # Only the sweep manifest used to echo its spec, and an image report
+        # lacked fields that move its numbers.  Each run is made in its own
+        # directory, with the same relative --out, so the paths it reports
+        # agree.
+        kind = "intensity" if command == "sweep" else command
+        argv = cli_argv(kind, tmp_path)
+        reports = []
+        for run in ("first", "again"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            cfg = Path("spec.json")
+            cfg.write_text(json.dumps(reports[0]["spec"] if reports else config))
+            assert main([*argv, "--config", str(cfg), "--out", "out", "--seed", "4"]) in (0, 2)
+            reports.append(json.loads((Path("out") / report).read_text()))
+        first, again = reports
+        assert list(first)[:6] == ["kind", "spec", "master_seed", "library_version",
+                                   "seed_rule", "wall_clock_s"]
+        assert (first["kind"], first["spec"]["kind"], first["master_seed"]) == (kind, kind, 4)
+        assert ExperimentSpec.from_dict(first["spec"]).to_dict() == first["spec"]
+        first.pop("wall_clock_s")
+        again.pop("wall_clock_s")
+        assert again == first
 
     def test_image_subcommand(self, tmp_path):
         src = tmp_path / "img.pgm"
