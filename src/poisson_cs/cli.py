@@ -6,17 +6,14 @@ Subcommands::
     poisson-cs verify-stats --out results/
     poisson-cs image --input img.pgm --out results/
 
-Each spec field comes from its flag, else from ``--config`` (a JSON
-object), else from the subcommand's default (image: solver P4;
-verify-stats: 1000 trials), else from ``ExperimentSpec``; a grid axis left
-out takes its desk values, or its paper values under ``--paper-scale``.
-The spec is built and checked once, before any output (a grid key its kind
-does not walk is refused, and so is a field it does not read set away from
-its default), and ``--out`` is made only once the run's own checks pass.
-Sweeps write ``sweep_<kind>.csv`` plus ``manifest_<kind>.json``; one writer
-writes the three JSON reports, each of which echoes its spec.  Exit code is
-0 on success and 2 if any cell failed to converge (results are still
-written).
+Each spec field, ``kind`` among them, comes from its flag, else from
+``--config`` (a JSON object), else from the subcommand's default, else from
+``ExperimentSpec``; a grid axis left out takes its scale's values.  A
+subcommand refuses a kind it does not run; the spec checks the rest when it
+is built, before any output.  Sweeps write ``sweep_<kind>.csv`` and
+``manifest_<kind>.json``, the others one JSON report; each echoes its spec.
+Exit code is 0 on success and 2 if any cell failed to converge (results are
+still written).
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ import sys
 from collections.abc import Mapping
 from pathlib import Path
 
+from .errors import InvalidParamError
 from .experiments import (
     SOLVERS,
     SWEEP_KINDS,
@@ -41,8 +39,10 @@ from .experiments import (
 
 __all__ = ["main"]
 
-# The spec fields whose default a subcommand changes.
-_DEFAULTS = {"verify-stats": {"trials": 1000}, "image": {"solver": "P4"}}
+# The spec fields whose default a subcommand changes, its kind among them.
+_DEFAULTS = {"sweep": {"kind": "intensity"},
+             "verify-stats": {"kind": "verify-stats", "trials": 1000},
+             "image": {"kind": "image", "solver": "P4"}}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -60,20 +60,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "on one thread per usable CPU)")
 
 
-def _build_spec(args, kind: str, **defaults) -> ExperimentSpec:
-    fields = dict(defaults)
+def _build_spec(args) -> ExperimentSpec:
+    fields = dict(_DEFAULTS[args.command])
     if args.config is not None:
         fields.update(read_config(args.config, "--config"))
-    fields["kind"] = kind
+    flags = {"kind": getattr(args, "kind", None), "master_seed": args.seed, "trials": args.trials,
+             "workers": args.workers, "solver": getattr(args, "solver", None)}
+    fields.update((name, value) for name, value in flags.items() if value is not None)
+    kind = fields["kind"]
+    if kind not in (SWEEP_KINDS if args.command == "sweep" else (args.command,)):
+        raise InvalidParamError(f"{args.command} does not run kind {kind!r}")
     # Each axis the grid leaves out takes the scale's values, and an empty or
     # absent grid takes them all; a grid that is not a mapping, falsy ones
     # ([], null, 0) too, reaches the spec, which refuses it by name.
     grid = fields.get("grid", {})
     if isinstance(grid, Mapping):
         fields["grid"] = {**default_grid(kind, paper_scale=args.paper_scale), **grid}
-    flags = {"master_seed": args.seed, "trials": args.trials, "workers": args.workers,
-             "solver": getattr(args, "solver", None)}
-    fields.update((name, value) for name, value in flags.items() if value is not None)
     return ExperimentSpec.from_dict(fields)
 
 
@@ -86,7 +88,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="RRMSE sweep over a parameter grid")
-    p_sweep.add_argument("--kind", choices=SWEEP_KINDS, default="intensity")
+    p_sweep.add_argument("--kind", choices=SWEEP_KINDS, default=None,
+                         help="the sweep's kind (default: the config's, else intensity)")
     p_sweep.add_argument("--solver", choices=SOLVERS, default=None)
     _add_common(p_sweep)
 
@@ -99,9 +102,7 @@ def main(argv=None) -> int:
     _add_common(p_image)
 
     args = parser.parse_args(argv)
-    # A sweep runs the kind it is given; the other subcommands are kinds.
-    kind = args.kind if args.command == "sweep" else args.command
-    spec = _build_spec(args, kind, **_DEFAULTS.get(args.command, {}))
+    spec = _build_spec(args)
     out: Path = args.out
 
     if args.command == "sweep":
@@ -110,8 +111,8 @@ def main(argv=None) -> int:
         report = run_verify_stats(spec)
     else:
         report = run_image_recon(spec, args.input, out)
-    # Made once the run returns, so a run refused by its own checks leaves
-    # no --out behind (an image run makes it once its input is checked).
+    # Made once the run returns, so a refused run leaves no --out behind (an
+    # image run makes it once its input is checked).
     out.mkdir(parents=True, exist_ok=True)
     if args.command == "sweep":
         csv_path = out / f"sweep_{spec.kind}.csv"

@@ -1,10 +1,10 @@
 """Seeded experiment harness: sweeps, statistics verification, image runs.
 
 One table, ``_KINDS``, gives each kind of run the grid axes it walks and
-the spec fields it reads; the spec's grid defaults and checks read it, and
-the spec refuses a field its kind does not read.  Each run returns a plain
-dict, its report, which opens with one header that echoes the whole spec
-and which ``write_report`` writes as JSON.
+the spec fields it reads, and ``_UNREAD`` those each estimator does not;
+the spec, the one gate of a run, checks against them when it is built.
+Each run returns a plain dict, its report, which opens with one header that
+echoes the whole spec and which ``write_report`` writes as JSON.
 
 Every run is driven by an :class:`ExperimentSpec` and a master seed.  All
 randomness flows through ``simulate.derive_seed``, that is
@@ -143,10 +143,9 @@ def _sweep(axis: _Axis) -> tuple:
 
 
 # Every kind of run: the grid axes it walks and the spec fields it reads, kind
-# and grid aside.  A spec refuses any other field set away from its default.
-# A sweep kind walks one axis, which sets a cell parameter; ``--paper-scale``
-# swaps in the paper values.  An image reads no epsilon_mode: its patches take
-# the theory radius, as a percentile one is drawn around the true signal.
+# and grid aside.  A sweep kind walks one axis, which sets a cell parameter;
+# ``--paper-scale`` swaps in the paper values.  An image reads no epsilon_mode:
+# its patches take the theory radius, as a percentile one is an oracle.
 _KINDS = {
     "intensity": _sweep(_Axis("intensity", (1e4, 1e6, 1e8),
                               (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10), "intensity")),
@@ -162,13 +161,21 @@ _KINDS = {
 }
 # The kinds of sweep that ``run_sweep`` walks.
 SWEEP_KINDS = tuple(kind for kind, (axes, _) in _KINDS.items() if axes[0].cell)
+# The fields an estimator does not read, by the spec value that names it: P2
+# takes a radius, a penalized fit a lambda, walked or fixed.
+_UNREAD = {
+    ("solver", "P2"): ("lambda_mode", "lambda_value", "lambda_points"),
+    **{("solver", solver): ("epsilon_mode",) for solver in _SOLVER_FITS},
+    ("lambda_mode", "omniscient"): ("lambda_value",),
+    ("lambda_mode", "fixed"): ("lambda_points",),
+}
 
 
 @dataclass
 class ExperimentSpec:
     """Declarative description of one experiment run.  A grid axis left out
     takes its desk values; a grid key the kind does not walk is refused, and
-    so is a field the kind does not read that is set away from its default."""
+    so is a field its kind or estimator does not read, unless at its default."""
 
     kind: str = "intensity"
     grid: dict = field(default_factory=dict)
@@ -198,14 +205,12 @@ class ExperimentSpec:
         # SeedSequence takes non-negative entropy only.
         check_integer("master_seed", self.master_seed, 0)
         desk = default_grid(self.kind)  # refuses an unknown kind
-        if self.solver not in SOLVERS:
-            raise InvalidParamError(f"unknown solver {self.solver!r}")
-        if self.lambda_mode not in ("omniscient", "fixed"):
-            raise InvalidParamError(f"unknown lambda_mode {self.lambda_mode!r}")
+        for name, modes in (("solver", SOLVERS), ("lambda_mode", ("omniscient", "fixed")),
+                            ("epsilon_mode", EPSILON_MODES)):
+            if getattr(self, name) not in modes:
+                raise InvalidParamError(f"unknown {name} {getattr(self, name)!r}")
         if self.lambda_mode == "fixed":
             check_positive("lambda_value (fixed lambda_mode)", self.lambda_value)
-        if self.epsilon_mode not in EPSILON_MODES:
-            raise InvalidParamError(f"unknown epsilon_mode {self.epsilon_mode!r}")
         check_positive("intensity", self.intensity)
         check_nonneg("beta", self.beta)
         if not isinstance(self.grid, Mapping):
@@ -232,17 +237,35 @@ class ExperimentSpec:
                 if cell["s"] > cell["m"]:
                     raise InvalidParamError(f"{name} {cell['s']} exceeds dim {cell['m']}")
         if self.kind == "image":
-            written: dict[str, float] = {}
-            for value in self.grid["intensity"]:
-                name = _pgm_name(value)
-                if name in written:
-                    raise InvalidParamError(f"grid intensity {written[name]!r} and {value!r} "
-                                            f"would both be written to {name}")
-                written[name] = value
-        unread = [f"{f.name} {getattr(self, f.name)!r}" for f in fields(self)
-                  if f.name not in ("kind", "grid", *reads) and getattr(self, f.name) != f.default]
-        if unread:
-            raise InvalidParamError(f"kind {self.kind!r} does not read {', '.join(unread)}")
+            _refuse_shared("intensity", self.grid["intensity"], _pgm_name,
+                           "would both be written to {}")
+        if self.kind == "verify-stats":
+            # The KS test takes no fewer samples.  A cell's streams are keyed
+            # by (N, level), and a level below 0 is no key.
+            check_integer("trials", self.trials, KS_MIN_SAMPLES)
+            _refuse_shared("n_measurements", self.grid["n_measurements"], int,
+                           "share their random streams")
+            if min(self.grid["intensity"]) < 1.0:
+                raise InvalidParamError(f"grid intensity must be >= 1, "
+                                        f"got {min(self.grid['intensity'])!r}")
+            _refuse_shared("intensity", self.grid["intensity"], _stream_level,
+                           "share the quarter-decade level {}, and with it their random streams")
+        # Each field set away from its default that the kind, or else its
+        # estimator, does not read is named in one error, after what does not.
+        given = {f.name: f"{f.name} {getattr(self, f.name)!r}" for f in fields(self)
+                 if f.name not in ("kind", "grid") and getattr(self, f.name) != f.default}
+        reads = set(reads)
+        owners = {f"kind {self.kind!r}": set(given) - reads}
+        for name in ("solver", "lambda_mode"):
+            if name in reads:
+                value = getattr(self, name)
+                owners[f"{name} {value!r}"] = unread = reads & set(_UNREAD[name, value])
+                reads -= unread
+        clauses = [f"{owner} does not read " + ", ".join(text for name, text in given.items()
+                                                        if name in names)
+                   for owner, names in owners.items() if names & set(given)]
+        if clauses:
+            raise InvalidParamError("; ".join(clauses))
 
     @classmethod
     def from_dict(cls, config) -> "ExperimentSpec":
@@ -260,9 +283,8 @@ class ExperimentSpec:
 
 
 def read_config(path, name: str = "config") -> dict:
-    """The JSON object of spec fields in file ``path``.  Invalid JSON or any
-    other JSON value raises ``InvalidParamError`` naming ``name`` and the
-    file."""
+    """The JSON object of spec fields in file ``path``; invalid JSON or any
+    other JSON value raises ``InvalidParamError`` naming ``name`` and the file."""
     with open(path) as f:
         try:
             config = json.load(f)
@@ -291,9 +313,23 @@ def make_sparse_signal(m: int, s: int, intensity: float, rng) -> np.ndarray:
     return x * (intensity / x.sum())
 
 
+def _refuse_shared(key: str, values, share, shared: str) -> None:
+    """Refuse two grid ``key`` values with one ``share``; ``shared`` names what they share."""
+    seen: dict = {}
+    for value in values:
+        k = share(value)
+        if k in seen:
+            raise InvalidParamError(f"grid {key} {seen[k]!r} and {value!r} {shared.format(k)}")
+        seen[k] = value
+
+
+def _stream_level(intensity) -> int:
+    """The level ``int(4 log10 I)`` that keys a verify-stats cell's streams."""
+    return int(math.log10(intensity) * 4)
+
+
 def _pgm_name(intensity) -> str:
-    """The file of an image run's reconstruction at ``intensity``: named by
-    its power of ten, rounded."""
+    """The reconstruction file of an image run at ``intensity``, by its power of ten."""
     return f"recon_I1e{int(round(math.log10(intensity)))}.pgm"
 
 
@@ -368,7 +404,8 @@ def _run_trial(spec: ExperimentSpec, cell: dict, trial: int):
     """Set up one (cell, trial) unit of a sweep; owns all of its randomness.
 
     Returns the signal, the operator (canonical basis: A = Phi), the
-    counts and, for P2, the constraint radius (None otherwise).
+    counts and, for P2, the constraint radius (None otherwise).  A
+    percentile radius is drawn around the true signal, so it is an oracle.
     """
     m, N, s, intensity = cell["m"], cell["N"], cell["s"], cell["intensity"]
     master = spec.master_seed
@@ -414,19 +451,16 @@ def _sweep_run(args) -> list[dict]:
     return records
 
 
+# The RRMSE quantiles of a sweep cell, each with its percentile.
+_QUANTILES = {"min": 0, "q25": 25, "median": 50, "q75": 75, "max": 100}
+
+
 def _summarize(cell: dict, records: list[dict]) -> dict:
-    errs = np.array([r["rrmse"] for r in records])
-    qs = np.percentile(errs, [0, 25, 50, 75, 100])
+    qs = np.percentile([r["rrmse"] for r in records], list(_QUANTILES.values()))
     return {
         "params": cell,
         "trials": len(records),
-        "rrmse": {
-            "min": float(qs[0]),
-            "q25": float(qs[1]),
-            "median": float(qs[2]),
-            "q75": float(qs[3]),
-            "max": float(qs[4]),
-        },
+        "rrmse": dict(zip(_QUANTILES, map(float, qs))),
         "n_unconverged": sum(not r["converged"] for r in records),
         "trial_records": records,
     }
@@ -457,11 +491,10 @@ def run_sweep(spec: ExperimentSpec) -> dict:
     results = _in_runs(_sweep_run, len(tasks), spec.workers,
                        lambda run: (spec, cells, [tasks[i] for i in run]))
     records = [rec for run in results for rec in run]
-
-    by_cell: dict[int, list] = {ci: [] for ci in range(len(cells))}
-    for (ci, _), rec in zip(tasks, records):
-        by_cell[ci].append(rec)
-    return _report(spec, t0, [_summarize(cells[ci], by_cell[ci]) for ci in range(len(cells))])
+    # The tasks, and so the records, run cell by cell.
+    n = spec.trials
+    return _report(spec, t0, [_summarize(cell, records[ci * n: (ci + 1) * n])
+                              for ci, cell in enumerate(cells)])
 
 
 def _report(spec: ExperimentSpec, t0: float, cells: list, **extra) -> dict:
@@ -488,53 +521,19 @@ def write_report(report: dict, path) -> None:
         f.write("\n")
 
 
-_SWEEP_CSV_COLUMNS = [
-    "kind", "solver", "m", "N", "s", "intensity", "trials",
-    "rrmse_min", "rrmse_q25", "rrmse_median", "rrmse_q75", "rrmse_max",
-    "n_unconverged",
-]
-
-
 def write_sweep_csv(manifest: dict, path) -> None:
     """Write a sweep manifest's cells as CSV, one row per cell, each RRMSE
     quantile at full ``repr`` precision."""
     kind, solver = manifest["spec"]["kind"], manifest["spec"]["solver"]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(_SWEEP_CSV_COLUMNS)
+        writer.writerow(["kind", "solver", "m", "N", "s", "intensity", "trials",
+                         *(f"rrmse_{k}" for k in _QUANTILES), "n_unconverged"])
         for cell in manifest["cells"]:
             p, q = cell["params"], cell["rrmse"]
             writer.writerow([kind, solver, p["m"], p["N"], p["s"], p["intensity"], cell["trials"],
-                             *(repr(q[k]) for k in ("min", "q25", "median", "q75", "max")),
+                             *(repr(q[k]) for k in _QUANTILES),
                              cell["n_unconverged"]])
-
-
-def _verify_stats_grid(spec: ExperimentSpec) -> tuple[list[int], list[tuple[float, int]]]:
-    """The checked grid of a verify-stats run: its N values, and each
-    intensity with its quarter-decade level ``int(4 log10 I)``.
-
-    A cell's signal and Poisson streams are keyed by (N, level), so two
-    intensities on one level would share them, and an intensity below 1
-    would give a negative key.  Everything is checked before any cell runs.
-    """
-    # The KS test takes no fewer samples.
-    check_integer("trials", spec.trials, KS_MIN_SAMPLES)
-    # The spec has checked every grid N an integer >= 1 and every grid
-    # intensity finite and > 0.
-    grid_N = [int(N) for N in spec.grid["n_measurements"]]
-    if len(set(grid_N)) < len(grid_N):
-        raise InvalidParamError(f"grid n_measurements has a repeated value: {grid_N!r}")
-    levels: dict[int, float] = {}
-    for value in spec.grid["intensity"]:
-        if value < 1.0:
-            raise InvalidParamError(f"grid intensity must be >= 1, got {value!r}")
-        level = int(math.log10(value) * 4)
-        if level in levels:
-            raise InvalidParamError(
-                f"grid intensity {levels[level]!r} and {value!r} share the quarter-decade "
-                f"level {level}, and with it their random streams")
-        levels[level] = value
-    return grid_N, [(float(value), level) for level, value in levels.items()]
 
 
 def _usable_cpus() -> int:
@@ -577,30 +576,29 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
     intensity) so every rate, and hence every s_i, stays strictly positive
     and the variance-bound column is meaningful in all cells.
 
-    The grid is checked and each N's Phi is built once, in grid order,
-    before any cell runs.  Right after it is built, this thread draws the
-    probe signal of each cell of that N and makes the cell's rates
-    ``Phi x``, once.  The cells hand those rates to ``monte_carlo_sqjsd``
-    and ``concentration_bounds``, so the sampling threads make no BLAS
-    call: OpenBLAS runs a 500 x 1000 gemv on two threads, and its worker
-    then busy-waits on a core that a sampling thread needs.  The cells are
-    then sampled by one thread per usable CPU (at most one per cell): this
-    thread and ``threads - 1`` helpers, which take cells off one queue,
-    largest first, since the Poisson draws and ``jsd_rowwise`` run in C
-    without the GIL.  The threads split one budget of counts in flight (see
-    ``sqjsd_stats``).  Each cell draws from its own streams and the report
-    lists the cells in grid order, so the report does not depend on the
-    number of threads.  A cell that raises empties the queue, and its error
-    propagates once the cells already started are done.
+    Each N's Phi is built once, in grid order, before any cell runs.  Right
+    after it is built, this thread draws the probe signal of each cell of
+    that N and makes the cell's rates ``Phi x``, once.  The cells hand those
+    rates to ``monte_carlo_sqjsd`` and ``concentration_bounds``, so the
+    sampling threads make no BLAS call: OpenBLAS runs a 500 x 1000 gemv on
+    two threads, and its worker then busy-waits on a core that a sampling
+    thread needs.  The cells are then sampled by one thread per usable CPU
+    (at most one per cell): this thread and ``threads - 1`` helpers, which
+    take cells off one queue, largest first, since the Poisson draws and
+    ``jsd_rowwise`` run in C without the GIL.  The threads split one budget
+    of counts in flight (see ``sqjsd_stats``).  Each cell draws from its own
+    streams and the report lists the cells in grid order, so the report does
+    not depend on the number of threads.  A cell that raises empties the
+    queue, and its error propagates once the cells already started are done.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     t0 = time.perf_counter()
-    grid_N, grid_I = _verify_stats_grid(spec)
     jobs = []
-    for N in grid_N:
+    for N in map(int, spec.grid["n_measurements"]):
         phi = _phi(spec.master_seed, N, 2 * N, N)
-        for intensity, level in grid_I:
+        for intensity in map(float, spec.grid["intensity"]):
+            level = _stream_level(intensity)
             x = derive_rng(spec.master_seed, _STREAM_SIGNAL, N, level).uniform(
                 0.5, 1.5, size=phi.dim)
             x *= intensity / x.sum()

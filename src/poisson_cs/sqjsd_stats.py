@@ -209,7 +209,8 @@ def choose_epsilon(mode: str, N: int, samples: SqjsdSampleSet | None = None) -> 
 
     ``mode`` is one of ``EPSILON_MODES``: "theory" uses the tail bound
     sqrt(N)*(1/2 + sqrt(11)/8); "percentile" uses the empirical 99th
-    percentile of a sample set (>= 100 trials).
+    percentile of a sample set (>= 100 trials), an oracle when it is drawn
+    around the true signal, as the experiments draw it.
     """
     if mode not in EPSILON_MODES:
         raise InvalidParamError(

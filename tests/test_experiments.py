@@ -63,6 +63,8 @@ def tiny_sweep_spec(**over):
     fields.update(over)
     if fields["kind"] == "measurements":
         del fields["n_measurements"]  # the field its axis walks, which it refuses
+    if fields["solver"] == "P2" or fields.get("lambda_mode") == "fixed":
+        del fields["lambda_points"]  # read by an omniscient lambda walk only
     return ExperimentSpec(**fields)
 
 
@@ -99,8 +101,9 @@ def one_at_a_time(monkeypatch):
     return used
 
 
-# The spec fields each kind of run reads, kind and grid aside, written out
-# here rather than taken from the table the library keeps.
+# The spec fields each kind of run reads, kind and grid aside, and those of
+# them each estimator does not read, written out here rather than taken from
+# the tables the library keeps.
 SWEEP_READS = {"master_seed", "trials", "solver", "lambda_mode", "lambda_value",
                "lambda_points", "epsilon_mode", "beta", "dim", "n_measurements", "sparsity",
                "intensity", "max_iters", "workers"}
@@ -112,6 +115,18 @@ READS = {
     "image": {"master_seed", "solver", "lambda_mode", "lambda_value", "lambda_points", "beta",
               "n_measurements", "patch", "stride", "image_size", "max_iters", "workers"},
 }
+# Of those, P2 reads no lambda field, and a penalized fit no radius and, by
+# its lambda_mode, no lambda_value or no lambda_points.
+UNREAD_BY = {"P2": {"lambda_mode", "lambda_value", "lambda_points"},
+             "omniscient": {"epsilon_mode", "lambda_value"},
+             "fixed": {"epsilon_mode", "lambda_points"}}
+# The estimators, each as the config that names it: P2, and each penalized
+# fit with an omniscient and a fixed lambda.
+ESTIMATORS = {"P2": {"solver": "P2"}}
+for _solver in ("P4", "P5", "P6"):
+    ESTIMATORS[f"{_solver}-omniscient"] = {"solver": _solver}
+    ESTIMATORS[f"{_solver}-fixed"] = {"solver": _solver, "lambda_mode": "fixed",
+                                      "lambda_value": 0.1}
 # A valid value away from its default for each of those fields.
 NON_DEFAULT = {
     "trials": 40, "master_seed": 3, "solver": "P5", "lambda_mode": "fixed",
@@ -295,7 +310,8 @@ class TestSpec:
                                ("verify-stats", "dim 40, sparsity 41")]:
             with pytest.raises(InvalidParamError,
                                match=f"^kind '{unread}' does not read {fields}$"):
-                ExperimentSpec(kind=unread, dim=40, sparsity=41)
+                ExperimentSpec(kind=unread, dim=40, sparsity=41,
+                               trials=30 if unread == "verify-stats" else 10)
 
     def test_image_intensities_sharing_a_pgm_rejected(self, tmp_path):
         # Both used to be written to recon_I1e4.pgm, the first one lost, with
@@ -389,21 +405,42 @@ class TestSpec:
     @pytest.mark.parametrize("field", list(NON_DEFAULT))
     def test_a_field_the_kind_does_not_read_is_refused(self, kind, field, tmp_path,
                                                        monkeypatch):
-        # Each kind used to take every field and drop the ones it ignores.
-        config = non_default(field)
-        if field in READS[kind]:
-            spec = ExperimentSpec.from_dict({"kind": kind, **config})
-            assert getattr(spec, field) == config[field]
-            return
-        monkeypatch.setattr(experiments, "_run_trial", None)
-        monkeypatch.setattr(experiments, "sample_rip_matrix", None)
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        named = re.escape(f"{field} {config[field]!r}")
-        with pytest.raises(InvalidParamError, match=f"^kind '{kind}' does not read .*{named}"):
-            main([*cli_argv(kind, tmp_path), "--config", str(path), "--out", str(out)])
-        assert not out.exists()
+        # Each kind used to take every field and drop the ones it ignores, and
+        # each estimator still did: P2 the lambda fields, a penalized fit the
+        # radius, an omniscient lambda lambda_value and a fixed one
+        # lambda_points.  Each is tried with every estimator its kind reads.
+        class Ran(Exception):
+            pass
+
+        def run(spec, *args):
+            raise Ran(spec)
+
+        for name in ("run_sweep", "run_verify_stats", "run_image_recon"):
+            monkeypatch.setattr(cli, name, run)
+        estimators = ESTIMATORS if "solver" in READS[kind] else {"P2": ESTIMATORS["P2"]}
+        for estimator, named_by in estimators.items():
+            config = {**named_by, **non_default(field)}
+            path = tmp_path / f"{estimator}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / estimator
+            argv = [*cli_argv(kind, tmp_path), "--config", str(path), "--out", str(out)]
+            solver, lambda_mode = config["solver"], config.get("lambda_mode", "omniscient")
+            if field in READS[kind] - UNREAD_BY["P2" if solver == "P2" else lambda_mode]:
+                with pytest.raises(Ran) as ran:
+                    main(argv)
+                assert getattr(ran.value.args[0], field) == config[field], estimator
+                continue
+            if field not in READS[kind]:
+                owner = f"kind '{kind}'"
+            elif solver == "P2" or field == "epsilon_mode":
+                owner = f"solver '{solver}'"
+            else:
+                owner = f"lambda_mode '{lambda_mode}'"
+            named = re.escape(f"{field} {config[field]!r}")
+            with pytest.raises(InvalidParamError,
+                               match=f"^{re.escape(owner)} does not read .*{named}"):
+                main(argv)
+            assert not out.exists(), estimator
 
 
 class TestRunSweep:
@@ -645,22 +682,23 @@ class TestVerifyStats:
         ({"n_measurements": [20, 20], "intensity": [1e3]}, 100, "grid n_measurements"),
         # True is no count.
         ({"n_measurements": [True, 50], "intensity": [1e3]}, 100, "grid n_measurements"),
+        # Three specs that once built and were refused only by the run.
+        ({"intensity": [2e3, 3e3]}, 30, "grid intensity 2000.0 and 3000.0 share"),
+        ({}, 5, "trials must be an integer >= 30, got 5"),
+        ({"n_measurements": [20, 20]}, 30, "grid n_measurements 20 and 20 share"),
     ])
-    def test_bad_grid_rejected_before_any_cell(self, grid, trials, field, monkeypatch):
+    def test_bad_grid_rejected_before_any_cell(self, grid, trials, field):
         # These used to fail only after cells had run, truncate N to an
         # integer, or (two intensities in one quarter-decade) give both cells
-        # one random stream.
-        # The spec refuses a bad N itself; the run refuses the rest.
-        monkeypatch.setattr(experiments, "sample_rip_matrix", None)
-        with pytest.raises(InvalidParamError, match=field):
-            run_verify_stats(ExperimentSpec(kind="verify-stats", grid=grid, trials=trials))
+        # one random stream.  The spec refuses each of them when it is built.
+        with pytest.raises(InvalidParamError, match=f"^{field}"):
+            ExperimentSpec(kind="verify-stats", grid=grid, trials=trials)
 
     @pytest.mark.parametrize("paper_scale", [False, True])
     def test_default_grids_keep_their_stream_levels(self, paper_scale):
-        spec = ExperimentSpec(kind="verify-stats",
-                              grid=default_grid("verify-stats", paper_scale), trials=30)
-        _, grid_I = experiments._verify_stats_grid(spec)
-        assert [level for _, level in grid_I] == \
+        grid = default_grid("verify-stats", paper_scale)
+        ExperimentSpec(kind="verify-stats", grid=grid, trials=30)
+        assert [experiments._stream_level(I) for I in grid["intensity"]] == \
             ([8, 12, 16, 24, 32] if paper_scale else [12, 16, 24])
 
 
@@ -718,10 +756,13 @@ class TestImageRecon:
         img = make_test_image(16, 16)
         src = tmp_path / "img.pgm"
         write_pgm(src, img)
+        # An omniscient lambda walks lambda_points, a fixed one is lambda_value.
+        estimator = ({"lambda_points": 4} if lambda_mode == "omniscient"
+                     else {"lambda_value": 0.05})
         spec = ExperimentSpec(
             kind="image", grid={"intensity": [3e3, 1e6]}, solver="P5", beta=0.1,
-            lambda_mode=lambda_mode, lambda_value=0.05, n_measurements=20, patch=7,
-            stride=3, image_size=16, master_seed=3, lambda_points=4, max_iters=300,
+            lambda_mode=lambda_mode, n_measurements=20, patch=7, stride=3, image_size=16,
+            master_seed=3, max_iters=300, **estimator,
         )
         batched = run_image_recon(spec, src, tmp_path / "b")
         used = one_at_a_time(monkeypatch)
@@ -1040,9 +1081,11 @@ class TestCli:
             main([*cli_argv(command, tmp_path), "--config", str(cfg), "--out", str(out),
                   *flags])
         assert not out.exists()
-        # A field at its default is accepted, given or not.
-        spec = ExperimentSpec(kind=command, workers=1, trials=10)
-        assert (spec.workers, spec.trials) == (1, 10)
+        # A field at its default is accepted, given or not (verify-stats reads
+        # trials, and takes no fewer than 30).
+        trials = 30 if command == "verify-stats" else 10
+        spec = ExperimentSpec(kind=command, workers=1, trials=trials)
+        assert (spec.workers, spec.trials) == (1, trials)
 
     @pytest.mark.parametrize("command, config, report", [
         ("sweep", {"grid": {"intensity": [1e4]}, "trials": 2, "solver": "P2",
@@ -1108,6 +1151,10 @@ class TestCli:
         ("verify-stats", {"trials": 50}, [], "trials", 50),
         ("verify-stats", {"trials": 50}, ["--trials", "40"], "trials", 40),
         ("verify-stats", {}, [], "trials", 1000),
+        # A sweep used to run --kind's default over the config's kind.
+        ("sweep", {"kind": "sparsity"}, [], "kind", "sparsity"),
+        ("sweep", {"kind": "sparsity"}, ["--kind", "measurements"], "kind", "measurements"),
+        ("sweep", {}, [], "kind", "intensity"),
     ])
     def test_flag_over_config_over_default(self, command, config, flags, field, used,
                                            tmp_path, monkeypatch):
@@ -1174,6 +1221,37 @@ class TestCli:
         out = tmp_path / "out"
         with pytest.raises(InvalidParamError, match="grid must be a mapping"):
             main(["verify-stats", "--paper-scale", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+
+    def test_a_sweep_runs_its_configs_kind(self, tmp_path):
+        # It used to run an intensity sweep and write sweep_intensity.csv.
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"kind": "sparsity", "trials": 2, "grid": {"sparsity": [2, 3]},
+                                   "solver": "P4", "lambda_points": 3, "dim": 30,
+                                   "n_measurements": 15, "max_iters": 200}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) in (0, 2)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest_sparsity.json",
+                                                        "sweep_sparsity.csv"]
+        rows = (out / "sweep_sparsity.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:5] for row in rows] == [["sparsity", "P4", "30", "15", "2"],
+                                                        ["sparsity", "P4", "30", "15", "3"]]
+
+    @pytest.mark.parametrize("command, kind", [
+        ("sweep", "image"), ("sweep", "verify-stats"), ("sweep", "bogus"),
+        ("verify-stats", "image"), ("verify-stats", "intensity"),
+        ("image", "verify-stats"), ("image", "sparsity"),
+    ])
+    def test_a_kind_the_command_does_not_run_is_refused(self, command, kind, tmp_path):
+        # The command's kind used to overwrite the config's, so each of these
+        # ran the command's own kind and exited 0.
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"kind": kind}))
+        out = tmp_path / "out"
+        argv = ["sweep"] if command == "sweep" else cli_argv(command, tmp_path)
+        with pytest.raises(InvalidParamError,
+                           match=f"^{command} does not run kind {re.escape(repr(kind))}$"):
+            main([*argv, "--config", str(cfg), "--out", str(out)])
         assert not out.exists()
 
     def test_unconverged_exit_code_two(self, tmp_path):
