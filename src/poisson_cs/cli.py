@@ -6,14 +6,14 @@ Subcommands::
     poisson-cs verify-stats --out results/
     poisson-cs image --input img.pgm --out results/
 
-Each spec field, ``kind`` among them, comes from its flag, else from
-``--config`` (a JSON object), else from the subcommand's default, else from
-``ExperimentSpec``; a grid axis left out takes its scale's values.  A
-subcommand refuses a kind it does not run; the spec checks the rest when it
-is built, before any output.  Sweeps write ``sweep_<kind>.csv`` and
-``manifest_<kind>.json``, the others one JSON report; each echoes its spec.
-Exit code is 0 on success and 2 if any cell failed to converge (results are
-still written).
+Each spec field comes from its flag, else from ``--config`` (a JSON object),
+else from its kind's default in ``ExperimentSpec``; an unset ``kind`` is the
+subcommand's (``sweep``: ``intensity``).  A grid axis left out takes its desk
+values, or its paper ones under ``--paper-scale``.  A subcommand refuses a
+kind it does not run; the spec checks the rest when built, before any output.
+Sweeps write ``sweep_<kind>.csv`` and ``manifest_<kind>.json``, the others one
+JSON report; each echoes its spec.  Exit code is 0 on success and 2 if any
+cell failed to converge (results are still written).
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ from .experiments import (
 
 __all__ = ["main"]
 
-# The spec fields whose default a subcommand changes, its kind among them.
-_DEFAULTS = {"sweep": {"kind": "intensity"},
-             "verify-stats": {"kind": "verify-stats", "trials": 1000},
-             "image": {"kind": "image", "solver": "P4"}}
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
@@ -61,21 +56,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_spec(args) -> ExperimentSpec:
-    fields = dict(_DEFAULTS[args.command])
-    if args.config is not None:
-        fields.update(read_config(args.config, "--config"))
+    fields = {} if args.config is None else read_config(args.config, "--config")
     flags = {"kind": getattr(args, "kind", None), "master_seed": args.seed, "trials": args.trials,
              "workers": args.workers, "solver": getattr(args, "solver", None)}
     fields.update((name, value) for name, value in flags.items() if value is not None)
-    kind = fields["kind"]
+    kind = fields.setdefault("kind", "intensity" if args.command == "sweep" else args.command)
     if kind not in (SWEEP_KINDS if args.command == "sweep" else (args.command,)):
         raise InvalidParamError(f"{args.command} does not run kind {kind!r}")
-    # Each axis the grid leaves out takes the scale's values, and an empty or
-    # absent grid takes them all; a grid that is not a mapping, falsy ones
-    # ([], null, 0) too, reaches the spec, which refuses it by name.
+    # --paper-scale gives each axis the grid leaves out its paper values (the
+    # spec gives the desk ones).  A grid that is not a mapping, falsy ones ([],
+    # null, 0) too, reaches the spec, which refuses it by name.
     grid = fields.get("grid", {})
-    if isinstance(grid, Mapping):
-        fields["grid"] = {**default_grid(kind, paper_scale=args.paper_scale), **grid}
+    if args.paper_scale and isinstance(grid, Mapping):
+        fields["grid"] = {**default_grid(kind, paper_scale=True), **grid}
     return ExperimentSpec.from_dict(fields)
 
 

@@ -3,8 +3,9 @@
 ``check_positive``, ``check_nonneg`` and ``check_integer`` are the one
 implementation of "finite and > 0", "finite and >= 0" and "an integer >= k"
 that every module calls for a lambda, radius, offset, tolerance, count or
-size.  Each raises ``InvalidParamError`` naming the field.  A bool is no
-quantity and no count, and is refused; numpy numbers are accepted.
+size.  Each raises ``InvalidParamError`` naming the field, or returns the
+value as a plain ``float`` or ``int``.  A bool is no quantity and no count,
+and is refused; numpy numbers are accepted.
 """
 
 import math
@@ -48,16 +49,19 @@ def _number(value, kind=numbers.Real) -> bool:
 
 
 # In the two real-valued rules, NaN fails the comparison and is refused too.
-def check_positive(name: str, value) -> None:
+def check_positive(name: str, value) -> float:
     if not (_number(value) and value > 0.0 and math.isfinite(value)):
         raise InvalidParamError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
-def check_nonneg(name: str, value) -> None:
+def check_nonneg(name: str, value) -> float:
     if not (_number(value) and value >= 0.0 and math.isfinite(value)):
         raise InvalidParamError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
 
 
-def check_integer(name: str, value, least: int) -> None:
+def check_integer(name: str, value, least: int) -> int:
     if not (_number(value, numbers.Integral) and value >= least):
         raise InvalidParamError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

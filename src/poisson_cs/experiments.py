@@ -1,8 +1,8 @@
 """Seeded experiment harness: sweeps, statistics verification, image runs.
 
-One table, ``_KINDS``, gives each kind of run the grid axes it walks and
-the spec fields it reads, and ``_UNREAD`` those each estimator does not;
-the spec, the one gate of a run, checks against them when it is built.
+One table, ``_KINDS``, gives each kind of run its grid axes, the spec fields
+it reads and its own defaults, and ``_UNREAD`` the fields each estimator does
+not read; the spec, the one gate of a run, is settled by them when built.
 Each run returns a plain dict, its report, which opens with one header that
 echoes the whole spec and which ``write_report`` writes as JSON.
 
@@ -122,12 +122,10 @@ class _Axis(NamedTuple):
     cell: str | None = None
 
     def value(self, v):
-        """A grid value, checked: an intensity finite and > 0, a count >= 1."""
+        """A grid value, checked and plain: an intensity finite and > 0, a count >= 1."""
         if self.key == "intensity":
-            check_positive("grid intensity", v)
-            return float(v)
-        check_integer(f"grid {self.key}", v, 1)
-        return int(v)
+            return check_positive("grid intensity", v)
+        return check_integer(f"grid {self.key}", v, 1)
 
 
 # The spec fields a sweep reads, besides the one its axis walks, which
@@ -138,14 +136,14 @@ _SWEEP_READS = ("master_seed", "trials", "solver", "lambda_mode", "lambda_value"
 
 
 def _sweep(axis: _Axis) -> tuple:
-    """A sweep kind's entry in ``_KINDS``: its one axis and its reads."""
-    return (axis,), tuple(name for name in _SWEEP_READS if name != axis.key)
+    """A sweep kind's entry in ``_KINDS``: its one axis, its reads, no defaults."""
+    return (axis,), tuple(name for name in _SWEEP_READS if name != axis.key), {}
 
 
-# Every kind of run: the grid axes it walks and the spec fields it reads, kind
-# and grid aside.  A sweep kind walks one axis, which sets a cell parameter;
-# ``--paper-scale`` swaps in the paper values.  An image reads no epsilon_mode:
-# its patches take the theory radius, as a percentile one is an oracle.
+# Each kind: its axes, its reads (kind and grid aside), its own defaults.  A
+# sweep kind walks one axis, which sets a cell parameter; ``--paper-scale``
+# swaps in the paper values.  An image reads no epsilon_mode: its patches take
+# the theory radius, as a percentile one is an oracle.
 _KINDS = {
     "intensity": _sweep(_Axis("intensity", (1e4, 1e6, 1e8),
                               (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10), "intensity")),
@@ -154,13 +152,14 @@ _KINDS = {
     "sparsity": _sweep(_Axis("sparsity", (2, 5, 10), (2, 5, 10, 15, 20), "s")),
     "verify-stats": ((_Axis("n_measurements", (50, 100, 500), (10, 25, 50, 100, 200, 400, 500)),
                       _Axis("intensity", (1e3, 1e4, 1e6), (1e2, 1e3, 1e4, 1e6, 1e8))),
-                     ("master_seed", "trials")),
+                     ("master_seed", "trials"), {"trials": 1000}),
     "image": ((_Axis("intensity", (1e4, 1e8), (1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10)),),
               ("master_seed", "solver", "lambda_mode", "lambda_value", "lambda_points", "beta",
-               "n_measurements", "patch", "stride", "image_size", "max_iters", "workers")),
+               "n_measurements", "patch", "stride", "image_size", "max_iters", "workers"),
+              {"solver": "P4"}),
 }
 # The kinds of sweep that ``run_sweep`` walks.
-SWEEP_KINDS = tuple(kind for kind, (axes, _) in _KINDS.items() if axes[0].cell)
+SWEEP_KINDS = tuple(kind for kind, (axes, *_) in _KINDS.items() if axes[0].cell)
 # The fields an estimator does not read, by the spec value that names it: P2
 # takes a radius, a penalized fit a lambda, walked or fixed.
 _UNREAD = {
@@ -171,48 +170,60 @@ _UNREAD = {
 }
 
 
+class _Default(NamedTuple):
+    """A spec field left unset: its default, unless its kind has its own."""
+
+    value: object
+
+
 @dataclass
 class ExperimentSpec:
-    """Declarative description of one experiment run.  A grid axis left out
-    takes its desk values; a grid key the kind does not walk is refused, and
-    so is a field its kind or estimator does not read, unless at its default."""
+    """One experiment run, final once built.  An unset field takes its kind's
+    default (1000 verify-stats trials, a P4 image), an unset grid axis its
+    desk values, and counts are held as int and reals as float.  A grid key
+    the kind does not walk is refused, and so is a field its kind or estimator
+    does not read, unless at that default."""
 
     kind: str = "intensity"
     grid: dict = field(default_factory=dict)
-    trials: int = 10
-    master_seed: int = 0
-    solver: str = "P2"
-    lambda_mode: str = "omniscient"
-    lambda_value: float | None = None
-    lambda_points: int = 10
-    epsilon_mode: str = "theory"
-    beta: float = 0.0
-    dim: int = 100
-    n_measurements: int = 50
-    sparsity: int = 5
-    intensity: float = 1e8
-    patch: int = 7
-    stride: int = 3
-    image_size: int | None = 64
-    max_iters: int = 1200
-    workers: int = 1
+    trials: int = _Default(10)
+    master_seed: int = _Default(0)
+    solver: str = _Default("P2")
+    lambda_mode: str = _Default("omniscient")
+    lambda_value: float | None = _Default(None)
+    lambda_points: int = _Default(10)
+    epsilon_mode: str = _Default("theory")
+    beta: float = _Default(0.0)
+    dim: int = _Default(100)
+    n_measurements: int = _Default(50)
+    sparsity: int = _Default(5)
+    intensity: float = _Default(1e8)
+    patch: int = _Default(7)
+    stride: int = _Default(3)
+    image_size: int | None = _Default(64)
+    max_iters: int = _Default(1200)
+    workers: int = _Default(1)
 
     def __post_init__(self):
-        for name in _COUNT_FIELDS:
-            check_integer(name, getattr(self, name), 1)
-        if self.image_size is not None:
-            check_integer("image_size", self.image_size, 1)
-        # SeedSequence takes non-negative entropy only.
-        check_integer("master_seed", self.master_seed, 0)
         desk = default_grid(self.kind)  # refuses an unknown kind
+        axes, reads, kind_defaults = _KINDS[self.kind]
+        defaults = {f.name: kind_defaults.get(f.name, f.default.value) for f in fields(self)
+                    if isinstance(f.default, _Default)}
+        for name, value in defaults.items():
+            if isinstance(getattr(self, name), _Default):
+                setattr(self, name, value)
+        # Each number in its one form, set last: the unread rule quotes it as given.
+        plain = {name: check_integer(name, getattr(self, name), 1) for name in _COUNT_FIELDS}
+        if self.image_size is not None:
+            plain["image_size"] = check_integer("image_size", self.image_size, 1)
+        # SeedSequence takes non-negative entropy only.
+        plain["master_seed"] = check_integer("master_seed", self.master_seed, 0)
         for name, modes in (("solver", SOLVERS), ("lambda_mode", ("omniscient", "fixed")),
                             ("epsilon_mode", EPSILON_MODES)):
             if getattr(self, name) not in modes:
                 raise InvalidParamError(f"unknown {name} {getattr(self, name)!r}")
-        if self.lambda_mode == "fixed":
-            check_positive("lambda_value (fixed lambda_mode)", self.lambda_value)
-        check_positive("intensity", self.intensity)
-        check_nonneg("beta", self.beta)
+        plain["intensity"] = check_positive("intensity", self.intensity)
+        plain["beta"] = check_nonneg("beta", self.beta)
         if not isinstance(self.grid, Mapping):
             raise InvalidParamError(f"grid must be a mapping of axis names to values, "
                                     f"got {type(self.grid).__name__}")
@@ -221,15 +232,14 @@ class ExperimentSpec:
             walked = " and ".join(f"grid {key}" for key in desk)
             raise InvalidParamError(f"kind {self.kind!r} walks {walked} only, "
                                     f"not grid {', '.join(unwalked)}")
-        self.grid = {key: self.grid.get(key, values) for key, values in desk.items()}
-        axes, reads = _KINDS[self.kind]
+        grid = {}
         for axis in axes:
-            values = self.grid[axis.key]
+            values = self.grid.get(axis.key, desk[axis.key])
             if not isinstance(values, (list, tuple)) or not values:
                 raise InvalidParamError(f"kind {self.kind!r} needs a non-empty list "
                                         f"grid {axis.key}, got {values!r}")
-            for value in values:
-                axis.value(value)
+            grid[axis.key] = [axis.value(value) for value in values]
+        self.grid = grid
         if self.kind in SWEEP_KINDS:
             # The sweep's own sparsity: its grid on a sparsity sweep.
             name = "grid sparsity" if self.kind == "sparsity" else "sparsity"
@@ -237,23 +247,22 @@ class ExperimentSpec:
                 if cell["s"] > cell["m"]:
                     raise InvalidParamError(f"{name} {cell['s']} exceeds dim {cell['m']}")
         if self.kind == "image":
-            _refuse_shared("intensity", self.grid["intensity"], _pgm_name,
-                           "would both be written to {}")
+            _refuse_shared("intensity", grid["intensity"], _pgm_name, "would both be written to {}")
         if self.kind == "verify-stats":
             # The KS test takes no fewer samples.  A cell's streams are keyed
             # by (N, level), and a level below 0 is no key.
             check_integer("trials", self.trials, KS_MIN_SAMPLES)
-            _refuse_shared("n_measurements", self.grid["n_measurements"], int,
+            _refuse_shared("n_measurements", grid["n_measurements"], int,
                            "share their random streams")
-            if min(self.grid["intensity"]) < 1.0:
+            if min(grid["intensity"]) < 1.0:
                 raise InvalidParamError(f"grid intensity must be >= 1, "
-                                        f"got {min(self.grid['intensity'])!r}")
-            _refuse_shared("intensity", self.grid["intensity"], _stream_level,
+                                        f"got {min(grid['intensity'])!r}")
+            _refuse_shared("intensity", grid["intensity"], _stream_level,
                            "share the quarter-decade level {}, and with it their random streams")
-        # Each field set away from its default that the kind, or else its
-        # estimator, does not read is named in one error, after what does not.
-        given = {f.name: f"{f.name} {getattr(self, f.name)!r}" for f in fields(self)
-                 if f.name not in ("kind", "grid") and getattr(self, f.name) != f.default}
+        # Each field set away from its kind's default that the kind, or else
+        # its estimator, does not read is named in one error, after what does not.
+        given = {name: f"{name} {getattr(self, name)!r}" for name, default in defaults.items()
+                 if getattr(self, name) != default}
         reads = set(reads)
         owners = {f"kind {self.kind!r}": set(given) - reads}
         for name in ("solver", "lambda_mode"):
@@ -266,6 +275,12 @@ class ExperimentSpec:
                    for owner, names in owners.items() if names & set(given)]
         if clauses:
             raise InvalidParamError("; ".join(clauses))
+        # A fixed lambda_mode has passed the rule above, so its estimator reads it.
+        if self.lambda_mode == "fixed":
+            plain["lambda_value"] = check_positive("lambda_value (fixed lambda_mode)",
+                                                   self.lambda_value)
+        for name, value in plain.items():
+            setattr(self, name, value)
 
     @classmethod
     def from_dict(cls, config) -> "ExperimentSpec":
@@ -336,10 +351,10 @@ def _pgm_name(intensity) -> str:
 def _cells(spec: ExperimentSpec) -> list[dict]:
     if spec.kind not in SWEEP_KINDS:
         raise InvalidParamError(f"run_sweep cannot handle kind {spec.kind!r}")
-    (axis,), _ = _KINDS[spec.kind]
+    (axis,), *_ = _KINDS[spec.kind]
     base = {"m": spec.dim, "N": spec.n_measurements, "s": spec.sparsity,
             "intensity": spec.intensity}
-    return [{**base, axis.cell: axis.value(v)} for v in spec.grid[axis.key]]
+    return [{**base, axis.cell: v} for v in spec.grid[axis.key]]
 
 
 def _lambda_grid(scale: float, spec: ExperimentSpec) -> np.ndarray:
@@ -595,9 +610,9 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
 
     t0 = time.perf_counter()
     jobs = []
-    for N in map(int, spec.grid["n_measurements"]):
+    for N in spec.grid["n_measurements"]:
         phi = _phi(spec.master_seed, N, 2 * N, N)
-        for intensity in map(float, spec.grid["intensity"]):
+        for intensity in spec.grid["intensity"]:
             level = _stream_level(intensity)
             x = derive_rng(spec.master_seed, _STREAM_SIGNAL, N, level).uniform(
                 0.5, 1.5, size=phi.dim)
@@ -703,7 +718,7 @@ def run_image_recon(spec: ExperimentSpec, image_path, out_dir) -> dict:
     psi = dct2_basis(spec.patch).matrix()
 
     cells = []
-    for intensity in [float(v) for v in spec.grid["intensity"]]:
+    for intensity in spec.grid["intensity"]:
         scaled = img * (intensity / img.sum())
         patches = extract_patches(scaled, grid)
         # One contiguous run of patches per worker, each solved as a batch.

@@ -65,7 +65,6 @@ class SensingMatrix:
     """Non-negative, flux-preserving measurement matrix with entries in {0, 1/N}."""
 
     entries: np.ndarray
-    p: float
     source: RipMatrix = field(repr=False)
 
     @property
@@ -131,7 +130,7 @@ def build_phi(zt: RipMatrix) -> SensingMatrix:
     N = zt.n_measurements
     entries = np.where(zt.entries < 0.0, 0.0, 1.0 / N)
     entries.setflags(write=False)
-    return SensingMatrix(entries=entries, p=zt.p, source=zt)
+    return SensingMatrix(entries=entries, source=zt)
 
 
 def estimate_ric(B: np.ndarray, s: int, max_supports: int = 10**6) -> RicEstimate:

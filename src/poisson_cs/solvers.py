@@ -71,7 +71,7 @@ from .errors import (
     check_nonneg,
     check_positive,
 )
-from .transforms import BasisKind, OrthonormalBasis
+from .transforms import OrthonormalBasis
 
 __all__ = [
     "FitKind",
@@ -462,7 +462,7 @@ def _prox_of(basis: OrthonormalBasis):
     """The proximal map prox(v, t) of the solves on ``basis``: on the identity
     basis theta is the signal, a photon flux, and is clamped at 0; a DCT
     coefficient has no sign constraint."""
-    return _shrink_nonneg if basis.kind is BasisKind.IDENTITY else _shrink
+    return _shrink_nonneg if basis.patch_shape is None else _shrink
 
 
 def _next_momentum(t: float) -> float:

@@ -9,7 +9,6 @@ covering it.  Grayscale images travel as 8- or 16-bit PGM files.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InvalidParamError, LengthMismatchError, check_integer
 
 __all__ = [
-    "BasisKind",
     "OrthonormalBasis",
     "identity_basis",
     "dct2_basis",
@@ -31,20 +29,14 @@ __all__ = [
 ]
 
 
-class BasisKind(enum.Enum):
-    IDENTITY = "identity"
-    DCT2 = "dct2"
-
-
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Synthesis operator x = Psi @ theta and its inverse (analysis).
 
     ``patch_shape`` is the (h, w) layout of the vectorized signal for the
-    2-D DCT basis and None for the identity.
+    2-D DCT basis; the identity basis is the one whose ``patch_shape`` is None.
     """
 
-    kind: BasisKind
     dim: int
     patch_shape: tuple[int, int] | None = None
 
@@ -52,29 +44,27 @@ class OrthonormalBasis:
         theta = np.asarray(theta, dtype=float)
         if theta.size != self.dim:
             raise LengthMismatchError(f"expected length {self.dim}, got {theta.size}")
-        if self.kind is BasisKind.IDENTITY:
+        if self.patch_shape is None:
             return theta.copy()
         # scipy is imported where it is used, so that importing the package
         # (and starting the CLI) loads numpy only.
         from scipy.fft import idctn
 
-        h, w = self.patch_shape
-        return idctn(theta.reshape(h, w), norm="ortho").reshape(-1)
+        return idctn(theta.reshape(self.patch_shape), norm="ortho").reshape(-1)
 
     def analyze(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.size != self.dim:
             raise LengthMismatchError(f"expected length {self.dim}, got {x.size}")
-        if self.kind is BasisKind.IDENTITY:
+        if self.patch_shape is None:
             return x.copy()
         from scipy.fft import dctn
 
-        h, w = self.patch_shape
-        return dctn(x.reshape(h, w), norm="ortho").reshape(-1)
+        return dctn(x.reshape(self.patch_shape), norm="ortho").reshape(-1)
 
     def matrix(self) -> np.ndarray:
         """Dense Psi; columns are the synthesized canonical coefficients."""
-        if self.kind is BasisKind.IDENTITY:
+        if self.patch_shape is None:
             return np.eye(self.dim)
         from scipy.fft import idctn
 
@@ -86,7 +76,7 @@ class OrthonormalBasis:
 
 def identity_basis(dim: int) -> OrthonormalBasis:
     check_integer("dim", dim, 1)
-    return OrthonormalBasis(kind=BasisKind.IDENTITY, dim=dim)
+    return OrthonormalBasis(dim=dim)
 
 
 def dct2_basis(patch_h: int, patch_w: int | None = None) -> OrthonormalBasis:
@@ -94,9 +84,7 @@ def dct2_basis(patch_h: int, patch_w: int | None = None) -> OrthonormalBasis:
     patch_w = patch_h if patch_w is None else patch_w
     check_integer("patch_h", patch_h, 1)
     check_integer("patch_w", patch_w, 1)
-    return OrthonormalBasis(
-        kind=BasisKind.DCT2, dim=patch_h * patch_w, patch_shape=(patch_h, patch_w)
-    )
+    return OrthonormalBasis(dim=patch_h * patch_w, patch_shape=(patch_h, patch_w))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from poisson_cs import solvers
-from poisson_cs.errors import InvalidParamError
+from poisson_cs.errors import InvalidParamError, check_integer, check_nonneg, check_positive
 from poisson_cs.experiments import ExperimentSpec
 from poisson_cs.sensing import build_phi, sample_rip_matrix
 from poisson_cs.simulate import measure
@@ -43,7 +43,7 @@ QUANTITIES = [
     ("ExperimentSpec", "beta", lambda v: ExperimentSpec(beta=v)),
     ("ExperimentSpec", "intensity", lambda v: ExperimentSpec(intensity=v)),
     ("ExperimentSpec", "lambda_value",
-     lambda v: ExperimentSpec(lambda_mode="fixed", lambda_value=v)),
+     lambda v: ExperimentSpec(solver="P4", lambda_mode="fixed", lambda_value=v)),
 ]
 COUNTS = [
     ("SolverConfig", "max_iters", lambda v: SolverConfig(max_iters=v)),
@@ -91,6 +91,10 @@ def test_numpy_scalars_accepted():
     spec = ExperimentSpec(kind="measurements", beta=np.float64(0.2), trials=np.int64(3),
                           intensity=np.float32(1e4))
     assert spec.trials == 3
+    # Each rule returns the value it passed as a plain float or int.
+    passed = (check_positive("x", np.float32(0.5)), check_nonneg("x", np.int64(0)),
+              check_integer("n", np.int64(3), 1))
+    assert [(type(v), v) for v in passed] == [(float, 0.5), (float, 0.0), (int, 3)]
     assert sample_rip_matrix(np.int64(4), np.int32(6)).entries.shape == (4, 6)
     assert monte_carlo_sqjsd(PHI.rates(X), np.int64(5), seed=0).trials == 5
     assert identity_basis(np.int64(4)).dim == 4

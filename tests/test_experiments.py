@@ -197,8 +197,13 @@ class TestSpec:
             ExperimentSpec(kind="intensity", trials=0)
         with pytest.raises(InvalidParamError):
             ExperimentSpec(kind="intensity", solver="P9")
-        with pytest.raises(InvalidParamError):
+        # A fixed lambda on P2 is refused by its estimator, and not for a
+        # lambda_value that the next attempt would be refused for.
+        with pytest.raises(InvalidParamError,
+                           match="^solver 'P2' does not read lambda_mode 'fixed'$"):
             ExperimentSpec(kind="intensity", lambda_mode="fixed")
+        with pytest.raises(InvalidParamError, match=r"^lambda_value \(fixed lambda_mode\)"):
+            ExperimentSpec(kind="intensity", solver="P4", lambda_mode="fixed")
 
     def test_unknown_epsilon_mode_rejected(self):
         with pytest.raises(InvalidParamError, match="epsilon_mode"):
@@ -371,13 +376,39 @@ class TestSpec:
         with pytest.raises(InvalidParamError, match=r"list\.json"):
             ExperimentSpec.from_dict(read_config(path))
 
-    def test_integer_fields_accept_numpy_integers(self):
+    def test_integer_fields_accept_numpy_integers(self, tmp_path):
         spec = ExperimentSpec(kind="intensity", trials=np.int64(2), dim=np.int32(40),
                               master_seed=np.int64(0))
         image = ExperimentSpec(kind="image", master_seed=np.int64(0), image_size=None)
         assert (spec.trials, spec.dim, image.image_size) == (2, 40, None)
-        spec = ExperimentSpec(kind="measurements", grid={"n_measurements": [np.int64(20)]})
+        # The spec holds each as a plain int, so its report is written; such a
+        # sweep used to run whole and then fail in write_report with a
+        # TypeError (int64 is not JSON serializable).
+        spec = ExperimentSpec(kind="measurements", grid={"n_measurements": [np.int64(20)]},
+                              trials=np.int64(2), master_seed=np.int64(1), dim=40, sparsity=3,
+                              max_iters=200)
+        held = (spec.trials, spec.master_seed, *spec.grid["n_measurements"])
+        assert [(type(v), v) for v in held] == [(int, 2), (int, 1), (int, 20)]
         assert experiments._cells(spec)[0]["N"] == 20
+        write_report(run_sweep(spec), tmp_path / "manifest.json")
+        echo = json.loads((tmp_path / "manifest.json").read_text())["spec"]
+        assert (echo["trials"], echo["master_seed"], echo["grid"]) == (
+            2, 1, {"n_measurements": [20]})
+
+    def test_each_kind_takes_its_own_defaults(self):
+        # The CLI used to hold these, so a library verify-stats spec was
+        # refused for 10 trials and a library image spec ran P2.
+        stats = ExperimentSpec(kind="verify-stats")
+        assert (stats.trials, ExperimentSpec(kind="image").solver) == (1000, "P4")
+        assert (ExperimentSpec().trials, ExperimentSpec().solver) == (10, "P2")
+        report = run_verify_stats(ExperimentSpec(
+            kind="verify-stats", grid={"n_measurements": [20], "intensity": [1e4]}))
+        assert [(c["N"], c["I"], c["trials"]) for c in report["cells"]] == [(20, 1e4, 1000)]
+        # A field at its kind's default is accepted, given or not; away from
+        # it, a field the kind does not read is refused.
+        assert ExperimentSpec(kind="image", solver="P4", trials=10).solver == "P4"
+        with pytest.raises(InvalidParamError, match="^kind 'image' does not read trials 1000$"):
+            ExperimentSpec(kind="image", trials=1000)
 
     @pytest.mark.parametrize("command", ["sweep", "verify-stats"])
     def test_negative_seed_rejected_by_the_cli(self, command, tmp_path, monkeypatch):
@@ -1120,6 +1151,24 @@ class TestCli:
         first.pop("wall_clock_s")
         again.pop("wall_clock_s")
         assert again == first
+
+    def test_an_integer_config_number_echoes_as_a_float(self, tmp_path, monkeypatch):
+        # The spec used to keep a config's 10000 as an int, and echo it so.
+        config = {"kind": "measurements", "grid": {"n_measurements": [15]}, "intensity": 10000,
+                  "trials": 2, "dim": 30, "sparsity": 3, "max_iters": 200}
+        outputs = []
+        for run in ("first", "again"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            Path("spec.json").write_text(json.dumps(outputs[0][0]["spec"] if outputs else config))
+            assert main(["sweep", "--config", "spec.json", "--out", "out", "--seed", "3"]) in (0, 2)
+            text = (Path("out") / "manifest_measurements.json").read_text()
+            assert '"intensity": 10000.0' in text
+            manifest = json.loads(text)
+            manifest.pop("wall_clock_s")
+            outputs.append((manifest, (Path("out") / "sweep_measurements.csv").read_bytes()))
+        assert [row.split(b",")[5] for row in outputs[0][1].splitlines()[1:]] == [b"10000.0"]
+        assert outputs[1] == outputs[0]
 
     def test_image_subcommand(self, tmp_path):
         src = tmp_path / "img.pgm"
