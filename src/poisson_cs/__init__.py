@@ -56,7 +56,6 @@ from .solvers import (
     SolverConfig,
     fit_value_and_gradient,
     rrmse,
-    soft_threshold,
     solve_p2,
     solve_penalized,
     solve_penalized_batch,

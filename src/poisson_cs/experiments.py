@@ -176,13 +176,14 @@ class _Default(NamedTuple):
     value: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment run, final once built.  An unset field takes its kind's
-    default (1000 verify-stats trials, a P4 image), an unset grid axis its
-    desk values, and counts are held as int and reals as float.  A grid key
-    the kind does not walk is refused, and so is a field its kind or estimator
-    does not read, unless at that default."""
+    """One experiment run, final once built: a field assignment raises.  An
+    unset field takes its kind's default (1000 verify-stats trials, a P4
+    image), an unset grid axis its desk values; counts are held as int, reals
+    as float and grid axes as tuples.  A grid key the kind does not walk is
+    refused, and so is a field its kind or estimator does not read, unless at
+    that default."""
 
     kind: str = "intensity"
     grid: dict = field(default_factory=dict)
@@ -211,7 +212,7 @@ class ExperimentSpec:
                     if isinstance(f.default, _Default)}
         for name, value in defaults.items():
             if isinstance(getattr(self, name), _Default):
-                setattr(self, name, value)
+                object.__setattr__(self, name, value)
         # Each number in its one form, set last: the unread rule quotes it as given.
         plain = {name: check_integer(name, getattr(self, name), 1) for name in _COUNT_FIELDS}
         if self.image_size is not None:
@@ -238,8 +239,8 @@ class ExperimentSpec:
             if not isinstance(values, (list, tuple)) or not values:
                 raise InvalidParamError(f"kind {self.kind!r} needs a non-empty list "
                                         f"grid {axis.key}, got {values!r}")
-            grid[axis.key] = [axis.value(value) for value in values]
-        self.grid = grid
+            grid[axis.key] = tuple(axis.value(value) for value in values)
+        object.__setattr__(self, "grid", grid)
         if self.kind in SWEEP_KINDS:
             # The sweep's own sparsity: its grid on a sparsity sweep.
             name = "grid sparsity" if self.kind == "sparsity" else "sparsity"
@@ -280,7 +281,7 @@ class ExperimentSpec:
             plain["lambda_value"] = check_positive("lambda_value (fixed lambda_mode)",
                                                    self.lambda_value)
         for name, value in plain.items():
-            setattr(self, name, value)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, config) -> "ExperimentSpec":
@@ -294,7 +295,8 @@ class ExperimentSpec:
         return cls(**config)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The spec's JSON form, each grid axis a list."""
+        return {**asdict(self), "grid": {key: list(values) for key, values in self.grid.items()}}
 
 
 def read_config(path, name: str = "config") -> dict:

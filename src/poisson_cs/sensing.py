@@ -49,7 +49,6 @@ class RipMatrix:
     """The +-two-point random matrix Z / sqrt(N) that carries the RIP."""
 
     entries: np.ndarray
-    p: float
 
     @property
     def n_measurements(self) -> int:
@@ -116,7 +115,7 @@ def sample_rip_matrix(N: int, m: int, p: float = 0.5, seed: int | None = 0) -> R
     hi = math.sqrt(p / (1.0 - p)) / math.sqrt(N)
     entries = np.where(negative, lo, hi)
     entries.setflags(write=False)
-    return RipMatrix(entries=entries, p=p)
+    return RipMatrix(entries=entries)
 
 
 def build_phi(zt: RipMatrix) -> SensingMatrix:

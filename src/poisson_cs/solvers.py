@@ -80,7 +80,6 @@ __all__ = [
     "SolveResult",
     "fit_value_and_gradient",
     "gradient_scale",
-    "soft_threshold",
     "solve_chains",
     "solve_penalized",
     "solve_penalized_batch",
@@ -118,7 +117,7 @@ class SolverConfig:
         check_integer("max_iters", self.max_iters, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
     """The outcome of a penalized solve or of a P2 radius search.
 
@@ -152,13 +151,6 @@ def _shrink(v: np.ndarray, t) -> np.ndarray:
     than the sweeps on a line search's block of tries.
     """
     return v - np.minimum(np.maximum(v, -t), t)
-
-
-def soft_threshold(v, t: float) -> np.ndarray:
-    """Prox of t*||.||_1: sign(v) * max(|v| - t, 0)."""
-    v = np.asarray(v, dtype=float)
-    check_nonneg("threshold", t)
-    return _shrink(v, t)
 
 
 @dataclass(frozen=True)

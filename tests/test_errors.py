@@ -14,7 +14,6 @@ from poisson_cs.solvers import (
     FitKind,
     FitTerm,
     SolverConfig,
-    soft_threshold,
     solve_p2,
     solve_p2_batch,
     solve_penalized,
@@ -39,7 +38,6 @@ QUANTITIES = [
     ("solve_p2", "beta", lambda v: solve_p2(A, BASIS, Y, 5.0, beta=v)),
     ("solve_p2_batch", "epsilon", lambda v: solve_p2_batch([A, A], BASIS, [Y, Y], [5.0, v])),
     ("FitTerm", "beta", lambda v: FitTerm(FitKind.SNLL, v)),
-    ("soft_threshold", "threshold", lambda v: soft_threshold([1.0], v)),
     ("ExperimentSpec", "beta", lambda v: ExperimentSpec(beta=v)),
     ("ExperimentSpec", "intensity", lambda v: ExperimentSpec(intensity=v)),
     ("ExperimentSpec", "lambda_value",

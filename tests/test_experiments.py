@@ -183,7 +183,7 @@ class TestSignalGenerator:
 class TestSpec:
     def test_defaults_fill_grid(self):
         spec = ExperimentSpec(kind="sparsity", grid={})
-        assert spec.grid == default_grid("sparsity")
+        assert spec.grid == {"sparsity": tuple(default_grid("sparsity")["sparsity"])}
 
     def test_paper_scale_grids_are_larger(self):
         for kind in ("intensity", "measurements", "sparsity", "verify-stats", "image"):
@@ -355,8 +355,20 @@ class TestSpec:
     def test_missing_axis_takes_its_desk_values(self):
         # The verify-stats run used to fill the axis itself.
         spec = ExperimentSpec(kind="verify-stats", grid={"n_measurements": [30]}, trials=30)
-        assert spec.grid == {"n_measurements": [30],
-                             "intensity": default_grid("verify-stats")["intensity"]}
+        assert spec.grid == {"n_measurements": (30,),
+                             "intensity": tuple(default_grid("verify-stats")["intensity"])}
+
+    def test_a_built_spec_is_final(self):
+        # Both edits used to pass: the run then failed in write_report (int64
+        # is not JSON serializable), or on the log of a negative intensity.
+        spec = ExperimentSpec(kind="verify-stats",
+                              grid={"n_measurements": [10], "intensity": [1e3]}, trials=30)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.trials = np.int64(30)
+        with pytest.raises(AttributeError):
+            spec.grid["intensity"].append(-5.0)
+        assert (spec.trials, spec.grid) == (30, {"n_measurements": (10,), "intensity": (1e3,)})
+        assert spec.to_dict()["grid"] == {"n_measurements": [10], "intensity": [1000.0]}
 
     @pytest.mark.parametrize("config", [[1], "intensity", 3, "{bad"])
     def test_non_mapping_config_rejected(self, config, tmp_path):
@@ -721,9 +733,12 @@ class TestVerifyStats:
     def test_bad_grid_rejected_before_any_cell(self, grid, trials, field):
         # These used to fail only after cells had run, truncate N to an
         # integer, or (two intensities in one quarter-decade) give both cells
-        # one random stream.  The spec refuses each of them when it is built.
+        # one random stream.  The spec refuses each of them when it is built,
+        # and when it is rebuilt with dataclasses.replace.
         with pytest.raises(InvalidParamError, match=f"^{field}"):
             ExperimentSpec(kind="verify-stats", grid=grid, trials=trials)
+        with pytest.raises(InvalidParamError, match=f"^{field}"):
+            dataclasses.replace(ExperimentSpec(kind="verify-stats"), grid=grid, trials=trials)
 
     @pytest.mark.parametrize("paper_scale", [False, True])
     def test_default_grids_keep_their_stream_levels(self, paper_scale):
@@ -1242,8 +1257,8 @@ class TestCli:
         argv = ["verify-stats", "--config", str(cfg), "--out", str(tmp_path / "out")]
         with pytest.raises(Ran) as ran:
             main(argv + ["--paper-scale"] * paper_scale)
-        assert ran.value.args[0].grid == {**default_grid("verify-stats", paper_scale),
-                                          given: value}
+        want = {**default_grid("verify-stats", paper_scale), given: value}
+        assert ran.value.args[0].grid == {key: tuple(values) for key, values in want.items()}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("paper_scale", [False, True])
@@ -1260,7 +1275,8 @@ class TestCli:
         argv = ["verify-stats", "--config", str(cfg), "--out", str(tmp_path / "out")]
         with pytest.raises(Ran) as ran:
             main(argv + ["--paper-scale"] * paper_scale)
-        assert ran.value.args[0].grid == default_grid("verify-stats", paper_scale)
+        assert ran.value.args[0].grid == {
+            key: tuple(values) for key, values in default_grid("verify-stats", paper_scale).items()}
 
     # A falsy grid ([], null, 0) used to run the scale's default grid.
     @pytest.mark.parametrize("grid", [[1e4], "intensity", 3, [], None, 0])

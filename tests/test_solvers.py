@@ -1,5 +1,6 @@
 """Unit tests for the reconstruction solvers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from poisson_cs.solvers import (
     fit_value_and_gradient,
     gradient_scale,
     rrmse,
-    soft_threshold,
     solve_p2,
     solve_p2_batch,
     solve_penalized,
@@ -47,16 +47,17 @@ def sparse_instance(m=100, N=50, s=5, intensity=1e8, seed=0):
 
 
 class TestSoftThreshold:
+    # The proximal map of t*||.||_1 on the DCT basis, and its clamp at 0 on
+    # the identity basis.
     def test_zero_threshold_is_identity(self):
         v = np.array([3.0, -0.5, 0.0])
-        assert np.array_equal(soft_threshold(v, 0.0), v)
+        assert np.array_equal(solvers._prox_of(dct2_basis(3))(v, 0.0), v)
+        assert np.array_equal(solvers._prox_of(identity_basis(3))(v, 0.0), [3.0, 0.0, 0.0])
 
     def test_componentwise(self):
-        assert np.array_equal(soft_threshold([3.0, -0.5], 1.0), [2.0, 0.0])
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(InvalidParamError):
-            soft_threshold([1.0], -0.1)
+        v = np.array([3.0, -0.5, -2.0])
+        assert np.array_equal(solvers._prox_of(dct2_basis(3))(v, 1.0), [2.0, 0.0, -1.0])
+        assert np.array_equal(solvers._prox_of(identity_basis(3))(v, 1.0), [2.0, 0.0, 0.0])
 
     def test_prox_property_1d_grid(self):
         # argmin_z t|z| + (z - v)^2 / 2 checked against a dense grid.
@@ -65,7 +66,7 @@ class TestSoftThreshold:
             for t in (0.0, 0.5, 1.7):
                 objective = t * np.abs(grid) + 0.5 * (grid - v) ** 2
                 best = grid[np.argmin(objective)]
-                got = soft_threshold([v], t)[0]
+                got = solvers._shrink(np.array([v]), t)[0]
                 assert got == pytest.approx(best, abs=1e-4)
 
     @settings(max_examples=300, deadline=None)
@@ -77,10 +78,10 @@ class TestSoftThreshold:
            per_row=st.data())
     def test_two_op_maps_are_the_definition(self, v, t, per_row):
         # The solvers' proximal maps take two elementwise operations each:
-        # v - clip(v, -t, t) on the DCT basis (and in soft_threshold) and
-        # max(v - t, 0) on the identity basis.  They must equal the
-        # definition sign(v) * max(|v| - t, 0), and its clamp at 0, in every
-        # bit but the sign of a zero; np.array_equal does not tell -0.0 from
+        # v - clip(v, -t, t) on the DCT basis and max(v - t, 0) on the
+        # identity basis.  They must equal the definition
+        # sign(v) * max(|v| - t, 0), and its clamp at 0, in every bit but
+        # the sign of a zero; np.array_equal does not tell -0.0 from
         # 0.0, and the bits that differ must be those of zeros.  The
         # threshold is a scalar or, as in the line search, one per row.
         if per_row.draw(st.booleans()):
@@ -92,8 +93,6 @@ class TestSoftThreshold:
             assert np.array_equal(got, ref)
             differ = got.view(np.int64) != ref.view(np.int64)
             assert not np.any(got[differ])
-        if np.ndim(t) == 0:
-            assert np.array_equal(soft_threshold(v, t), want)
 
 
 class TestFitValueAndGradient:
@@ -259,6 +258,19 @@ class TestSolveP2:
         assert np.all(res.theta_star == 0.0)
         assert res.constraint_residual <= 0.0
         assert res.lambda_used is None
+
+    def test_results_are_final(self):
+        # A penalized and a P2 result each refuse an assignment to any field.
+        _, phi, mv = sparse_instance(intensity=1e4, seed=18)
+        basis = identity_basis(100)
+        fit = FitTerm(FitKind.JSD)
+        results = (solve_penalized(phi.entries, basis, mv, fit,
+                                   gradient_scale(phi.entries, basis, mv, fit)),
+                   solve_p2(phi.entries, basis, mv, choose_epsilon("theory", 50)))
+        for res in results:
+            for f in dataclasses.fields(res):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(res, f.name, getattr(res, f.name))
 
     def test_infeasible_epsilon_raises(self):
         # Overdetermined system: the fit minimum is strictly positive, so a
