@@ -13,7 +13,7 @@ zt = sample_rip_matrix(N, m, p=0.5, seed=0)
 phi = build_phi(zt)
 
 print("== construction ==")
-print(f"Phi_tilde entries: {[float(v) for v in np.unique(zt.entries)]}  (= +-1/sqrt(N))")
+print(f"Phi_tilde entries: {[float(v) for v in np.unique(zt)]}  (= +-1/sqrt(N))")
 print(f"Phi entries:       {[float(v) for v in np.unique(phi.entries)]}  (= 0 or 1/N)")
 print(f"column sums of Phi: min {phi.entries.sum(axis=0).min():.3f}, "
       f"max {phi.entries.sum(axis=0).max():.3f}  (all <= 1: flux preservation)")
@@ -24,7 +24,7 @@ print(f"||Phi x||_1 = {np.sum(phi.entries @ x):.2f} <= ||x||_1 = {np.sum(x):.2f}
 
 print()
 print("== measured restricted isometry constant (exhaustive, small scale) ==")
-est = estimate_ric(zt.entries, s=2)
+est = estimate_ric(zt, s=2)
 print(f"delta_4 of Phi_tilde over {est.supports_checked} supports: {est.delta:.4f}")
 print("(Phi itself, being non-negative, does not satisfy the RIP;"
       " its companion does.)")

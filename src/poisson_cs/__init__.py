@@ -41,14 +41,13 @@ from .errors import (
 )
 from .sensing import (
     RicEstimate,
-    RipMatrix,
     SensingMatrix,
     build_phi,
     compose_effective,
     estimate_ric,
     sample_rip_matrix,
 )
-from .simulate import derive_rng, measure
+from .simulate import measure
 from .solvers import (
     FitKind,
     FitTerm,

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import time
+import types
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
@@ -38,8 +39,9 @@ import numpy as np
 from . import __version__ as LIBRARY_VERSION
 from .errors import InvalidParamError, check_integer, check_nonneg, check_positive
 from .sensing import build_phi, sample_rip_matrix
-from .simulate import derive_rng, derive_seed, measure
+from .simulate import derive_seed, measure
 from .solvers import (
+    _LAM_START,
     FitKind,
     FitTerm,
     SolverConfig,
@@ -92,14 +94,14 @@ _SOLVER_FITS = {"P4": FitKind.JSD, "P5": FitKind.SNLL, "P6": FitKind.GEN_KL}
 SOLVERS = ("P2", *_SOLVER_FITS)
 
 # Omniscient-lambda grid, relative to the gradient scale at the start point.
-# The floor stays above the near-unregularized regime where first-order
-# iterations crawl without improving the reconstruction.  The grid does not
-# bracket the pick: on the canonical basis most walks pick the floor itself
-# (65 of 90 walks of desk P4 intensity sweeps and 88 of 90 of measurements
-# sweeps, seeds 1-3, 10 trials), as do 33 of the 108 patch walks of the
-# image-p4 benchmark's seed-0 problems, all at I = 1e8.  Its patches at
-# I = 1e4 pick the 3rd-5th of the 10 points, counted from the top.
-_LAMBDA_GRID_LO = 1e-4
+# Its floor is the radius search's first lam, solvers._LAM_START, and stays
+# above the near-unregularized regime where first-order iterations crawl
+# without improving the reconstruction.  The grid does not bracket the pick:
+# on the canonical basis most walks pick the floor itself (65 of 90 walks of
+# desk P4 intensity sweeps and 88 of 90 of measurements sweeps, seeds 1-3,
+# 10 trials), as do 33 of the 108 patch walks of the image-p4 benchmark's
+# seed-0 problems, all at I = 1e8.  Its patches at I = 1e4 pick the 3rd-5th
+# of the 10 points, counted from the top.
 _LAMBDA_GRID_HI = 0.3
 # A lambda walk stops once its error has not fallen for this many solves in
 # a row.  Past its best a walk's error climbs, and its last solves, at the
@@ -178,15 +180,15 @@ class _Default(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment run, final once built: a field assignment raises.  An
-    unset field takes its kind's default (1000 verify-stats trials, a P4
+    """One experiment run, final once built: a field or grid assignment raises.
+    An unset field takes its kind's default (1000 verify-stats trials, a P4
     image), an unset grid axis its desk values; counts are held as int, reals
-    as float and grid axes as tuples.  A grid key the kind does not walk is
-    refused, and so is a field its kind or estimator does not read, unless at
-    that default."""
+    as float and the grid as a read-only mapping of tuples.  A grid key the
+    kind does not walk is refused, and so is a field its kind or estimator
+    does not read, unless at that default."""
 
     kind: str = "intensity"
-    grid: dict = field(default_factory=dict)
+    grid: Mapping = field(default_factory=dict)
     trials: int = _Default(10)
     master_seed: int = _Default(0)
     solver: str = _Default("P2")
@@ -240,7 +242,7 @@ class ExperimentSpec:
                 raise InvalidParamError(f"kind {self.kind!r} needs a non-empty list "
                                         f"grid {axis.key}, got {values!r}")
             grid[axis.key] = tuple(axis.value(value) for value in values)
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", types.MappingProxyType(grid))
         if self.kind in SWEEP_KINDS:
             # The sweep's own sparsity: its grid on a sparsity sweep.
             name = "grid sparsity" if self.kind == "sparsity" else "sparsity"
@@ -289,24 +291,31 @@ class ExperimentSpec:
         if not isinstance(config, Mapping):
             raise InvalidParamError(f"an ExperimentSpec config must be a mapping of field "
                                     f"names, got {type(config).__name__}")
-        unknown = sorted(set(config) - {f.name for f in fields(cls)})
+        unknown = sorted(map(repr, set(config) - {f.name for f in fields(cls)}))
         if unknown:
             raise InvalidParamError(f"unknown ExperimentSpec field(s): {', '.join(unknown)}")
         return cls(**config)
 
     def to_dict(self) -> dict:
         """The spec's JSON form, each grid axis a list."""
-        return {**asdict(self), "grid": {key: list(values) for key, values in self.grid.items()}}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "grid": {key: list(values) for key, values in self.grid.items()}}
+
+    def __reduce__(self):
+        # The read-only grid does not pickle; the spec travels as its JSON form.
+        return ExperimentSpec.from_dict, (self.to_dict(),)
 
 
 def read_config(path, name: str = "config") -> dict:
-    """The JSON object of spec fields in file ``path``; invalid JSON or any
-    other JSON value raises ``InvalidParamError`` naming ``name`` and the file."""
-    with open(path) as f:
-        try:
+    """The JSON object of spec fields in file ``path``; an unreadable file, bad
+    JSON or any other JSON value raises ``InvalidParamError`` naming ``name`` and the file."""
+    try:
+        with open(path) as f:
             config = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InvalidParamError(f"{name} {path}: not valid JSON ({exc})") from None
+    except OSError as exc:
+        raise InvalidParamError(f"{name} {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidParamError(f"{name} {path}: not valid JSON ({exc})") from None
     if not isinstance(config, dict):
         raise InvalidParamError(f"{name} {path}: expected a JSON object of "
                                 f"ExperimentSpec fields, got {type(config).__name__}")
@@ -320,10 +329,11 @@ def default_grid(kind: str, paper_scale: bool = False) -> dict:
     return {axis.key: list(axis.paper if paper_scale else axis.desk) for axis in _KINDS[kind][0]}
 
 
-def make_sparse_signal(m: int, s: int, intensity: float, rng) -> np.ndarray:
-    """s-sparse non-negative signal with total intensity ||x||_1 = intensity."""
+def make_sparse_signal(m: int, s: int, intensity: float, seed) -> np.ndarray:
+    """s-sparse non-negative signal with ||x||_1 = intensity, from ``default_rng(seed)``."""
     if not (1 <= s <= m):
         raise InvalidParamError(f"sparsity {s} out of range for dim {m}")
+    rng = np.random.default_rng(seed)
     support = rng.choice(m, size=s, replace=False)
     x = np.zeros(m)
     x[support] = rng.uniform(0.5, 1.5, size=s)
@@ -360,7 +370,7 @@ def _cells(spec: ExperimentSpec) -> list[dict]:
 
 
 def _lambda_grid(scale: float, spec: ExperimentSpec) -> np.ndarray:
-    return scale * np.geomspace(_LAMBDA_GRID_LO, _LAMBDA_GRID_HI, spec.lambda_points)
+    return scale * np.geomspace(_LAM_START, _LAMBDA_GRID_HI, spec.lambda_points)
 
 
 def _lambda_walk(basis, grid, reference):
@@ -427,7 +437,7 @@ def _run_trial(spec: ExperimentSpec, cell: dict, trial: int):
     m, N, s, intensity = cell["m"], cell["N"], cell["s"], cell["intensity"]
     master = spec.master_seed
 
-    x = make_sparse_signal(m, s, intensity, derive_rng(master, _STREAM_SIGNAL, s))
+    x = make_sparse_signal(m, s, intensity, derive_seed(master, _STREAM_SIGNAL, s))
 
     phi = _phi(master, N, m, trial)
     y = measure(phi, x, derive_seed(master, _STREAM_Y, trial))
@@ -616,8 +626,8 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
         phi = _phi(spec.master_seed, N, 2 * N, N)
         for intensity in spec.grid["intensity"]:
             level = _stream_level(intensity)
-            x = derive_rng(spec.master_seed, _STREAM_SIGNAL, N, level).uniform(
-                0.5, 1.5, size=phi.dim)
+            rng = np.random.default_rng(derive_seed(spec.master_seed, _STREAM_SIGNAL, N, level))
+            x = rng.uniform(0.5, 1.5, size=phi.dim)
             x *= intensity / x.sum()
             jobs.append((phi.dim, intensity, level, phi.rates(x)))
     # Every cell runs spec.trials trials, so its work grows with N; the sort

@@ -5,8 +5,8 @@ The measurement operator is built in two stages.  A random sign matrix
     Z_ij = -sqrt((1-p)/p)  with probability p,
            +sqrt(p/(1-p))  with probability 1-p,
 
-scaled to ``Phi_tilde = Z / sqrt(N)``, is the RIP-bearing companion.  The
-optical system's matrix is the affine push-forward
+scaled to ``Phi_tilde = Z / sqrt(N)``, a read-only array, is the RIP-bearing
+companion.  The optical system's matrix is the affine push-forward
 
     Phi = sqrt(p(1-p)/N) * Phi_tilde + ((1-p)/N) * ones,
 
@@ -34,7 +34,6 @@ from .errors import (
 )
 
 __all__ = [
-    "RipMatrix",
     "SensingMatrix",
     "RicEstimate",
     "sample_rip_matrix",
@@ -45,30 +44,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RipMatrix:
-    """The +-two-point random matrix Z / sqrt(N) that carries the RIP."""
-
-    entries: np.ndarray
-
-    @property
-    def n_measurements(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
 class SensingMatrix:
     """Non-negative, flux-preserving measurement matrix with entries in {0, 1/N}."""
 
     entries: np.ndarray
-    source: RipMatrix = field(repr=False)
-
-    @property
-    def n_measurements(self) -> int:
-        return self.entries.shape[0]
+    # The Phi_tilde draw it was built from.
+    source: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -98,8 +79,8 @@ class RicEstimate:
     supports_checked: int
 
 
-def sample_rip_matrix(N: int, m: int, p: float = 0.5, seed: int | None = 0) -> RipMatrix:
-    """Draw the N x m two-point sign matrix, scaled by 1/sqrt(N).
+def sample_rip_matrix(N: int, m: int, p: float = 0.5, seed: int | None = 0) -> np.ndarray:
+    """Draw the N x m two-point sign matrix, scaled by 1/sqrt(N), read-only.
 
     Entries are i.i.d.: -sqrt((1-p)/p) with probability p and
     +sqrt(p/(1-p)) with probability 1-p, all divided by sqrt(N).  For
@@ -115,10 +96,10 @@ def sample_rip_matrix(N: int, m: int, p: float = 0.5, seed: int | None = 0) -> R
     hi = math.sqrt(p / (1.0 - p)) / math.sqrt(N)
     entries = np.where(negative, lo, hi)
     entries.setflags(write=False)
-    return RipMatrix(entries=entries)
+    return entries
 
 
-def build_phi(zt: RipMatrix) -> SensingMatrix:
+def build_phi(zt: np.ndarray) -> SensingMatrix:
     """Map the RIP matrix to the optical sensing matrix.
 
     The affine combination sqrt(p(1-p)/N)*Phi_tilde + ((1-p)/N)*ones sends the
@@ -126,8 +107,7 @@ def build_phi(zt: RipMatrix) -> SensingMatrix:
     entries are written directly from the sign pattern rather than through
     floating-point subtraction.
     """
-    N = zt.n_measurements
-    entries = np.where(zt.entries < 0.0, 0.0, 1.0 / N)
+    entries = np.where(zt < 0.0, 0.0, 1.0 / zt.shape[0])
     entries.setflags(write=False)
     return SensingMatrix(entries=entries, source=zt)
 
@@ -169,5 +149,5 @@ def compose_effective(phi: SensingMatrix, basis) -> tuple[np.ndarray, np.ndarray
     """
     psi = basis.matrix()
     A = phi.entries @ psi
-    B = phi.source.entries @ psi
+    B = phi.source @ psi
     return A, B

@@ -18,22 +18,15 @@ import numpy as np
 
 from .sensing import SensingMatrix
 
-__all__ = ["measure", "derive_seed", "derive_rng"]
+__all__ = ["measure", "derive_seed"]
 
 
 def derive_seed(master_seed, *path) -> np.random.SeedSequence:
     """Seed of stream ``path`` under ``master_seed``: the library's one
-    splitting rule, ``SeedSequence([master_seed, *path])``."""
+    splitting rule, ``SeedSequence([master_seed, *path])``.  Identical
+    (master_seed, path) pairs give identical streams, distinct paths
+    statistically independent ones."""
     return np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
-
-
-def derive_rng(master_seed, *path) -> np.random.Generator:
-    """Child generator for stream ``path`` under ``master_seed``.
-
-    Identical (master_seed, path) pairs always yield identical streams;
-    distinct paths yield statistically independent ones.
-    """
-    return np.random.default_rng(derive_seed(master_seed, *path))
 
 
 def measure(phi: SensingMatrix, x, seed) -> np.ndarray:

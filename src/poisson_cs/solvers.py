@@ -475,9 +475,9 @@ _STEPS = _BACKTRACK ** np.arange(_BLOCK)
 _GRAD_TOL = 1e-12
 _OBJECTIVE_TOL = 1e-8
 # The radius search of ``solve_p2``: its tolerance, its cap on secant steps,
-# its first lam in units of the gradient scale (the floor of the omniscient
-# lambda grid, experiments._LAMBDA_GRID_LO), the lam at which it gives up,
-# and the largest secant step above the feasible end of the bracket.
+# its first lam in units of the gradient scale (also the floor of the
+# omniscient lambda grid, experiments._lambda_grid), the lam at which it
+# gives up, and the largest secant step above the feasible end of the bracket.
 _CONSTRAINT_RTOL = 0.01
 _MAX_SECANT = 40
 _LAM_START = 1e-4

@@ -156,8 +156,11 @@ def reassemble(patches_est, grid: PatchGrid) -> np.ndarray:
 def read_pgm(path) -> np.ndarray:
     """Read an 8- or 16-bit PGM (binary P5 or ASCII P2), each pixel an
     integer in 0..maxval, as a float array."""
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise InvalidParamError(f"{path}: {exc.strerror}") from None
     header = []
     pos = 0
     while len(header) < 4:

@@ -1,7 +1,9 @@
 """Tests for the experiment harness and the command-line interface."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import re
 import threading
 from pathlib import Path
@@ -14,7 +16,7 @@ from poisson_cs import cli, experiments
 from poisson_cs.cli import main
 from poisson_cs.errors import InvalidParamError
 from poisson_cs.sensing import SensingMatrix, build_phi, sample_rip_matrix
-from poisson_cs.simulate import derive_rng, derive_seed
+from poisson_cs.simulate import derive_seed
 from poisson_cs.sqjsd_stats import concentration_bounds, ks_gaussian_test, monte_carlo_sqjsd
 from poisson_cs.experiments import (
     ExperimentSpec,
@@ -359,16 +361,28 @@ class TestSpec:
                              "intensity": tuple(default_grid("verify-stats")["intensity"])}
 
     def test_a_built_spec_is_final(self):
-        # Both edits used to pass: the run then failed in write_report (int64
+        # Each edit used to pass: the run then failed in write_report (int64
         # is not JSON serializable), or on the log of a negative intensity.
         spec = ExperimentSpec(kind="verify-stats",
                               grid={"n_measurements": [10], "intensity": [1e3]}, trials=30)
+        echo = spec.to_dict()
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.trials = np.int64(30)
         with pytest.raises(AttributeError):
             spec.grid["intensity"].append(-5.0)
+        with pytest.raises(TypeError):
+            spec.grid["intensity"] = (-5.0,)
+        with pytest.raises(TypeError):
+            del spec.grid["intensity"]
         assert (spec.trials, spec.grid) == (30, {"n_measurements": (10,), "intensity": (1e3,)})
         assert spec.to_dict()["grid"] == {"n_measurements": [10], "intensity": [1000.0]}
+        assert spec.to_dict() == echo
+        # A pickle, a copy and a replace each give the same spec, as final.
+        for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec),
+                     dataclasses.replace(spec)):
+            assert twin == spec and twin.to_dict() == echo
+            with pytest.raises(TypeError):
+                twin.grid["intensity"] = (-5.0,)
 
     @pytest.mark.parametrize("config", [[1], "intensity", 3, "{bad"])
     def test_non_mapping_config_rejected(self, config, tmp_path):
@@ -437,6 +451,10 @@ class TestSpec:
             ExperimentSpec.from_dict(read_config(path))
         with pytest.raises(InvalidParamError, match="n_measurement"):
             main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        # A key that is not a string used to end in a bare TypeError.
+        for config, named in (({1: 2, "zz": 3}, "'zz', 1"), ({1: 2}, "1")):
+            with pytest.raises(InvalidParamError, match=re.escape(f"field(s): {named}") + "$"):
+                ExperimentSpec.from_dict(config)
 
     def test_every_field_is_tried(self):
         assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(ExperimentSpec)} - {
@@ -609,7 +627,7 @@ class TestVerifyStats:
         calls = []
         build = experiments.build_phi
         monkeypatch.setattr(experiments, "build_phi",
-                            lambda matrix: calls.append(matrix.entries.shape) or build(matrix))
+                            lambda matrix: calls.append(matrix.shape) or build(matrix))
         spec = ExperimentSpec(
             kind="verify-stats",
             grid={"n_measurements": [20, 40], "intensity": [1e2, 1e3, 1e4]},
@@ -684,8 +702,8 @@ class TestVerifyStats:
             phi = build_phi(sample_rip_matrix(
                 N, 2 * N, 0.5, seed=derive_seed(seed, experiments._STREAM_PHI, N)))
             for intensity, level in zip(grid["intensity"], (12, 24)):  # int(4 log10 I)
-                x = derive_rng(seed, experiments._STREAM_SIGNAL, N, level).uniform(
-                    0.5, 1.5, size=2 * N)
+                stream = derive_seed(seed, experiments._STREAM_SIGNAL, N, level)
+                x = np.random.default_rng(stream).uniform(0.5, 1.5, size=2 * N)
                 x *= intensity / x.sum()
                 rates = phi.rates(x)
                 ss = monte_carlo_sqjsd(
@@ -704,7 +722,7 @@ class TestVerifyStats:
         rates = SensingMatrix.rates
 
         def recorded(phi, x):
-            calls.append((threading.current_thread(), phi.n_measurements, round(float(x.sum()))))
+            calls.append((threading.current_thread(), phi.entries.shape[0], round(float(x.sum()))))
             return rates(phi, x)
 
         monkeypatch.setattr(SensingMatrix, "rates", recorded)
@@ -1317,6 +1335,16 @@ class TestCli:
         with pytest.raises(InvalidParamError,
                            match=f"^{command} does not run kind {re.escape(repr(kind))}$"):
             main([*argv, "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [(["sweep", "--config"], "--config "),
+                                             (["image", "--input"], "")], ids=["config", "input"])
+    def test_a_missing_input_file_is_refused_by_name(self, argv, named, tmp_path):
+        # Each used to end in a bare FileNotFoundError.
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        with pytest.raises(InvalidParamError,
+                           match=f"^{re.escape(f'{named}{missing}: No such file or directory')}$"):
+            main([*argv, str(missing), "--out", str(out)])
         assert not out.exists()
 
     def test_unconverged_exit_code_two(self, tmp_path):

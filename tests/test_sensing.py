@@ -19,19 +19,19 @@ from poisson_cs.transforms import dct2_basis, identity_basis
 class TestRipMatrix:
     def test_half_p_two_point_exact(self):
         zt = sample_rip_matrix(40, 12, 0.5, seed=0)
-        vals = np.unique(zt.entries)
+        vals = np.unique(zt)
         assert set(vals) == {-1 / math.sqrt(40), 1 / math.sqrt(40)}
 
     def test_determinism(self):
         a = sample_rip_matrix(30, 20, 0.5, seed=123)
         b = sample_rip_matrix(30, 20, 0.5, seed=123)
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a, b)
         c = sample_rip_matrix(30, 20, 0.5, seed=124)
-        assert not np.array_equal(a.entries, c.entries)
+        assert not np.array_equal(a, c)
 
     def test_positive_fraction_concentrates(self):
         zt = sample_rip_matrix(400, 100, 0.5, seed=7)
-        frac = np.mean(zt.entries > 0)
+        frac = np.mean(zt > 0)
         assert 0.45 <= frac <= 0.55
 
     def test_general_p_levels(self):
@@ -39,7 +39,7 @@ class TestRipMatrix:
         zt = sample_rip_matrix(50, 10, p, seed=1)
         lo = -math.sqrt((1 - p) / p) / math.sqrt(50)
         hi = math.sqrt(p / (1 - p)) / math.sqrt(50)
-        assert set(np.unique(zt.entries)) <= {lo, hi}
+        assert set(np.unique(zt)) <= {lo, hi}
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParamError):
@@ -57,7 +57,7 @@ class TestBuildPhi:
         phi = build_phi(zt)
         # Negative level maps to exactly 0.0, positive to exactly 1/N.
         assert set(np.unique(phi.entries)) == {0.0, 1.0 / N}
-        neg = zt.entries < 0
+        neg = zt < 0
         assert np.all(phi.entries[neg] == 0.0)
         assert np.all(phi.entries[~neg] == 1.0 / N)
 
@@ -99,10 +99,10 @@ class TestEstimateRic:
         # Independent oracle: per-support extreme singular values squared.
         for trial in range(20):
             zt = sample_rip_matrix(40, 12, 0.5, seed=100 + trial)
-            est = estimate_ric(zt.entries, s=2)
+            est = estimate_ric(zt, s=2)
             delta_oracle = 0.0
             for support in itertools.combinations(range(12), 4):
-                sv = np.linalg.svd(zt.entries[:, support], compute_uv=False)
+                sv = np.linalg.svd(zt[:, support], compute_uv=False)
                 delta_oracle = max(
                     delta_oracle, abs(sv[0] ** 2 - 1.0), abs(1.0 - sv[-1] ** 2)
                 )
@@ -124,7 +124,7 @@ class TestComposeEffective:
         phi = build_phi(sample_rip_matrix(10, 16, 0.5, seed=10))
         A, B = compose_effective(phi, identity_basis(16))
         assert np.array_equal(A, phi.entries)
-        assert np.array_equal(B, phi.source.entries)
+        assert np.array_equal(B, phi.source)
 
     def test_companion_columns_unit_norm_on_average(self):
         # At p = 1/2 every column of Phi_tilde has unit norm exactly, and an
