@@ -307,14 +307,15 @@ class ExperimentSpec:
 
 
 def read_config(path, name: str = "config") -> dict:
-    """The JSON object of spec fields in file ``path``; an unreadable file, bad
-    JSON or any other JSON value raises ``InvalidParamError`` naming ``name`` and the file."""
+    """The JSON object of spec fields in file ``path``; an unreadable file, text
+    that is not UTF-8, bad JSON or any other JSON value raises
+    ``InvalidParamError`` naming ``name`` and the file."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             config = json.load(f)
     except OSError as exc:
         raise InvalidParamError(f"{name} {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise InvalidParamError(f"{name} {path}: not valid JSON ({exc})") from None
     if not isinstance(config, dict):
         raise InvalidParamError(f"{name} {path}: expected a JSON object of "
@@ -606,16 +607,19 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
     Each N's Phi is built once, in grid order, before any cell runs.  Right
     after it is built, this thread draws the probe signal of each cell of
     that N and makes the cell's rates ``Phi x``, once.  The cells hand those
-    rates to ``monte_carlo_sqjsd`` and ``concentration_bounds``, so the
-    sampling threads make no BLAS call: OpenBLAS runs a 500 x 1000 gemv on
-    two threads, and its worker then busy-waits on a core that a sampling
-    thread needs.  The cells are then sampled by one thread per usable CPU
-    (at most one per cell): this thread and ``threads - 1`` helpers, which
-    take cells off one queue, largest first, since the Poisson draws and
-    ``jsd_rowwise`` run in C without the GIL.  The threads split one budget
-    of counts in flight (see ``sqjsd_stats``).  Each cell draws from its own
-    streams and the report lists the cells in grid order, so the report does
-    not depend on the number of threads.  A cell that raises empties the
+    rates to ``monte_carlo_sqjsd`` and ``concentration_bounds``; the rates are
+    summed in one fixed order (``SensingMatrix.rates``), so no BLAS worker
+    wakes and the report does not depend on the BLAS thread count.  The
+    cells are then sampled by one thread per usable CPU (at most one per
+    cell): this thread and ``threads - 1`` helpers, which take cells off one
+    queue, largest first, since the sampler's uniform draws, CDF-table
+    lookups and sums run in C without the GIL.  Each count is one uniform,
+    drawn in C order, and a cell whose table would be too wide for its
+    trials or too large draws with ``Generator.poisson`` instead, by a rule
+    that reads only its rates and ``spec.trials``.  The threads split one
+    budget of counts and table entries in flight (see ``sqjsd_stats``).
+    Each cell draws from its own streams and the report lists the cells in
+    grid order, so the report does not depend on the number of threads.  A cell that raises empties the
     queue, and its error propagates once the cells already started are done.
     """
     from concurrent.futures import ThreadPoolExecutor

@@ -67,7 +67,9 @@ class SensingMatrix:
             raise InvalidParamError("signal must be finite")
         if np.any(x < 0.0):
             raise InvalidParamError("signal must be non-negative")
-        return self.entries @ x
+        # einsum sums each row in one fixed order, where a BLAS gemv's order
+        # (and so the last bits) may follow its thread count.
+        return np.einsum("ij,j->i", self.entries, x)
 
 
 @dataclass(frozen=True)

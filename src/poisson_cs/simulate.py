@@ -5,7 +5,9 @@ every solver takes as is; ``SensingMatrix.rates`` gives the rates it was
 drawn from.  Sampling uses numpy's ``Generator.poisson``, which draws by the
 multiplication method (counting uniforms until their product falls below
 exp(-rate)) at rates below 10 and by the PTRS transformed-rejection sampler
-at 10 and above, so rates spanning 1e0 to 1e8+ are exact and fast.  Every
+at 10 and above, so rates spanning 1e0 to 1e8+ are exact and fast.  (The
+Monte-Carlo statistics invert per-column CDF tables instead; a measurement
+draws one vector per trial, so building a table would not pay off.)  Every
 consumer of randomness owns its own PCG64 stream; parallel trials derive
 child streams from a master seed through ``derive_seed``,
 ``SeedSequence([master, *path])`` (the documented splitting rule used

@@ -366,9 +366,10 @@ class TestRowwise:
 
     @pytest.mark.parametrize("rate", [1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e6, 1e8])
     def test_integer_counts_match_float_path(self, rate):
-        # Rows enough for the per-column table (width <= rows), so the
-        # integer counts take the table path; zero counts everywhere at low
-        # rates, and a zero-rate column whose counts are all 0.
+        # Integer counts give the bits of the same counts as floats, with
+        # rows enough to hold each column's whole count range (the width a
+        # per-column table of terms would need); zero counts everywhere at
+        # low rates, and a zero-rate column whose counts are all 0.
         rows = int(16 * math.sqrt(rate)) + 64
         for seed in range(8):
             rng = np.random.default_rng(seed)
@@ -391,8 +392,8 @@ class TestRowwise:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # No (40, width) table was built: the elementwise path's
-            # temporaries are a few (5, 40) arrays.
+            # No (40, width) table of terms is built: the temporaries are a
+            # few (5, 40) arrays.
             assert peak < 64_000
             assert np.array_equal(got, jsd_rowwise(P.astype(float), q))
 

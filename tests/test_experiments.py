@@ -1347,6 +1347,17 @@ class TestCli:
             main([*argv, str(missing), "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "verify-stats"])
+    def test_a_config_that_is_not_utf8_is_refused_by_name(self, command, tmp_path):
+        # It used to end in a bare UnicodeDecodeError.
+        cfg, out = tmp_path / "bin.json", tmp_path / "out"
+        cfg.write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(InvalidParamError,
+                           match=f"^{re.escape(f'--config {cfg}: not valid JSON (')}"
+                                 ".*can't decode byte 0xff"):
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+
     def test_unconverged_exit_code_two(self, tmp_path):
         # One iteration cannot converge; results must still be written.
         cfg = tmp_path / "spec.json"

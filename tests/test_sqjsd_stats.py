@@ -7,6 +7,8 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_cs import experiments, sqjsd_stats
 from poisson_cs.divergences import jsd_rowwise
@@ -32,12 +34,41 @@ def dense_signal(m, intensity, seed):
     return x * (intensity / x.sum())
 
 
-def one_shot_sqjsd(phi, x, trials, seed):
-    """Reference: every count drawn at once, as float, then one jsd_rowwise."""
-    rates = phi.entries @ np.asarray(x, dtype=float)
+def one_shot_sqjsd(rates, trials, seed):
+    """Reference: every uniform drawn at once and inverted column by column
+    by binary search in the cell's CDF table, with no guide; or, in a cell
+    that draws with Generator.poisson, every count drawn at once as float."""
     rng = np.random.default_rng(seed)
-    counts = rng.poisson(lam=rates, size=(trials, rates.size)).astype(float)
-    return np.sqrt(jsd_rowwise(counts, rates))
+    table = sqjsd_stats._inversion_table(rates, trials)
+    if table is None:
+        counts = rng.poisson(lam=rates, size=(trials, rates.size)).astype(float)
+        return np.sqrt(jsd_rowwise(counts, rates))
+    u = rng.random((trials, rates.size))
+    terms = np.empty_like(u)
+    for i, (start, width) in enumerate(zip(table.start, table.width.astype(int))):
+        found = np.searchsorted(table.cdf[start:start + width], u[:, i], side="right")
+        terms[:, i] = table.terms[start + found]
+    return np.sqrt(np.maximum(0.5 * np.sum(terms, axis=-1), 0.0))
+
+
+def invert_counts(rates, u):
+    """The counts that the (rows, N) uniforms ``u`` invert to through the
+    table of ``rates``."""
+    table = sqjsd_stats._inversion_table(rates, u.shape[0])
+    index = np.empty(u.shape, np.intp)
+    table.invert(u.copy(), index, np.empty_like(index), np.empty(u.shape, bool))
+    low, _ = sqjsd_stats._count_ranges(rates)
+    return (low + (index - table.start)).astype(np.int64)
+
+
+def exact_jsd_mean(table):
+    """E J = sum over columns and counts of pmf * term / 2, the pmf being the
+    steps of each column's CDF."""
+    total = 0.0
+    for start, width in zip(table.start, table.width.astype(int)):
+        cdf = table.cdf[start:start + width]
+        total += 0.5 * np.dot(np.diff(cdf, prepend=0.0), table.terms[start:start + width])
+    return total
 
 
 class TestMonteCarlo:
@@ -72,22 +103,34 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("N, intensity", [(10, 1e8), (50, 1e2), (500, 1e4)])
     def test_row_blocks_match_one_shot_draws(self, N, intensity, monkeypatch):
-        rows = []
-        reduce = sqjsd_stats.jsd_rowwise
+        rows, paths = [], set()
+        invert, reduce = sqjsd_stats._InversionTable.invert, sqjsd_stats.jsd_rowwise
+        monkeypatch.setattr(sqjsd_stats._InversionTable, "invert",
+                            lambda self, u, *work: rows.append(u.shape[0]) or invert(self, u, *work))
         monkeypatch.setattr(sqjsd_stats, "jsd_rowwise",
                             lambda P, q: rows.append(P.shape[0]) or reduce(P, q))
         phi = build_phi(sample_rip_matrix(N, 2 * N, 0.5, seed=60))
-        x = dense_signal(2 * N, intensity, 61)
+        rates = phi.rates(dense_signal(2 * N, intensity, 61))
+        _, width = sqjsd_stats._count_ranges(rates)
+        assert width.sum() <= sqjsd_stats._TABLE_ENTRIES
         # The whole budget, or one thread's share of it, as each thread of a
-        # verify-stats run takes.
+        # verify-stats run takes; the table path's blocks give the table its
+        # entries, the fallback's take half the share.
         for threads in (1, 2, 3):
-            block = sqjsd_stats._BLOCK_ENTRIES // threads // N
-            for trials in (2, block - 1, block, block + 1, 3 * block + 7):
+            share = sqjsd_stats._BLOCK_ENTRIES // threads
+            blocks = {"table": max(share - int(width.sum()), share // 8) // N,
+                      "poisson": share // 2 // N}
+            for trials in sorted({2, *(t for b in blocks.values()
+                                       for t in (b - 1, b, b + 1, 3 * b + 7))}):
                 rows.clear()
+                path = "table" if width.max() <= trials else "poisson"
+                paths.add(path)
                 with sqjsd_stats._shared_blocks(threads) if threads > 1 else nullcontext():
-                    got = monte_carlo_sqjsd(phi.rates(x), trials=trials, seed=62 + trials).samples
-                assert np.array_equal(got, one_shot_sqjsd(phi, x, trials, 62 + trials))
-                assert max(rows) == min(trials, block)
+                    got = monte_carlo_sqjsd(rates, trials=trials, seed=62 + trials).samples
+                assert np.array_equal(got, one_shot_sqjsd(rates, trials, 62 + trials))
+                assert max(rows) == min(trials, blocks[path])
+                assert sum(rows) == trials
+        assert paths == {"table", "poisson"}
         assert not hasattr(sqjsd_stats._block_share, "entries")
 
     def test_traced_peak_bounded_by_blocks(self):
@@ -122,6 +165,98 @@ class TestMonteCarlo:
                 tracemalloc.stop()
         assert peaks[2] < 32e6
         assert peaks[2] < 1.1 * peaks[1]
+
+
+class TestInversionSampler:
+    RATES = [0.0, 0.05, 0.7, 9.99, 10.0, 57.3, 2500.0]
+
+    def test_counts_follow_the_poisson_pmf(self):
+        # Chi-square of 200 000 inverted counts per rate against scipy's pmf,
+        # bins pooled from each tail until they expect at least 5 counts.
+        from scipy import stats
+
+        rates = np.array(self.RATES)
+        counts = invert_counts(rates, np.random.default_rng(70).random((200_000, rates.size)))
+        assert np.all(counts[:, 0] == 0)
+        for i, rate in enumerate(rates[1:], start=1):
+            k = np.arange(counts[:, i].max() + 1)
+            expected = stats.poisson.pmf(k, rate) * counts.shape[0]
+            observed = np.bincount(counts[:, i], minlength=k.size).astype(float)
+            lo = np.searchsorted(np.cumsum(expected), 5.0)
+            hi = k.size - np.searchsorted(np.cumsum(expected[::-1]), 5.0)
+            obs = np.r_[observed[:lo + 1].sum(), observed[lo + 1:hi - 1], observed[hi - 1:].sum()]
+            exp = np.r_[stats.poisson.cdf(lo, rate), expected[lo + 1:hi - 1] / counts.shape[0],
+                        stats.poisson.sf(hi - 2, rate)] * counts.shape[0]
+            p = stats.chisquare(obs, exp).pvalue
+            assert p > 1e-3, (rate, p)
+
+    def test_counts_cover_the_whole_table(self):
+        # Uniforms at every CDF value of the table and either side of it,
+        # and at 0 and the largest uniform below 1, invert as a binary
+        # search does.
+        rates = np.array(self.RATES + [1e4])
+        table = sqjsd_stats._inversion_table(rates, 10**6)
+        u = []
+        for start, width in zip(table.start, table.width.astype(int)):
+            cdf = table.cdf[start:start + width]
+            edges = np.r_[cdf, np.nextafter(cdf, 0.0), np.arange(width + 1) / width,
+                          0.0, 1.0 - 2.0**-53]
+            u.append(np.resize(edges[edges < 1.0], 3 * 3000))
+        u = np.array(u).T.copy()
+        index = np.empty(u.shape, np.intp)
+        table.invert(u.copy(), index, np.empty_like(index), np.empty(u.shape, bool))
+        for i, (start, width) in enumerate(zip(table.start, table.width.astype(int))):
+            found = np.searchsorted(table.cdf[start:start + width], u[:, i], side="right")
+            assert np.array_equal(index[:, i], start + found)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 60), rate=st.floats(1e-2, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_jsd_mean_matches_the_exact_mean(self, n, rate, seed):
+        # The exact mean is the table's pmf-weighted sum of JSD terms; 2000
+        # samples of J lie within 4 standard errors of it.
+        rates = rate * np.random.default_rng(seed).uniform(0.5, 1.5, n)
+        trials = 2000
+        table = sqjsd_stats._inversion_table(rates, trials)
+        assert table is not None
+        j = monte_carlo_sqjsd(rates, trials, seed).samples ** 2
+        error = math.sqrt(np.var(j, ddof=1) / trials)
+        assert abs(np.mean(j) - exact_jsd_mean(table)) <= 4.0 * error + 1e-12
+
+    def test_fallback_rule_on_both_sides(self):
+        # A cell inverts a table unless the table is wider than its trials in
+        # some column, or holds more than _TABLE_ENTRIES entries; then its
+        # samples are those of Generator.poisson, as before the tables.
+        rates = np.full(4, 400.0)
+        width = int(sqjsd_stats._count_ranges(rates)[1].max())
+        assert sqjsd_stats._inversion_table(rates, width) is not None
+        assert sqjsd_stats._inversion_table(rates, width - 1) is None
+        per_column = sqjsd_stats._TABLE_ENTRIES // width
+        assert sqjsd_stats._inversion_table(np.full(per_column, 400.0), width) is not None
+        assert sqjsd_stats._inversion_table(np.full(per_column + 1, 400.0), width) is None
+        # The rule does not read the thread's share of the budget.
+        with sqjsd_stats._shared_blocks(3):
+            assert sqjsd_stats._inversion_table(rates, width) is not None
+            assert sqjsd_stats._inversion_table(rates, width - 1) is None
+        for trials in (width - 1, width):
+            got = monte_carlo_sqjsd(rates, trials, 71).samples
+            counts = np.random.default_rng(71).poisson(rates, size=(trials, 4)).astype(float)
+            assert np.array_equal(got, np.sqrt(jsd_rowwise(counts, rates))) == (trials < width)
+
+    @pytest.mark.parametrize("N", [50, 100, 500])
+    def test_samples_match_numpy_poisson_in_distribution(self, N):
+        # Two-sample KS on the desk cells: the inverted samples against those
+        # of Generator.poisson on the same rates.
+        from scipy import stats
+
+        phi = build_phi(sample_rip_matrix(N, 2 * N, 0.5, seed=72))
+        for level, intensity in enumerate((1e3, 1e4, 1e6)):
+            rates = phi.rates(dense_signal(2 * N, intensity, 73 + level))
+            trials = 2000
+            assert sqjsd_stats._inversion_table(rates, trials) is not None
+            ours = monte_carlo_sqjsd(rates, trials, 74 + level).samples
+            rng = np.random.default_rng(75 + level)
+            counts = rng.poisson(rates, size=(trials, N)).astype(float)
+            assert stats.ks_2samp(ours, np.sqrt(jsd_rowwise(counts, rates))).pvalue > 1e-3
 
 
 class TestConcentrationBounds:
