@@ -54,7 +54,7 @@ from .solvers import (
 from .sqjsd_stats import (
     EPSILON_MODES,
     KS_MIN_SAMPLES,
-    _shared_blocks,
+    _SharedBlocks,
     choose_epsilon,
     concentration_bounds,
     ks_gaussian_test,
@@ -612,15 +612,15 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
     wakes and the report does not depend on the BLAS thread count.  The
     cells are then sampled by one thread per usable CPU (at most one per
     cell): this thread and ``threads - 1`` helpers, which take cells off one
-    queue, largest first, since the sampler's uniform draws, CDF-table
-    lookups and sums run in C without the GIL.  Each count is one uniform,
-    drawn in C order, and a cell whose table would be too wide for its
-    trials or too large draws with ``Generator.poisson`` instead, by a rule
-    that reads only its rates and ``spec.trials``.  The threads split one
-    budget of counts and table entries in flight (see ``sqjsd_stats``).
-    Each cell draws from its own streams and the report lists the cells in
-    grid order, so the report does not depend on the number of threads.  A cell that raises empties the
-    queue, and its error propagates once the cells already started are done.
+    queue, largest N first and, within one N, highest intensity first (its
+    table is the widest), since the sampler's uniform draws, CDF-table
+    lookups and sums run in C without the GIL.  The threads share one
+    budget of counts and table entries in flight; ``sqjsd_stats`` sets out
+    that budget and how each cell draws its counts.  Each cell draws from
+    its own streams and the report lists the cells in grid order, so the
+    report does not depend on the number of threads.  A cell that raises
+    empties the queue, and its error propagates once the cells already
+    started are done.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -634,14 +634,16 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
             x = rng.uniform(0.5, 1.5, size=phi.dim)
             x *= intensity / x.sum()
             jobs.append((phi.dim, intensity, level, phi.rates(x)))
-    # Every cell runs spec.trials trials, so its work grows with N; the sort
-    # is stable, so cells of one N keep their grid order.
-    todo = deque(sorted(range(len(jobs)), key=lambda k: -jobs[k][3].size))
+    # Every cell runs spec.trials trials, so its work grows with N.  Cells of
+    # one N go by falling intensity: higher rates make wider tables, and the
+    # widest then starts while the budget is free, not waiting for room.
+    todo = deque(sorted(range(len(jobs)), key=lambda k: (-jobs[k][3].size, -jobs[k][1])))
     threads = min(_usable_cpus(), len(jobs))
     cells = [None] * len(jobs)
+    blocks = _SharedBlocks(threads)
 
     def sample() -> None:
-        with _shared_blocks(threads):
+        with blocks:
             while True:
                 try:
                     k = todo.popleft()

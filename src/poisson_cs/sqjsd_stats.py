@@ -18,19 +18,26 @@ column, the counts outside which the Poisson mass is below 2^-53, their CDF,
 their JSD term and a guide table.  Each block of trials draws one
 ``rng.random`` uniform per count, in C order; the guide and a short search
 turn each uniform into a table index, and the count's JSD term is gathered
-from that same index, so the counts are never made.  A cell whose table
-would be wider than its trial count, or hold more than ``_TABLE_ENTRIES``
-entries, draws with ``Generator.poisson`` and sums through ``jsd_rowwise``;
-the rule reads only the rates and the trial count.  ``simulate.measure`` keeps ``Generator.poisson``: it draws one
-vector per trial, so a table would not pay off.
+from that same index, so the counts are never made.
 
-Blocks hold about ``_BLOCK_ENTRIES`` counts and table entries in flight, so
-memory stays a few MB whatever the number of trials.  The blocks draw from
-one generator in the order a single ``(trials, N)`` draw would, so every
-sample is bit-identical to drawing all uniforms (or counts) at once,
-whatever the block size.  The budget is per run: threads that sample at
-once split it (``_shared_blocks``), each taking ``_BLOCK_ENTRIES //
-threads``, so the entries in flight stay at ``_BLOCK_ENTRIES``.
+The fallback rule: a cell draws its counts with ``Generator.poisson`` and
+sums them through ``jsd_rowwise``, as it did before the tables, where its
+trials are fewer than twice its widest column or its table would hold more
+than ``_TABLE_ENTRIES`` entries.  A table entry takes 50-80 ns to build.
+Timed against ``Generator.poisson`` at rates 1 to 1e4 and N = 50 and 500,
+the table broke even where the trials were 1 to 3 times the widest column,
+and about 2 times for every rate from 100 up.  The rule reads only the rates
+and the trial count, so a cell draws the same way on any number of threads
+and in any block.  ``simulate.measure`` keeps ``Generator.poisson``: it
+draws one vector per trial, so a table would not pay off.
+
+One run holds at most ``_BLOCK_ENTRIES`` counts and table entries in flight,
+whatever the number of trials or threads: the threads that sample at once
+share that budget (``_SharedBlocks``), and a cell waits while its table and
+blocks do not fit.  The blocks draw from one generator in the order a
+single ``(trials, N)`` draw would, so every sample is bit-identical to
+drawing all uniforms (or counts) at once, whatever the block size, and
+waiting changes no sample.
 
 Both statistics take the rates ``Phi x`` (``SensingMatrix.rates``) and make
 no BLAS call, so ``verify-stats`` samples on threads from rates it made once
@@ -46,14 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import (
-    LOG_2PI,
-    _QUIET,
-    _gen_kl_terms,
-    _jsd_terms,
-    as_nonneg_vector,
-    jsd_rowwise,
-)
+from .divergences import _QUIET, _jsd_terms, as_nonneg_vector, jsd_rowwise
 from .errors import InvalidParamError, MissingSamplesError, check_integer
 
 __all__ = [
@@ -78,37 +78,65 @@ KS_MIN_SAMPLES = 30
 # The radius rules of ``choose_epsilon``.
 EPSILON_MODES = ("theory", "percentile")
 
-# Counts (and table entries) in flight per run of Monte-Carlo trials: 2^19,
-# about 13 MB at 25 bytes a count, whatever the number of trials.  Threads
-# sampling at once split it between them.
+# Counts and table entries in flight per run of Monte-Carlo trials: 2^19,
+# about 13 MB at 25 bytes a count and 24 a table entry (its CDF, JSD term
+# and guide slot), whatever the number of trials or threads.
 _BLOCK_ENTRIES = 1 << 19
 
 # -log of the Poisson mass a column's table leaves out on each side, so
 # that it is below 2^-53, the spacing of the uniforms it inverts.
 _TAIL_LOG = 53.0 * math.log(2.0)
 
-# Most entries an inversion table holds: one run's budget.  An entry (its
-# CDF, JSD term and guide slot, 24 bytes) takes about the memory of a count
-# in flight, and the blocks make room for the table.
-_TABLE_ENTRIES = _BLOCK_ENTRIES
+# Most entries an inversion table holds: what the budget leaves once one
+# thread alone has its least blocks, an eighth of the budget.
+_TABLE_ENTRIES = _BLOCK_ENTRIES - _BLOCK_ENTRIES // 8
 
 # Padded table entries built at once.
 _BUILD_ENTRIES = 1 << 13
 
-# This thread's share of _BLOCK_ENTRIES, while _shared_blocks holds one.
-_block_share = threading.local()
+# The _SharedBlocks this thread samples in, inside its ``with`` block.
+_current = threading.local()
 
 
-@contextlib.contextmanager
-def _shared_blocks(threads: int):
-    """Draw this thread's blocks at ``_BLOCK_ENTRIES // threads`` counts
-    inside the ``with`` block, so that ``threads`` threads sampling at once
-    hold no more counts in flight than one thread alone."""
-    _block_share.entries = _BLOCK_ENTRIES // threads
-    try:
-        yield
-    finally:
-        del _block_share.entries
+class _SharedBlocks:
+    """One run's budget of ``_BLOCK_ENTRIES`` counts and table entries in
+    flight, shared by the ``threads`` threads that sample inside ``with``
+    blocks of it.
+
+    A cell holds its table and its blocks while it is sampled.  Its blocks
+    take ``share``, a thread's part of the budget, less the table, and at
+    least an eighth of ``share``; a cell waits until that much is free, and
+    takes less than ``share`` where less is free.  ``_TABLE_ENTRIES`` leaves
+    room for the least blocks, so no cell waits for more than the budget.
+    """
+
+    def __init__(self, threads: int = 1):
+        self.share = _BLOCK_ENTRIES // threads
+        self.free = _BLOCK_ENTRIES
+        self.freed = threading.Condition()
+
+    def __enter__(self):
+        _current.blocks = self
+        return self
+
+    def __exit__(self, *exc):
+        del _current.blocks
+
+    @contextlib.contextmanager
+    def hold(self, table: int):
+        """Hold ``table`` entries and this cell's blocks inside the ``with``
+        block; yield the block entries."""
+        least = table + self.share // 8
+        with self.freed:
+            self.freed.wait_for(lambda: self.free >= least)
+            held = min(self.free, max(self.share, least))
+            self.free -= held
+        try:
+            yield held - table
+        finally:
+            with self.freed:
+                self.free += held
+                self.freed.notify_all()
 
 
 @dataclass(frozen=True)
@@ -146,28 +174,18 @@ class ConcentrationBounds:
 
 
 def _poisson_pmf(count: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Poisson(``rate``) probability of each ``count``, in Loader's (2000)
-    saddle-point form exp(-stirlerr(k) - bd0(k, rate)) / sqrt(2 pi k).
+    """Poisson(``rate``) probability of each ``count``, exp(k log(rate) -
+    rate - log k!).
 
-    bd0 is the generalized KL term k log(k/rate) - k + rate, and stirlerr(k)
-    = log k! - (k + 1/2) log k + k - log(2 pi)/2, by its Stirling series
-    above 15.  Neither takes the difference of the large terms log k! and
-    k log(rate): against 40-digit arithmetic the relative error is below
-    1e-12 at rates up to 1e5 and 3e-12 at 5e6.  (scipy's ``pdtr`` is off by
-    3e-8 at rate 5e6 beyond 4.5 standard deviations, and is ten times slower.)
+    Against 40-digit arithmetic its relative error is below 4e-11 at rates
+    up to 1e4 and 3e-9 at 1e6 (the difference of the large terms k log(rate)
+    and log k! loses the digits), far below what a Monte-Carlo run of this
+    package resolves.
     """
     # Imported here, so that importing the package loads numpy only.
-    from scipy.special import gammaln
+    from scipy.special import gammaln, xlogy
 
-    k = np.maximum(count, 1.0)
-    small = np.arange(1.0, 16.0)
-    near = gammaln(small + 1.0) - (small + 0.5) * np.log(small) + small - 0.5 * LOG_2PI
-    r = 1.0 / (k * k)
-    series = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / k
-    stirlerr = np.where(k > 15.0, series, near.take(np.minimum(k, 15.0).astype(np.intp) - 1))
-    with np.errstate(**_QUIET):
-        pmf = np.exp(-stirlerr - _gen_kl_terms(k, rate)) / np.sqrt(2.0 * math.pi * k)
-    return np.where(count > 0.0, pmf, np.exp(-rate))
+    return np.exp(xlogy(count, rate) - rate - gammaln(count + 1.0))
 
 
 def _count_ranges(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,16 +296,14 @@ class _InversionTable:
             np.sum(self.terms.take(index[:k], out=u[:k], mode="clip"), axis=-1, out=block)
 
 
-def _inversion_table(rates: np.ndarray, trials: int) -> _InversionTable | None:
-    """The inversion table of ``rates``, or None where it would be wider
-    than ``trials`` counts in some column or hold more than
-    ``_TABLE_ENTRIES``: building it would then cost more than it saves, or
-    hold too much memory.  The rule reads only the rates and ``trials``, so
-    a cell draws the same way on any number of threads and in any block."""
+def _table_ranges(rates: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each column's first count and number of counts in the inversion table
+    of ``rates``, or None where the fallback rule (see the module docstring)
+    draws the cell with ``Generator.poisson``."""
     low, width = _count_ranges(rates)
-    if not (width.max() <= trials and width.sum() <= _TABLE_ENTRIES):
+    if 2.0 * width.max() > trials or width.sum() > _TABLE_ENTRIES:
         return None
-    return _InversionTable(rates, low, width)
+    return low, width
 
 
 def monte_carlo_sqjsd(rates, trials: int, seed) -> SqjsdSampleSet:
@@ -295,33 +311,30 @@ def monte_carlo_sqjsd(rates, trials: int, seed) -> SqjsdSampleSet:
     the rate vector ``rates``.
 
     Each count is the inverse of its column's Poisson CDF at one
-    ``rng.random`` uniform, drawn in C order (see the module docstring).  A
-    cell whose table would be wider than ``trials`` in some column or hold
-    more than ``_TABLE_ENTRIES`` entries draws its counts with
-    ``Generator.poisson`` instead and sums them through ``jsd_rowwise``.
+    ``rng.random`` uniform, drawn in C order, unless the fallback rule
+    draws the counts with ``Generator.poisson`` (see the module docstring).
     Either way trials are drawn and reduced in row blocks, and the samples
     equal those of one ``(trials, N)`` draw from ``seed``.
     """
     rates = as_nonneg_vector(rates, "rates")
     check_integer("trials", trials, 2)
     rng = np.random.default_rng(seed)
-    table = _inversion_table(rates, trials)
-    # A count in flight on the table path holds about the bytes of a table
-    # entry, so its blocks take what the table leaves of this thread's share,
-    # and at least an eighth of it; the fallback's elementwise JSD holds
-    # about twice as many, so its blocks take half the share.
-    share = getattr(_block_share, "entries", _BLOCK_ENTRIES)
-    entries = share // 2 if table is None else max(share - table.cdf.size, share // 8)
-    rows = max(1, entries // rates.size)
+    ranges = _table_ranges(rates, trials)
+    table = 0 if ranges is None else int(ranges[1].sum())
     samples = np.empty(trials)
-    if table is None:
-        for start in range(0, trials, rows):
-            block = samples[start:start + rows]
-            counts = rng.poisson(lam=rates, size=(block.size, rates.size))
-            block[:] = jsd_rowwise(counts, rates)
-    else:
-        table.fill(rng, samples, rows)
-        np.maximum(0.5 * samples, 0.0, out=samples)
+    with (getattr(_current, "blocks", None) or _SharedBlocks()).hold(table) as entries:
+        if ranges is None:
+            # The elementwise JSD holds about twice a count's bytes per count,
+            # so the blocks take half the entries in counts.
+            rows = max(1, entries // 2 // rates.size)
+            for start in range(0, trials, rows):
+                block = samples[start:start + rows]
+                counts = rng.poisson(lam=rates, size=(block.size, rates.size))
+                block[:] = jsd_rowwise(counts, rates)
+        else:
+            rows = max(1, entries // rates.size)
+            _InversionTable(rates, *ranges).fill(rng, samples, rows)
+            np.maximum(0.5 * samples, 0.0, out=samples)
     np.sqrt(samples, out=samples)
     samples.setflags(write=False)
     return SqjsdSampleSet(samples=samples)

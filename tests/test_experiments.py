@@ -639,20 +639,25 @@ class TestVerifyStats:
     def test_report_does_not_depend_on_the_thread_count(self, monkeypatch):
         grid = {"n_measurements": [20, 80, 40], "intensity": [1e2, 1e4]}
         spec = ExperimentSpec(kind="verify-stats", grid=grid, trials=60, master_seed=5)
-        shares, sampled = [], []
-        share = experiments._shared_blocks
-        monkeypatch.setattr(experiments, "_shared_blocks",
-                            lambda threads: shares.append(threads) or share(threads))
+        budgets, sampled = [], []
+
+        class Recorded(experiments._SharedBlocks):
+            def __enter__(self):
+                budgets.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(experiments, "_SharedBlocks", Recorded)
         sample = experiments.monte_carlo_sqjsd
         monkeypatch.setattr(experiments, "monte_carlo_sqjsd",
                             lambda rates, *a: sampled.append(rates.size) or sample(rates, *a))
         reports = []
         for cpus in (1, 3):
-            shares.clear()
+            budgets.clear()
             monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
             reports.append(json.dumps(run_verify_stats(spec)["cells"]))
-            # Each thread took its share of the one count budget.
-            assert shares == [cpus] * cpus
+            # Each thread sampled inside the one budget of the run.
+            assert len(budgets) == cpus and all(b is budgets[0] for b in budgets)
+            assert budgets[0].share == poisson_cs.sqjsd_stats._BLOCK_ENTRIES // cpus
         assert reports[0] == reports[1]
         cells = json.loads(reports[0])
         assert [(c["N"], c["I"]) for c in cells] == \

@@ -34,12 +34,18 @@ def dense_signal(m, intensity, seed):
     return x * (intensity / x.sum())
 
 
+def table_of(rates, trials):
+    """The cell's inversion table, or None where it falls back."""
+    ranges = sqjsd_stats._table_ranges(rates, trials)
+    return None if ranges is None else sqjsd_stats._InversionTable(rates, *ranges)
+
+
 def one_shot_sqjsd(rates, trials, seed):
     """Reference: every uniform drawn at once and inverted column by column
     by binary search in the cell's CDF table, with no guide; or, in a cell
     that draws with Generator.poisson, every count drawn at once as float."""
     rng = np.random.default_rng(seed)
-    table = sqjsd_stats._inversion_table(rates, trials)
+    table = table_of(rates, trials)
     if table is None:
         counts = rng.poisson(lam=rates, size=(trials, rates.size)).astype(float)
         return np.sqrt(jsd_rowwise(counts, rates))
@@ -54,7 +60,7 @@ def one_shot_sqjsd(rates, trials, seed):
 def invert_counts(rates, u):
     """The counts that the (rows, N) uniforms ``u`` invert to through the
     table of ``rates``."""
-    table = sqjsd_stats._inversion_table(rates, u.shape[0])
+    table = table_of(rates, u.shape[0])
     index = np.empty(u.shape, np.intp)
     table.invert(u.copy(), index, np.empty_like(index), np.empty(u.shape, bool))
     low, _ = sqjsd_stats._count_ranges(rates)
@@ -115,23 +121,25 @@ class TestMonteCarlo:
         assert width.sum() <= sqjsd_stats._TABLE_ENTRIES
         # The whole budget, or one thread's share of it, as each thread of a
         # verify-stats run takes; the table path's blocks give the table its
-        # entries, the fallback's take half the share.
+        # entries, the fallback's take half the share.  Trials on either
+        # side of the fallback rule's edge reach both paths.
+        edge = 2 * int(width.max())
         for threads in (1, 2, 3):
             share = sqjsd_stats._BLOCK_ENTRIES // threads
             blocks = {"table": max(share - int(width.sum()), share // 8) // N,
                       "poisson": share // 2 // N}
-            for trials in sorted({2, *(t for b in blocks.values()
-                                       for t in (b - 1, b, b + 1, 3 * b + 7))}):
+            for trials in sorted({2, edge - 1, edge, *(t for b in blocks.values()
+                                                       for t in (b - 1, b, b + 1, 3 * b + 7))}):
                 rows.clear()
-                path = "table" if width.max() <= trials else "poisson"
+                path = "table" if edge <= trials else "poisson"
                 paths.add(path)
-                with sqjsd_stats._shared_blocks(threads) if threads > 1 else nullcontext():
+                with sqjsd_stats._SharedBlocks(threads) if threads > 1 else nullcontext():
                     got = monte_carlo_sqjsd(rates, trials=trials, seed=62 + trials).samples
                 assert np.array_equal(got, one_shot_sqjsd(rates, trials, 62 + trials))
                 assert max(rows) == min(trials, blocks[path])
                 assert sum(rows) == trials
         assert paths == {"table", "poisson"}
-        assert not hasattr(sqjsd_stats._block_share, "entries")
+        assert not hasattr(sqjsd_stats._current, "blocks")
 
     def test_traced_peak_bounded_by_blocks(self):
         # Drawing all 10^7 counts at once peaked near 410 MB.
@@ -166,6 +174,37 @@ class TestMonteCarlo:
         assert peaks[2] < 32e6
         assert peaks[2] < 1.1 * peaks[1]
 
+    def test_traced_peak_bounded_when_a_table_outgrows_a_share(self, monkeypatch):
+        # At four threads the N = 500, I = 1e6 cell's table is larger than a
+        # thread's share of the budget; the threads still hold no more in
+        # flight than one thread alone.  With each thread's table held on
+        # top of its share, four threads peaked 1.16 times as high as one.
+        from scipy.special import ndtr  # noqa: F401  (ks_gaussian_test imports it lazily)
+
+        sizes = []
+
+        class Recorded(sqjsd_stats._InversionTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sizes.append(self.cdf.size)
+
+        monkeypatch.setattr(sqjsd_stats, "_InversionTable", Recorded)
+        spec = experiments.ExperimentSpec(
+            kind="verify-stats", grid={"n_measurements": [500], "intensity": [1e3, 1e4, 1e5, 1e6]},
+            trials=10_000, master_seed=67)
+        peaks = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                experiments.run_verify_stats(spec)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(sizes) == 8
+        assert max(sizes) > sqjsd_stats._BLOCK_ENTRIES // 4
+        assert peaks[4] < 1.1 * peaks[1]
+
 
 class TestInversionSampler:
     RATES = [0.0, 0.05, 0.7, 9.99, 10.0, 57.3, 2500.0]
@@ -195,7 +234,7 @@ class TestInversionSampler:
         # and at 0 and the largest uniform below 1, invert as a binary
         # search does.
         rates = np.array(self.RATES + [1e4])
-        table = sqjsd_stats._inversion_table(rates, 10**6)
+        table = table_of(rates, 10**6)
         u = []
         for start, width in zip(table.start, table.width.astype(int)):
             cdf = table.cdf[start:start + width]
@@ -216,31 +255,33 @@ class TestInversionSampler:
         # samples of J lie within 4 standard errors of it.
         rates = rate * np.random.default_rng(seed).uniform(0.5, 1.5, n)
         trials = 2000
-        table = sqjsd_stats._inversion_table(rates, trials)
+        table = table_of(rates, trials)
         assert table is not None
         j = monte_carlo_sqjsd(rates, trials, seed).samples ** 2
         error = math.sqrt(np.var(j, ddof=1) / trials)
         assert abs(np.mean(j) - exact_jsd_mean(table)) <= 4.0 * error + 1e-12
 
     def test_fallback_rule_on_both_sides(self):
-        # A cell inverts a table unless the table is wider than its trials in
-        # some column, or holds more than _TABLE_ENTRIES entries; then its
-        # samples are those of Generator.poisson, as before the tables.
+        # A cell inverts a table unless its trials are fewer than twice its
+        # widest column, or the table holds more than _TABLE_ENTRIES entries;
+        # then its samples are those of Generator.poisson, as before the
+        # tables.
         rates = np.full(4, 400.0)
         width = int(sqjsd_stats._count_ranges(rates)[1].max())
-        assert sqjsd_stats._inversion_table(rates, width) is not None
-        assert sqjsd_stats._inversion_table(rates, width - 1) is None
+        edge = 2 * width
+        assert sqjsd_stats._table_ranges(rates, edge) is not None
+        assert sqjsd_stats._table_ranges(rates, edge - 1) is None
         per_column = sqjsd_stats._TABLE_ENTRIES // width
-        assert sqjsd_stats._inversion_table(np.full(per_column, 400.0), width) is not None
-        assert sqjsd_stats._inversion_table(np.full(per_column + 1, 400.0), width) is None
+        assert sqjsd_stats._table_ranges(np.full(per_column, 400.0), edge) is not None
+        assert sqjsd_stats._table_ranges(np.full(per_column + 1, 400.0), edge) is None
         # The rule does not read the thread's share of the budget.
-        with sqjsd_stats._shared_blocks(3):
-            assert sqjsd_stats._inversion_table(rates, width) is not None
-            assert sqjsd_stats._inversion_table(rates, width - 1) is None
-        for trials in (width - 1, width):
+        with sqjsd_stats._SharedBlocks(3):
+            assert sqjsd_stats._table_ranges(rates, edge) is not None
+            assert sqjsd_stats._table_ranges(rates, edge - 1) is None
+        for trials in (edge - 1, edge):
             got = monte_carlo_sqjsd(rates, trials, 71).samples
             counts = np.random.default_rng(71).poisson(rates, size=(trials, 4)).astype(float)
-            assert np.array_equal(got, np.sqrt(jsd_rowwise(counts, rates))) == (trials < width)
+            assert np.array_equal(got, np.sqrt(jsd_rowwise(counts, rates))) == (trials < edge)
 
     @pytest.mark.parametrize("N", [50, 100, 500])
     def test_samples_match_numpy_poisson_in_distribution(self, N):
@@ -251,8 +292,8 @@ class TestInversionSampler:
         phi = build_phi(sample_rip_matrix(N, 2 * N, 0.5, seed=72))
         for level, intensity in enumerate((1e3, 1e4, 1e6)):
             rates = phi.rates(dense_signal(2 * N, intensity, 73 + level))
-            trials = 2000
-            assert sqjsd_stats._inversion_table(rates, trials) is not None
+            trials = 4000
+            assert sqjsd_stats._table_ranges(rates, trials) is not None
             ours = monte_carlo_sqjsd(rates, trials, 74 + level).samples
             rng = np.random.default_rng(75 + level)
             counts = rng.poisson(rates, size=(trials, N)).astype(float)
