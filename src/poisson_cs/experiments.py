@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__ as LIBRARY_VERSION
 from .errors import InvalidParamError, check_integer, check_nonneg, check_positive
 from .sensing import build_phi, sample_rip_matrix
-from .simulate import derive_seed, measure
+from .simulate import MAX_RATE, derive_seed, measure
 from .solvers import (
     _LAM_START,
     FitKind,
@@ -115,6 +115,16 @@ _COUNT_FIELDS = ("trials", "workers", "dim", "n_measurements", "sparsity", "patc
                  "max_iters", "lambda_points")
 
 
+def _intensity(name: str, value) -> float:
+    """An intensity, finite, > 0 and at most ``MAX_RATE``, the most any
+    rate of its signal can be."""
+    value = check_positive(name, value)
+    if value > MAX_RATE:
+        raise InvalidParamError(f"{name} must be at most MAX_RATE = {MAX_RATE:g}, above which "
+                                f"Generator.poisson's draws are not Poisson; got {value!r}")
+    return value
+
+
 class _Axis(NamedTuple):
     """A grid axis: its key, desk and paper values, and the cell it sets."""
 
@@ -124,9 +134,9 @@ class _Axis(NamedTuple):
     cell: str | None = None
 
     def value(self, v):
-        """A grid value, checked and plain: an intensity finite and > 0, a count >= 1."""
+        """A grid value, checked and plain: an intensity by ``_intensity``, a count >= 1."""
         if self.key == "intensity":
-            return check_positive("grid intensity", v)
+            return _intensity("grid intensity", v)
         return check_integer(f"grid {self.key}", v, 1)
 
 
@@ -225,7 +235,7 @@ class ExperimentSpec:
                             ("epsilon_mode", EPSILON_MODES)):
             if getattr(self, name) not in modes:
                 raise InvalidParamError(f"unknown {name} {getattr(self, name)!r}")
-        plain["intensity"] = check_positive("intensity", self.intensity)
+        plain["intensity"] = _intensity("intensity", self.intensity)
         plain["beta"] = check_nonneg("beta", self.beta)
         if not isinstance(self.grid, Mapping):
             raise InvalidParamError(f"grid must be a mapping of axis names to values, "

@@ -15,7 +15,11 @@ a sample set); the experiment spec checks its ``epsilon_mode`` against it.
 Each count is drawn by inverting its column's Poisson CDF (Chen & Asau
 1974; Devroye 1986, section III.2).  A cell builds one table: for each
 column, the counts outside which the Poisson mass is below 2^-53, their CDF,
-their JSD term and a guide table.  Each block of trials draws one
+their JSD term and a guide table.  The CDF sums the pmf of ``_poisson_pmf``,
+which takes the ratio recurrence p(k) = p(k - 1) * rate / k and no special
+function: against 40-digit arithmetic it is within 3e-15 relative at rates
+up to 1e4 and 2e-14 at 1e6, and an entry takes about 11 ns.  Each block of
+trials draws one
 ``rng.random`` uniform per count, in C order; the guide and a short search
 turn each uniform into a table index, and the count's JSD term is gathered
 from that same index, so the counts are never made.
@@ -41,7 +45,9 @@ waiting changes no sample.
 
 Both statistics take the rates ``Phi x`` (``SensingMatrix.rates``) and make
 no BLAS call, so ``verify-stats`` samples on threads from rates it made once
-on the calling thread.
+on the calling thread.  The module needs numpy alone: the KS test's normal
+CDF (``_normal_cdf``) follows scipy's ``ndtr`` over ``math.erf`` and
+``math.erfc``.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ import numpy as np
 
 from .divergences import _QUIET, _jsd_terms, as_nonneg_vector, jsd_rowwise
 from .errors import InvalidParamError, MissingSamplesError, check_integer
+from .simulate import _below_max_rate
 
 __all__ = [
     "SqjsdSampleSet",
@@ -77,6 +84,9 @@ KS_MIN_SAMPLES = 30
 
 # The radius rules of ``choose_epsilon``.
 EPSILON_MODES = ("theory", "percentile")
+
+# sqrt(1/2): the scale of ``_normal_cdf``'s argument and its branches' edge.
+_SQRT_HALF = math.sqrt(0.5)
 
 # Counts and table entries in flight per run of Monte-Carlo trials: 2^19,
 # about 13 MB at 25 bytes a count and 24 a table entry (its CDF, JSD term
@@ -173,19 +183,27 @@ class ConcentrationBounds:
     s_min: float
 
 
-def _poisson_pmf(count: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Poisson(``rate``) probability of each ``count``, exp(k log(rate) -
-    rate - log k!).
+def _poisson_pmf(rates: np.ndarray, low: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Each rate's Poisson pmf over its counts ``low .. low + width - 1``
+    (``_count_ranges``), as the rows of a ``(rates.size, width.max())`` array
+    that is 0 past each row's width.
 
-    Against 40-digit arithmetic its relative error is below 4e-11 at rates
-    up to 1e4 and 3e-9 at 1e6 (the difference of the large terms k log(rate)
-    and log k! loses the digits), far below what a Monte-Carlo run of this
-    package resolves.
+    By the recurrence p(k) = p(k - 1) * rate / k (Devroye 1986, section
+    X.3): the cumulative product of ``[1, rate/(low + 1), rate/(low + 2),
+    ...]``, divided by its row sum.  The range leaves out less than 2^-53 of
+    the mass on either side, so the sum is 1 to within about 2e-16.  Against
+    40-digit arithmetic its relative error is below 3e-15 at rates up to 1e4
+    and 2e-14 at 1e6 (a rounding per factor, over the width of the range);
+    no special function is called, and an entry takes about 11 ns to build.
     """
-    # Imported here, so that importing the package loads numpy only.
-    from scipy.special import gammaln, xlogy
-
-    return np.exp(xlogy(count, rate) - rate - gammaln(count + 1.0))
+    w = int(width.max())
+    pmf = np.empty((rates.size, w))
+    pmf[:, 0] = 1.0
+    np.divide(rates[:, None], low[:, None] + np.arange(1.0, w), out=pmf[:, 1:])
+    pmf[np.arange(w) >= width[:, None]] = 0.0
+    np.cumprod(pmf, axis=1, out=pmf)
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    return pmf
 
 
 def _count_ranges(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +249,7 @@ class _InversionTable:
             w, rate = width[a:b, None], rates[a:b, None]
             k = low[a:b, None] + np.arange(w.max())
             keep = k < low[a:b, None] + w
-            cdf = np.cumsum(_poisson_pmf(k, rate), axis=1)
+            cdf = np.cumsum(_poisson_pmf(rates[a:b], low[a:b], width[a:b]), axis=1)
             np.minimum(cdf, 1.0, out=cdf)
             cdf[np.arange(b - a), width[a:b].astype(np.intp) - 1] = 1.0
             entries = slice(self.start[a], self.start[b])
@@ -314,9 +332,10 @@ def monte_carlo_sqjsd(rates, trials: int, seed) -> SqjsdSampleSet:
     ``rng.random`` uniform, drawn in C order, unless the fallback rule
     draws the counts with ``Generator.poisson`` (see the module docstring).
     Either way trials are drawn and reduced in row blocks, and the samples
-    equal those of one ``(trials, N)`` draw from ``seed``.
+    equal those of one ``(trials, N)`` draw from ``seed``.  A rate above
+    ``simulate.MAX_RATE`` raises ``DomainError`` before any draw.
     """
-    rates = as_nonneg_vector(rates, "rates")
+    rates = _below_max_rate(as_nonneg_vector(rates, "rates"))
     check_integer("trials", trials, 2)
     rng = np.random.default_rng(seed)
     ranges = _table_ranges(rates, trials)
@@ -376,29 +395,50 @@ def _ks_critical(alpha: float, n: int) -> float:
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 
 
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each entry of ``z``, by the branches of
+    cephes' ``ndtr`` (scipy's) over ``math.erf`` and ``math.erfc``: with
+    x = z / sqrt(2), 1/2 + erf(x)/2 where |x| < sqrt(1/2), else y =
+    erfc(|x|)/2, or 1 - y where x > 0.  For |z| < 9 about 70 % of values
+    are bit-equal to ``ndtr``'s and the rest within 2e-15 relative (6e-14
+    at z = -37, where the two erfc part further); it takes about 65 ns an
+    entry."""
+    x = z * _SQRT_HALF
+    near = np.abs(x) < _SQRT_HALF
+    cdf = np.empty_like(x)
+    cdf[near] = 0.5 + 0.5 * np.fromiter(map(math.erf, x[near].tolist()), float)
+    tail = 0.5 * np.fromiter(map(math.erfc, np.abs(x[~near]).tolist()), float)
+    cdf[~near] = np.where(x[~near] > 0.0, 1.0 - tail, tail)
+    return cdf
+
+
 def ks_gaussian_test(samples, alpha: float = 0.01) -> KsResult:
     """One-sample KS test of the sample array ``samples`` against a
     Gaussian with the sample's own moments.
 
     Follows the plain moment-matched procedure (no small-sample correction
     for the estimated parameters): statistic D_n against the fitted normal
-    CDF, pass iff D_n < c(alpha)/sqrt(n).  Degenerate (zero-variance)
-    samples are rejected with an error.
+    CDF, pass iff D_n < c(alpha)/sqrt(n).  Samples that are not a 1-D
+    array, non-finite or degenerate (zero-variance) are rejected with an
+    error.
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidParamError(f"alpha must lie in (0,1), got {alpha}")
-    vals = np.sort(np.asarray(samples, dtype=float))
+    vals = np.asarray(samples, dtype=float)
+    if vals.ndim != 1:
+        raise InvalidParamError(f"samples must be a 1-D array, got shape {vals.shape}")
+    vals = np.sort(vals)
     n = vals.size
+    if not np.all(np.isfinite(vals)):
+        raise InvalidParamError(f"samples must be finite, got {n - np.isfinite(vals).sum()} "
+                                f"non-finite of {n}")
     if n < KS_MIN_SAMPLES:
         raise InvalidParamError(f"need at least {KS_MIN_SAMPLES} samples, got {n}")
     mu = float(np.mean(vals))
     sd = float(np.std(vals, ddof=1))
     if sd == 0.0:
         raise InvalidParamError("zero-variance samples: KS test degenerate")
-    # Imported here, so that importing the package loads numpy only.
-    from scipy.special import ndtr
-
-    cdf = ndtr((vals - mu) / sd)
+    cdf = _normal_cdf((vals - mu) / sd)
     idx = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(idx / n - cdf)
     d_minus = np.max(cdf - (idx - 1.0) / n)

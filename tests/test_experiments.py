@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import pickle
 import re
 import threading
@@ -16,7 +17,7 @@ from poisson_cs import cli, experiments
 from poisson_cs.cli import main
 from poisson_cs.errors import InvalidParamError
 from poisson_cs.sensing import SensingMatrix, build_phi, sample_rip_matrix
-from poisson_cs.simulate import derive_seed
+from poisson_cs.simulate import MAX_RATE, derive_seed
 from poisson_cs.sqjsd_stats import concentration_bounds, ks_gaussian_test, monte_carlo_sqjsd
 from poisson_cs.experiments import (
     ExperimentSpec,
@@ -223,6 +224,22 @@ class TestSpec:
             ExperimentSpec(kind="image", grid={"intensity": [0.0]})
         with pytest.raises(InvalidParamError, match="intensity"):
             ExperimentSpec(kind="sparsity", intensity=0.0)
+
+    @pytest.mark.parametrize("kind, where", [("intensity", "grid"), ("sparsity", "field"),
+                                             ("verify-stats", "grid"), ("image", "grid")])
+    def test_an_intensity_above_max_rate_is_refused(self, kind, where):
+        # No rate exceeds the intensity, so an intensity above MAX_RATE is
+        # refused before any draw; MAX_RATE itself is taken.
+        name = "grid intensity" if where == "grid" else "intensity"
+        for top in (MAX_RATE, math.nextafter(MAX_RATE, math.inf), 1e16, 1e300):
+            over = {"grid": {"intensity": [1e4, top]}} if where == "grid" else {"intensity": top}
+            if top == MAX_RATE:
+                ExperimentSpec(kind=kind, **over)
+                continue
+            with pytest.raises(InvalidParamError,
+                               match=f"^{name} must be at most MAX_RATE = 1e.12, .* got "
+                                     f"{re.escape(repr(top))}$"):
+                ExperimentSpec(kind=kind, **over)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -0.5])
     def test_bad_beta_rejected(self, beta):
@@ -1111,6 +1128,8 @@ class TestCli:
         ("image", {}, "truncated PGM data"),
         ("image", {}, "zero image"),
         ("image", {}, "patch 7 larger than image 5x5"),
+        ("verify-stats", {"grid": {"intensity": [1e300]}}, "grid intensity must be at most"),
+        ("sweep", {"grid": {"intensity": [1e300]}}, "grid intensity must be at most"),
     ])
     def test_refused_run_leaves_no_out_directory(self, command, config, field, tmp_path):
         # The --out directory used to be made before the run's own checks,

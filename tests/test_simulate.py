@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from poisson_cs.errors import InvalidParamError, LengthMismatchError
+from poisson_cs.errors import DomainError, InvalidParamError, LengthMismatchError
 from poisson_cs.sensing import build_phi, sample_rip_matrix
-from poisson_cs.simulate import derive_seed, measure
+from poisson_cs.simulate import MAX_RATE, derive_seed, measure
 
 
 def draws_at(rate, n, seed):
@@ -52,6 +52,18 @@ class TestPoissonDraw:
         rate, draws, _ = draws_at(1e8, 400, seed=3)
         n = draws.size
         assert abs(draws.mean() - 1e8) <= 5 * math.sqrt(rate) / math.sqrt(n)
+
+    def test_rates_above_max_rate_refused_before_any_draw(self, monkeypatch):
+        # At 1e300 Generator.poisson died in a bare "lam value too large",
+        # and at 1e16 its draws read z-variance 1.41.  The rows of 1/8 make
+        # each lit rate the signal's entry over 8, exactly.
+        phi = build_phi(sample_rip_matrix(8, 1, 0.5, seed=9))
+        rate, draws, _ = draws_at(MAX_RATE, 8, seed=9)
+        assert rate == MAX_RATE and draws.size > 0
+        monkeypatch.setattr(np.random, "default_rng", None)  # no draw may start
+        for top in (np.nextafter(MAX_RATE, np.inf), 1e16, 1e300):
+            with pytest.raises(DomainError, match="^rates must be at most MAX_RATE = 1e.12"):
+                measure(phi, np.array([8.0 * top]), seed=0)
 
 
 class TestMeasure:

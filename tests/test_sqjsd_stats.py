@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from contextlib import nullcontext
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from poisson_cs.errors import (
     MissingSamplesError,
 )
 from poisson_cs.sensing import build_phi, sample_rip_matrix
+from poisson_cs.simulate import MAX_RATE
 from poisson_cs.sqjsd_stats import (
     TAIL_COEFFICIENT,
     choose_epsilon,
@@ -75,6 +77,31 @@ def exact_jsd_mean(table):
         cdf = table.cdf[start:start + width]
         total += 0.5 * np.dot(np.diff(cdf, prepend=0.0), table.terms[start:start + width])
     return total
+
+
+def exact_poisson_pmf(rate, low, width):
+    """Poisson(``rate``) pmf of the counts ``low .. low + width - 1`` in
+    40-digit decimal arithmetic, each exp(k ln(rate) - rate - ln k!): ln k!
+    summed term by term below 1000, and by Stirling's series from there
+    (its first omitted term is below 1e-30)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        if rate == 0.0:
+            return [Decimal(int(k == 0)) for k in range(low, low + width)]
+        log_small = [Decimal(0)]
+        for j in range(1, 1000):
+            log_small.append(log_small[-1] + Decimal(j).ln())
+        two_pi = 2 * Decimal("3.141592653589793238462643383279502884197")
+
+        def log_factorial(k):
+            if k < 1000:
+                return log_small[k]
+            k = Decimal(k)
+            return (k * k.ln() - k + (two_pi * k).ln() / 2 + 1 / (12 * k)
+                    - 1 / (360 * k**3) + 1 / (1260 * k**5) - 1 / (1680 * k**7))
+
+        r = Decimal(rate)
+        return [(k * r.ln() - r - log_factorial(k)).exp() for k in range(low, low + width)]
 
 
 class TestMonteCarlo:
@@ -157,8 +184,6 @@ class TestMonteCarlo:
         # The threads of a verify-stats run split one count budget, so two
         # hold no more counts in flight than one; a full budget per thread
         # peaked near 34 MB here.
-        from scipy.special import ndtr  # noqa: F401  (ks_gaussian_test imports it lazily)
-
         spec = experiments.ExperimentSpec(
             kind="verify-stats", grid={"n_measurements": [500], "intensity": [1e3, 1e4]},
             trials=20_000, master_seed=66)
@@ -179,8 +204,6 @@ class TestMonteCarlo:
         # thread's share of the budget; the threads still hold no more in
         # flight than one thread alone.  With each thread's table held on
         # top of its share, four threads peaked 1.16 times as high as one.
-        from scipy.special import ndtr  # noqa: F401  (ks_gaussian_test imports it lazily)
-
         sizes = []
 
         class Recorded(sqjsd_stats._InversionTable):
@@ -208,6 +231,34 @@ class TestMonteCarlo:
 
 class TestInversionSampler:
     RATES = [0.0, 0.05, 0.7, 9.99, 10.0, 57.3, 2500.0]
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.7, 9.99, 57.3, 2500.0, 1e4, 1e6])
+    def test_pmf_matches_40_digit_arithmetic(self, rate):
+        # Over the table's whole range: within 1e-13 relative, and 0 where
+        # the pmf is.  The pmf of exp(k log(rate) - rate - log k!) in double
+        # precision was 3e-9 off at rate 1e6.
+        rates = np.array([rate])
+        low, width = sqjsd_stats._count_ranges(rates)
+        got = sqjsd_stats._poisson_pmf(rates, low, width)
+        assert got.shape == (1, int(width[0]))
+        exact = exact_poisson_pmf(rate, int(low[0]), int(width[0]))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            error = max(abs(Decimal(g) - e) / e if e else abs(Decimal(g))
+                        for g, e in zip(got[0].tolist(), exact))
+        assert error <= Decimal("1e-13"), (rate, error)
+
+    def test_pmf_rows_stop_at_their_width(self):
+        # Rows of one padded block: each row is its own rate's pmf, 0 past
+        # its width.
+        rates = np.array([57.3, 0.0, 2500.0, 0.7])
+        low, width = sqjsd_stats._count_ranges(rates)
+        block = sqjsd_stats._poisson_pmf(rates, low, width)
+        assert block.shape == (4, int(width.max()))
+        for i, w in enumerate(width.astype(int)):
+            alone = sqjsd_stats._poisson_pmf(rates[i:i + 1], low[i:i + 1], width[i:i + 1])
+            assert np.array_equal(block[i, :w], alone[0])
+            assert np.all(block[i, w:] == 0.0)
 
     def test_counts_follow_the_poisson_pmf(self):
         # Chi-square of 200 000 inverted counts per rate against scipy's pmf,
@@ -375,6 +426,18 @@ def test_bad_rates_refused_before_any_draw(entry, bad, monkeypatch):
         ENTRIES[entry](BAD_RATES[bad])
 
 
+def test_rates_above_max_rate_refused_before_any_draw(monkeypatch):
+    # Above MAX_RATE Generator.poisson's draws are not Poisson: at I = 1e16
+    # verify-stats read var 0.079 against 0.06, and at 1e300 _count_ranges
+    # collapsed into a broadcast error.
+    sample = lambda rates: monte_carlo_sqjsd(rates, trials=50, seed=41)  # noqa: E731
+    assert sample(np.full(3, MAX_RATE)).trials == 50
+    monkeypatch.setattr(np.random, "default_rng", None)  # no draw may start
+    for top in (np.nextafter(MAX_RATE, np.inf), 1e16, 1e300):
+        with pytest.raises(DomainError, match="^rates must be at most MAX_RATE = 1e.12"):
+            sample(np.array([1.0, top, 2.0]))
+
+
 class TestKsGaussian:
     def test_gaussian_calibration(self):
         passes = 0
@@ -404,6 +467,44 @@ class TestKsGaussian:
         assert res.critical == pytest.approx(
             math.sqrt(-0.5 * math.log(0.005)) / math.sqrt(400)
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_refused(self, bad):
+        # A NaN sample used to give statistic nan and passed False, silently.
+        samples = np.random.default_rng(29).normal(size=100)
+        samples[17] = bad
+        with pytest.raises(InvalidParamError, match="^samples must be finite, got 1 non-finite"):
+            ks_gaussian_test(samples)
+
+    @pytest.mark.parametrize("shape", [(1000, 1), (1, 1000), (20, 50), ()])
+    def test_samples_not_1d_refused(self, shape):
+        # A (1000, 1) column of Gaussian samples went unsorted and broadcast
+        # against the ranks into a (1000, 1000) table: statistic 0.99996,
+        # passed False, silently.
+        samples = np.random.default_rng(28).normal(size=shape)
+        with pytest.raises(InvalidParamError, match=r"^samples must be a 1-D array, got shape"):
+            ks_gaussian_test(samples)
+
+    def test_normal_cdf_matches_ndtr(self):
+        # Within 4e-15 relative of scipy's ndtr for |z| <= 9, both sides of
+        # each branch's edge |z| = 1 included, and 1e-13 down to z = -37 (the
+        # CDF 6e-300), where the two erfc part by up to 6e-14, growing as z^2.
+        # So the statistic of a KS test moves by no more than 1e-14 relative.
+        from scipy.special import ndtr
+
+        edge = np.array([1.0, -1.0])
+        z = np.r_[np.random.default_rng(30).normal(0.0, 2.0, 100_000), np.linspace(-9.0, 9.0, 1801),
+                  edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0 * edge), 0.0]
+        np.testing.assert_allclose(sqjsd_stats._normal_cdf(z), ndtr(z), rtol=4e-15, atol=0.0)
+        tail = np.linspace(-37.0, -9.0, 2801)
+        np.testing.assert_allclose(sqjsd_stats._normal_cdf(tail), ndtr(tail), rtol=1e-13, atol=0.0)
+        for seed in range(10):
+            vals = np.sort(np.random.default_rng(31 + seed).gamma(9.0, size=1000))
+            cdf = ndtr((vals - vals.mean()) / np.std(vals, ddof=1))
+            k = np.arange(1.0, 1001.0)
+            statistic = max(np.max(k / 1000 - cdf), np.max(cdf - (k - 1.0) / 1000))
+            got = ks_gaussian_test(vals).statistic
+            assert got == pytest.approx(statistic, rel=1e-14, abs=0.0)
 
     def test_needs_30_samples(self):
         with pytest.raises(InvalidParamError):

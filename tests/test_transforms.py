@@ -77,8 +77,8 @@ class TestBases:
 
 
 def test_importing_the_cli_loads_numpy_only():
-    # scipy is imported where a DCT or the KS test needs it, so that starting
-    # the CLI does not pay for it; a DCT basis still synthesizes.
+    # scipy is imported where a DCT needs it, so that starting the CLI does
+    # not pay for it; a DCT basis still synthesizes.
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -92,6 +92,33 @@ def test_importing_the_cli_loads_numpy_only():
     env = {**os.environ, "PYTHONPATH": str(Path(poisson_cs.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_statistics_and_sweeps_load_no_scipy(tmp_path):
+    # Only the DCT basis needs scipy: a desk verify-stats run (its tables'
+    # pmf and its KS test), a P2 sweep with either radius (the percentile
+    # pilot inverts a table at I = 1e2) and a P4 sweep on the identity basis
+    # finish without importing it.  Each exits 0, or 2 for an unconverged cell.
+    (tmp_path / "theory.json").write_text('{"epsilon_mode": "theory"}')
+    (tmp_path / "percentile.json").write_text(
+        '{"epsilon_mode": "percentile", "grid": {"intensity": [1e2, 1e4]}}')
+    code = (
+        "import sys\n"
+        "from poisson_cs.cli import main\n"
+        "out = sys.argv[1]\n"
+        "runs = [['verify-stats'],\n"
+        "        ['sweep', '--solver', 'P2', '--config', out + '/theory.json'],\n"
+        "        ['sweep', '--solver', 'P2', '--config', out + '/percentile.json'],\n"
+        "        ['sweep', '--solver', 'P4']]\n"
+        "for k, argv in enumerate(runs):\n"
+        "    assert main(argv + ['--trials', '100' if k == 0 else '2', '--out', f'{out}/{k}']) in (0, 2)\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(poisson_cs.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == ["0", "1", "2", "3"]
 
 
 class TestPatchGrid:
