@@ -1,5 +1,6 @@
 """Unit tests for bases, the patch pipeline, and PGM I/O."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,11 @@ import pytest
 
 import poisson_cs
 from poisson_cs.errors import InvalidParamError, LengthMismatchError
+from poisson_cs.experiments import make_test_image
 from poisson_cs.transforms import (
+    OrthonormalBasis,
     PatchGrid,
+    _dct_table,
     dct2_basis,
     extract_patches,
     identity_basis,
@@ -75,10 +79,75 @@ class TestBases:
         with pytest.raises(LengthMismatchError):
             dct2_basis(7).synthesize(np.ones(10))
 
+    @pytest.mark.parametrize("dim, patch_shape, name", [
+        (0, None, "dim"),
+        (2.0, None, "dim"),
+        (10, (3, 3), "patch_shape"),
+        (9, (9,), "patch_shape"),
+        (9, [3, 3], "patch_shape"),
+        (0, (0, 3), "dim"),
+        (9, (3.0, 3), "patch_shape"),
+    ])
+    def test_fields_checked(self, dim, patch_shape, name):
+        with pytest.raises(InvalidParamError, match=name):
+            OrthonormalBasis(dim, patch_shape)
+
+    @pytest.mark.parametrize("make", [lambda: identity_basis(9), lambda: dct2_basis(3)])
+    def test_maps_return_a_vector(self, make):
+        basis = make()
+        square = np.arange(9.0).reshape(3, 3)
+        for out in (basis.synthesize(square), basis.analyze(square)):
+            assert out.shape == (9,)
+        assert np.allclose(basis.analyze(basis.synthesize(square)), square.reshape(-1))
+
+
+def _naive_dct_table(n):
+    k = np.arange(n).reshape(-1, 1)
+    scale = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    return scale * np.cos(np.pi * (2 * np.arange(n) + 1) * k / (2 * n))
+
+
+def _gram_error(table):
+    # Each entry of the Gram matrix summed exactly, so that the bound measures
+    # the table, not a BLAS summation order.
+    n = len(table)
+    return max(abs(math.fsum(table[a] * table[b]) - (a == b))
+               for a in range(n) for b in range(n))
+
+
+class TestDctTable:
+    def test_orthonormal(self):
+        for n in range(1, 65):
+            table = _dct_table(n)
+            assert max(_gram_error(table), _gram_error(table.T)) <= 1e-15, n
+        # The cosine of the unreduced angle misses the bound.
+        assert max(_gram_error(_naive_dct_table(n)) for n in range(1, 65)) > 1e-15
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 2), (3, 5), (5, 3), (7, 7), (8, 8),
+                                      (16, 16), (32, 32)])
+    def test_matches_scipy(self, h, w):
+        from scipy.fft import dctn, idctn
+
+        basis = dct2_basis(h, w)
+        rng = np.random.default_rng(h * 100 + w)
+        for _ in range(5):
+            theta = rng.standard_normal((h, w))
+            bound = 1e-15 * np.max(np.abs(theta))
+            ref = idctn(theta, norm="ortho").reshape(-1)
+            assert np.max(np.abs(basis.synthesize(theta) - ref)) <= bound
+            ref = dctn(theta, norm="ortho").reshape(-1)
+            assert np.max(np.abs(basis.analyze(theta) - ref)) <= bound
+
+    def test_cached_and_read_only(self):
+        table = _dct_table(7)
+        assert _dct_table(7) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
 
 def test_importing_the_cli_loads_numpy_only():
-    # scipy is imported where a DCT needs it, so that starting the CLI does
-    # not pay for it; a DCT basis still synthesizes.
+    # The package runs on numpy alone: neither starting the CLI nor applying a
+    # DCT basis imports scipy.
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -87,7 +156,7 @@ def test_importing_the_cli_loads_numpy_only():
         "from poisson_cs.transforms import dct2_basis\n"
         "basis = dct2_basis(3)\n"
         "x = basis.synthesize(np.eye(9)[0])\n"
-        "assert np.allclose(x, 1.0 / 3.0) and 'scipy' in sys.modules\n"
+        "assert np.allclose(x, 1.0 / 3.0) and 'scipy' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(poisson_cs.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -95,30 +164,35 @@ def test_importing_the_cli_loads_numpy_only():
 
 
 def test_statistics_and_sweeps_load_no_scipy(tmp_path):
-    # Only the DCT basis needs scipy: a desk verify-stats run (its tables'
-    # pmf and its KS test), a P2 sweep with either radius (the percentile
-    # pilot inverts a table at I = 1e2) and a P4 sweep on the identity basis
-    # finish without importing it.  Each exits 0, or 2 for an unconverged cell.
+    # No command needs scipy: a desk verify-stats run (its tables' pmf and its
+    # KS test), a P2 sweep with either radius (the percentile pilot inverts a
+    # table at I = 1e2), a P4 sweep on the identity basis, and a P4 and a P2
+    # image run on the DCT basis finish without importing it.  Each exits 0,
+    # or 2 for an unconverged cell.
     (tmp_path / "theory.json").write_text('{"epsilon_mode": "theory"}')
     (tmp_path / "percentile.json").write_text(
         '{"epsilon_mode": "percentile", "grid": {"intensity": [1e2, 1e4]}}')
+    write_pgm(tmp_path / "scene.pgm", make_test_image(16, 16))
     code = (
         "import sys\n"
         "from poisson_cs.cli import main\n"
         "out = sys.argv[1]\n"
-        "runs = [['verify-stats'],\n"
-        "        ['sweep', '--solver', 'P2', '--config', out + '/theory.json'],\n"
-        "        ['sweep', '--solver', 'P2', '--config', out + '/percentile.json'],\n"
-        "        ['sweep', '--solver', 'P4']]\n"
+        "image = ['image', '--input', out + '/scene.pgm', '--solver']\n"
+        "runs = [['verify-stats', '--trials', '100'],\n"
+        "        ['sweep', '--solver', 'P2', '--config', out + '/theory.json', '--trials', '2'],\n"
+        "        ['sweep', '--solver', 'P2', '--config', out + '/percentile.json', '--trials', '2'],\n"
+        "        ['sweep', '--solver', 'P4', '--trials', '2'],\n"
+        "        image + ['P4'],\n"
+        "        image + ['P2']]\n"
         "for k, argv in enumerate(runs):\n"
-        "    assert main(argv + ['--trials', '100' if k == 0 else '2', '--out', f'{out}/{k}']) in (0, 2)\n"
+        "    assert main(argv + ['--out', f'{out}/{k}']) in (0, 2)\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(poisson_cs.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == ["0", "1", "2", "3"]
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [str(k) for k in range(6)]
 
 
 class TestPatchGrid:
