@@ -616,7 +616,9 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
 
     Each N's Phi is built once, in grid order, before any cell runs.  Right
     after it is built, this thread draws the probe signal of each cell of
-    that N and makes the cell's rates ``Phi x``, once.  The cells hand those
+    that N and makes the cell's rates ``Phi x``, once; a cell whose rates
+    are all 0, whose samples would all be 0, is refused there, before any
+    cell samples.  The cells hand those
     rates to ``monte_carlo_sqjsd`` and ``concentration_bounds``; the rates are
     summed in one fixed order (``SensingMatrix.rates``), so no BLAS worker
     wakes and the report does not depend on the BLAS thread count.  The
@@ -643,7 +645,12 @@ def run_verify_stats(spec: ExperimentSpec) -> dict:
             rng = np.random.default_rng(derive_seed(spec.master_seed, _STREAM_SIGNAL, N, level))
             x = rng.uniform(0.5, 1.5, size=phi.dim)
             x *= intensity / x.sum()
-            jobs.append((phi.dim, intensity, level, phi.rates(x)))
+            rates = phi.rates(x)
+            if not np.any(rates):
+                raise InvalidParamError(
+                    f"grid n_measurements {N}: Phi of master seed {spec.master_seed} has only "
+                    f"zero rows, so every rate at intensity {intensity!r} and every sample is 0")
+            jobs.append((phi.dim, intensity, level, rates))
     # Every cell runs spec.trials trials, so its work grows with N.  Cells of
     # one N go by falling intensity: higher rates make wider tables, and the
     # widest then starts while the budget is free, not waiting for room.

@@ -486,17 +486,19 @@ _LOG_MAX_STEP = math.log(100.0)
 
 
 def gradient_scale(A, basis: OrthonormalBasis, y, fit: FitTerm) -> float:
-    """sup-norm of the fit gradient at the default start.
+    """sup-norm of the fit gradient at the default start, floored at 1e-12.
 
     Natural unit for regularization grids: lam far above this freezes theta
-    at (nearly) zero, lam far below is effectively unregularized.
+    at (nearly) zero, lam far below is effectively unregularized.  The floor
+    keeps every lam it scales > 0 where the gradient vanishes, as it does
+    when every row is masked (all counts 0 at beta 0) or A is all zero.
     """
     A = np.asarray(A, dtype=float)
     counts = np.asarray(y, dtype=float)
     model = _FitModel.of(A, counts, fit)
     with np.errstate(**_QUIET):
         g = model.grad_theta(model.rates(_default_start(basis, counts)))
-    return float(np.max(np.abs(g))) if g.size else 1.0
+    return max(float(np.max(np.abs(g))), 1e-12)
 
 
 _POWER_ITERS = 40  # per spectral norm
@@ -594,6 +596,11 @@ def _lockstep(models, basis, counts, chains, cfg, prox) -> list:
     it asks for next starts on its row, on the stacked operator, counts and
     spectral norm the row already holds, and the row leaves the stack when
     the chain returns.  Returns each chain's return value.
+
+    A row holds its solve's accepted point in ``X``, with its rates in ``U``
+    and its fit value in ``f_x``: a solve that stops without a descent step
+    keeps the point it had.  A solve warm-started from its chain's last
+    result, the row's point, starts from these bits without ``_start``.
     """
     K = len(models)
     stack = _FitModel.stack(models)
@@ -612,15 +619,15 @@ def _lockstep(models, basis, counts, chains, cfg, prox) -> list:
     momenta = np.array(momenta)
     pull = (momenta[:-1] - 1.0) / momenta[1:]
 
-    # Each ended solve as (row, result, whether its last step was accepted).
-    ended = [(j, None, False) for j in range(K)]
+    # Each ended solve as (row, result).
+    ended = [(j, None) for j in range(K)]
     while True:
         # Send each ended solve's result to its chain and start the solve the
-        # chain asks for next.  One warm-started from the row's last accepted
-        # iterate starts from the rates and value the row holds, the bits
-        # ``_start`` would compute again.
+        # chain asks for next.  One warm-started from the row's point starts
+        # from the rates and value the row holds, the bits ``_start`` would
+        # compute again.
         leave = []
-        for j, res, moved in ended:
+        for j, res in ended:
             k = owner[j]
             try:
                 lam_j, warm = chains[k].send(res)
@@ -629,7 +636,7 @@ def _lockstep(models, basis, counts, chains, cfg, prox) -> list:
                 leave.append(j)
                 continue
             check_positive("lam", lam_j)
-            if moved and warm is res.theta_star:
+            if res is not None and warm is res.theta_star:
                 x, u, f = X[j], U[j], f_x[j]
             else:
                 x, u, f = _start(models[k], basis, counts[k], warm)
@@ -675,27 +682,24 @@ def _lockstep(models, basis, counts, chains, cfg, prox) -> list:
                 accepted[retry] = r_found & (r_F <= F_cur[retry])
                 cand[retry], dd[retry], u_cand[retry] = r_cand, r_dd, r_u
                 f_cand[retry], F_cand[retry], eta_try[retry] = r_f, r_F, r_eta
+            # Rows without an accepted step stop: no descent step exists at
+            # any step size, and they keep their point.
+            stay = ~accepted
+            cand[stay], u_cand[stay], f_cand[stay] = X[stay], U[stay], f_x[stay]
 
-        # Rows without an accepted step stop: no descent step exists at any
-        # step size; they keep their point.  The others move to the candidate.
         grad_map = np.sqrt(dd) / eta_try
         rel_change = np.abs(F_cur - F_cand) / np.maximum(1.0, np.abs(F_cand))
         flat = np.where(rel_change < _OBJECTIVE_TOL, flat + 1, 0)
         Z = cand + pull[step][:, None] * (cand - X)
         step += 1
         it += 1
-        last, X = X, cand
-        U, f_x, F_cur, eta = u_cand, f_cand, F_cand, eta_try
+        X, U, f_x, F_cur, eta = cand, u_cand, f_cand, F_cand, eta_try
 
         done = ~accepted | (flat >= 5) | (grad_map < _GRAD_TOL)
         ended = []
         for j in (done | (it >= cfg.max_iters)).nonzero()[0].tolist():
-            # A row without an accepted step holds its rejected try in X, U
-            # and f_x; its solve returns the point before it.
-            moved = bool(accepted[j])
-            ended.append((j, SolveResult(theta_star=(X if moved else last)[j].copy(),
-                                         iterations=int(it[j]), converged=bool(done[j]),
-                                         lambda_used=float(lam[j])), moved))
+            ended.append((j, SolveResult(theta_star=X[j].copy(), iterations=int(it[j]),
+                                         converged=bool(done[j]), lambda_used=float(lam[j]))))
 
 
 def solve_chains(
@@ -877,7 +881,7 @@ def _radius_search(A, basis, counts, epsilon, fit):
             total_iterations=0,
         )
 
-    scale = max(gradient_scale(A, basis, counts, fit), 1e-12)
+    scale = gradient_scale(A, basis, counts, fit)
     tol = _CONSTRAINT_RTOL * epsilon
     iterations = []
 

@@ -454,9 +454,24 @@ def logged_chain(log, steps):
     return len(log)
 
 
+def stops_without_descent(A, basis, y, fit, lam, cfg, warm):
+    """Whether the reference solve ends on an iteration that finds no descent
+    step: the solve capped one iteration earlier returns the same point."""
+    ref, _ = scalar_reference(A, basis, y, fit, lam, cfg, warm)
+    if not ref.converged or ref.iterations < 2:
+        return False
+    early, _ = scalar_reference(A, basis, y, fit, lam,
+                                SolverConfig(max_iters=ref.iterations - 1), warm)
+    return np.array_equal(early.theta_star, ref.theta_star)
+
+
 def test_refilled_rows_match_the_scalar_loop(monkeypatch):
     # Chains of unequal length in one stack: every solve after a chain's
     # first starts on the row its previous solve left, in the same pass.
+    # Some solves stop without a descent step, and the row then holds the
+    # point its solve returns: a successor warm-started from that result
+    # starts from the row's bits, and only a cold start or another warm start
+    # goes through ``_start``.
     basis = dct2_basis(5)
     fit = FitTerm(FitKind.JSD)
     cfg = SolverConfig(max_iters=60)
@@ -479,6 +494,11 @@ def test_refilled_rows_match_the_scalar_loop(monkeypatch):
     ]
     logs = [[] for _ in steps]
     stacked = count_stacks(monkeypatch)
+    # The warm start of every _start call.
+    starts = []
+    plain_start = solvers._start
+    monkeypatch.setattr(solvers, "_start",
+                        lambda *args: starts.append(args[-1]) or plain_start(*args))
     got = solve_chains(A, basis, ys, fit,
                        [logged_chain(log, chain) for log, chain in zip(logs, steps)], cfg)
     assert got == [len(chain) for chain in steps]
@@ -496,6 +516,19 @@ def test_refilled_rows_match_the_scalar_loop(monkeypatch):
             assert (res.iterations, res.converged) == (ref.iterations, ref.converged), k
             assert res.lambda_used == lam
     assert fell_back == [False] * 6 + [True] + [False] * 3
+    # A solve whose warm start is its chain's last result starts from the
+    # row; _start runs for every other solve.  Two of those rows hold a
+    # solve that stopped without a descent step (problems 1 and 3).
+    others, stopped = [], 0
+    for k, log in enumerate(logs):
+        others += log[:1]
+        for (lam, start, prev), entry in zip(log, log[1:]):
+            if entry[1] is not prev.theta_star:
+                others.append(entry)
+            else:
+                stopped += stops_without_descent(A[k], basis, ys[k], fit, lam, cfg, start)
+    assert stopped == 2
+    assert sorted(map(id, starts)) == sorted(id(start) for _, start, _ in others)
     # The capped solve started after its chain's first solve had stopped, so
     # its iterations count from its own start pass.
     first, capped = logs[3][0][2], logs[3][1][2]

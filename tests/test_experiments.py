@@ -710,6 +710,27 @@ class TestVerifyStats:
         # held and started no more of the six.
         assert len(drawn) < 6
 
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_a_cell_of_zero_rates_is_refused_before_any_sampling(self, seed, tmp_path,
+                                                                 monkeypatch):
+        # At these seeds the one row of N = 1's Phi is all zero, so every
+        # sample is 0.  The run used to sample every cell, then die in the KS
+        # test ("zero-variance samples") and write no report.
+        drawn = []
+        sample = experiments.monte_carlo_sqjsd
+        monkeypatch.setattr(experiments, "monte_carlo_sqjsd",
+                            lambda *args: drawn.append(args) or sample(*args))
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"grid": {"n_measurements": [1], "intensity": [10]}}))
+        out = tmp_path / "out"
+        with pytest.raises(InvalidParamError,
+                           match=f"^grid n_measurements 1: Phi of master seed {seed} has only "
+                                 "zero rows"):
+            main(["verify-stats", "--config", str(cfg), "--out", str(out), "--trials", "100",
+                  "--seed", str(seed)])
+        assert not out.exists()
+        assert drawn == []
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_cells_equal_the_public_functions_on_the_same_streams(self, cpus, monkeypatch):
         # N = 500 gives a 500 x 1000 Phi, a gemv that OpenBLAS runs on two
@@ -920,6 +941,48 @@ def walk_at(errors):
     reference; returns the number of solves asked for and the pick's index."""
     asked, sent, pick = drive_walk([[e, 0.0] for e in errors], np.zeros(2))
     return len(asked), next(i for i, res in enumerate(sent) if res is pick)
+
+
+class TestFlatProblems:
+    """Runs whose gradient scale is 0 on some problem: every row of a P5 or P6
+    fit masked (all counts 0 at beta 0), or an all-zero Phi.  The omniscient
+    walk used to ask for lam = 0 there, and the run died."""
+
+    @staticmethod
+    def finite_rrmses(argv, report):
+        code = main(argv)
+        assert code in (0, 2)
+        cells = json.loads(report.read_text())["cells"]
+        rrmses = [r["rrmse"] for c in cells for r in c.get("trial_records", [c])]
+        assert rrmses and all(math.isfinite(e) for e in rrmses)
+
+    @pytest.mark.parametrize("solver", ["P5", "P6"])
+    def test_a_trial_of_zero_counts(self, solver, tmp_path):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"grid": {"intensity": [1, 10]}}))
+        out = tmp_path / "out"
+        self.finite_rrmses(["sweep", "--kind", "intensity", "--solver", solver, "--config",
+                            str(cfg), "--out", str(out), "--trials", "4", "--seed", "0"],
+                           out / "manifest_intensity.json")
+
+    @pytest.mark.parametrize("solver", ["P5", "P6"])
+    def test_a_dim_image_patch(self, solver, tmp_path):
+        src, cfg = tmp_path / "scene.pgm", tmp_path / "spec.json"
+        write_pgm(src, make_test_image(16, 16))
+        cfg.write_text(json.dumps({"grid": {"intensity": [30]}, "beta": 0}))
+        out = tmp_path / "out"
+        self.finite_rrmses(["image", "--input", str(src), "--solver", solver, "--config",
+                            str(cfg), "--out", str(out)], out / "image_recon.json")
+
+    def test_an_all_zero_phi(self, tmp_path):
+        # Trial 0's 1 x 4 Phi is all zero at seed 3.
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(
+            {"grid": {"n_measurements": [1, 2]}, "sparsity": 1, "dim": 4}))
+        out = tmp_path / "out"
+        self.finite_rrmses(["sweep", "--kind", "measurements", "--solver", "P4", "--config",
+                            str(cfg), "--out", str(out), "--trials", "4", "--seed", "3"],
+                           out / "manifest_measurements.json")
 
 
 class TestLambdaWalk:

@@ -176,6 +176,22 @@ class TestSolvePenalized:
         res = solve_penalized(phi.entries, basis, mv, fit, lam)
         assert np.sum(np.abs(res.theta_star)) <= 1e-6 * x.sum()
 
+    @pytest.mark.parametrize("kind", list(FitKind))
+    @pytest.mark.parametrize("canonical", [False, True])
+    def test_gradient_scale_of_a_flat_problem_is_its_floor(self, kind, canonical):
+        # An all-zero operator has a zero gradient at every point, and so has
+        # a fit that masks every row (all counts 0 at beta 0, SNLL and
+        # gen-KL).  Each lam the scale sets used to be 0, which every solve
+        # refuses.
+        basis = identity_basis(9) if canonical else dct2_basis(3)
+        fit = FitTerm(kind)
+        assert gradient_scale(np.zeros((4, 9)), basis, [0, 3, 1, 2], fit) == 1e-12
+        masked = gradient_scale(np.ones((4, 9)), basis, np.zeros(4), fit)
+        if kind == FitKind.JSD:
+            assert masked > 1e-12  # the JSD fit keeps its zero counts
+        else:
+            assert masked == 1e-12
+
     def test_capped_solves_are_prefixes_of_a_monotone_run(self):
         # A solve capped at k iterations runs the first k iterations of the
         # uncapped solve, so the capped solves walk its iterates, and the
